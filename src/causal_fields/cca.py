@@ -12,6 +12,18 @@ Of the two index conventions the scattering matrix admits, this is the one
 under which the mass-zero Dirac automaton transports excitations one site
 per step (and under which the inverse-scattering construction below is an
 actual causal reversal).
+
+Every evolution kernel comes from one scatter-and-route builder (the
+partitioned, Margolus form of Schumacher-Werner, quant-ph/0405174).  Its
+cells are slot groups of the source slice, each acted on by the one cell
+matrix; its route maps every kept slot to a target slot label.  The program
+is one matrix step per cell, one discard of the unrouted slots and one
+permutation into canonical target order.  A forward step scatters at each
+source event and routes ``(y, dlt)`` to ``(y - dlt, dlt)``; a reverse step
+applies the inverse effective scattering to the slots ``(x - dlt, dlt)``
+and routes them back to ``(x, dlt)``; a ring step routes modulo the ring.
+Both time directions share one factorisation of slice morphisms into a
+restriction followed by single steps.
 """
 
 from __future__ import annotations
@@ -272,10 +284,28 @@ def slice_object(config: PartitionedCCAConfig, sites: Sites) -> P.ProcObject:
     return P.ProcObject(config.backend, (config.cell_dim,) * (config.cell_factors * len(sites)))
 
 
-def _cell_matrix_step(config: PartitionedCCAConfig, obj: P.ProcObject, mat, idx) -> P.ProcMorphism:
-    if config.backend == P.QUANTUM:
-        return P.unitary_channel(obj, mat, idx)
-    return P.stochastic_map(obj, mat, idx)
+def _scatter_and_route(config: PartitionedCCAConfig, sites: Sites, mat, cells, route: dict) -> P.ProcMorphism:
+    """The one kernel builder: ``mat`` on every slot group of ``cells`` (in
+    the given order), one discard of the slots ``route`` leaves out, and one
+    permutation putting each kept slot at its target label, targets in
+    canonical slice order.  The cell matrix is checked once, by the
+    backend's own constructor on a single cell."""
+    cell = P.ProcObject(config.backend, (config.cell_dim,) * config.cell_factors)
+    make = P.unitary_channel if config.backend == P.QUANTUM else P.stochastic_map
+    mat = make(cell, mat).steps[0][1]
+    slots = slice_slots(config, sites)
+    pos = {s: i for i, s in enumerate(slots)}
+    steps = [("matrix", mat, tuple(pos[s] for s in group)) for group in cells]
+    drop = tuple(i for i, s in enumerate(slots) if s not in route)
+    if drop:
+        steps.append(("discard", drop))
+    kept = [route[s] for s in slots if s in route]
+    at = {label: j for j, label in enumerate(kept)}
+    perm = tuple(at[label] for label in sorted(kept))
+    if perm != tuple(range(len(perm))):
+        steps.append(("permute", perm))
+    cod = P.ProcObject(config.backend, (config.cell_dim,) * len(kept))
+    return P.ProcMorphism(slice_object(config, sites), cod, tuple(steps))
 
 
 def restriction_kernel(config: PartitionedCCAConfig, xs: Sites, ys: Sites) -> P.ProcMorphism:
@@ -295,23 +325,10 @@ def one_step_kernel(config: PartitionedCCAConfig, ys: Sites, xs: Sites) -> P.Pro
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact predecessor set of the target")
-    dom = slice_object(config, ys)
-    slots = slice_slots(config, ys)
-    ueff = effective_scattering(config)
-    m = config.cell_factors
-    prog = P.identity(dom)
-    for i, _y in enumerate(sorted(ys)):
-        prog = P.compose(_cell_matrix_step(config, dom, ueff, range(i * m, (i + 1) * m)), prog)
-    keep, labels = [], []
-    for i, (y, dlt) in enumerate(slots):
-        if _sub(y, dlt) in xs:
-            keep.append(i)
-            labels.append((_sub(y, dlt), dlt))
-    drop = [i for i in range(len(slots)) if i not in set(keep)]
-    prog = P.compose(P.discard(prog.cod, drop), prog)
-    want = slice_slots(config, xs)
-    perm = tuple(labels.index(s) for s in want)
-    return P.compose(P.permute_factors(prog.cod, perm), prog)
+    dirs = config.directions
+    cells = [[(y, dlt) for dlt in dirs] for y in sorted(ys)]
+    route = {(y, dlt): (_sub(y, dlt), dlt) for y in ys for dlt in dirs if _sub(y, dlt) in xs}
+    return _scatter_and_route(config, ys, effective_scattering(config), cells, route)
 
 
 def reverse_one_step_kernel(
@@ -324,32 +341,20 @@ def reverse_one_step_kernel(
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact reverse predecessor set")
-    dom = slice_object(config, ys)
-    slots = slice_slots(config, ys)
-    pos = {s: i for i, s in enumerate(slots)}
-    prog = P.identity(dom)
-    used, labels_at = set(), {}
-    for x in sorted(xs):
-        idx = [pos[(_sub(x, dlt), dlt)] for dlt in config.directions]
-        prog = P.compose(_cell_matrix_step(config, dom, v_inv, idx), prog)
-        for j, dlt in enumerate(config.directions):
-            used.add(idx[j])
-            labels_at[idx[j]] = (x, dlt)
-    drop = [i for i in range(len(slots)) if i not in used]
-    prog = P.compose(P.discard(prog.cod, drop), prog)
-    kept_labels = [labels_at[i] for i in sorted(used)]
-    want = slice_slots(config, xs)
-    perm = tuple(kept_labels.index(s) for s in want)
-    return P.compose(P.permute_factors(prog.cod, perm), prog)
+    dirs = config.directions
+    cells = [[(_sub(x, dlt), dlt) for dlt in dirs] for x in sorted(xs)]
+    route = {(_sub(x, dlt), dlt): (x, dlt) for x in xs for dlt in dirs}
+    return _scatter_and_route(config, ys, v_inv, cells, route)
 
 
 # ---------------------------------------------------------------------------
 # morphism factorisation and the field theory
 # ---------------------------------------------------------------------------
 
-def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma) -> list:
+def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: int = 1) -> list:
     """The canonical factorisation of a slice morphism into one restriction
-    followed by full one-step evolutions."""
+    followed by full one-step evolutions; ``direction`` is +1 for the
+    forward foliation and -1 for the reversed one."""
     sigma, gamma = frozenset(sigma), frozenset(gamma)
     s = LatticeSlice.from_events(sigma)
     if s is None:
@@ -359,48 +364,52 @@ def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma) -> list:
     g = LatticeSlice.from_events(gamma)
     if g is None:
         return [("restrict", s.sites, frozenset(), s.t)]
-    k = g.t - s.t
-    if k < 0 or not lattice_slice_leq(s, g, config.d):
+    k = direction * (g.t - s.t)
+    first = expand_sites(g.sites, max(k, 0), config.d)
+    if k < 0 or not first <= s.sites:
         raise BadParams("not a lattice slice morphism")
-    first = expand_sites(g.sites, k, config.d)
     steps = [("restrict", s.sites, first, s.t)]
     cur = first
     for i in range(1, k + 1):
         nxt = expand_sites(g.sites, k - i, config.d)
-        steps.append(("step", cur, nxt, s.t + i))
+        steps.append(("step", cur, nxt, s.t + direction * i))
         cur = nxt
     return steps
 
 
-def build_cca(config: PartitionedCCAConfig) -> FieldTheory:
-    """The partitioned automaton as a field theory on the constant-time
-    foliation category of the diamond lattice."""
-    cat = foliation_category_of_lattice(config.d)
+def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, label: str) -> FieldTheory:
+    """A field theory on the constant-time foliation (reversed when
+    ``direction`` is -1): slice objects and slots of the automaton, and
+    morphisms as the factorisation's restriction followed by
+    ``step_kernel(source, target)`` per time step."""
+    cat = foliation_category_of_lattice(config.d, reversed_=direction < 0)
 
-    def obj_fn(sigma) -> P.ProcObject:
+    def sites_of(sigma) -> Sites:
         s = LatticeSlice.from_events(sigma)
-        return slice_object(config, s.sites if s else frozenset())
-
-    def slots_fn(sigma) -> list:
-        s = LatticeSlice.from_events(sigma)
-        return slice_slots(config, s.sites if s else frozenset())
+        return s.sites if s else frozenset()
 
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
-        prog = P.identity(obj_fn(sigma))
-        for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma):
-            if kind == "restrict":
-                prog = P.compose(restriction_kernel(config, src, tgt), prog)
-            else:
-                prog = P.compose(one_step_kernel(config, src, tgt), prog)
+        prog = P.identity(slice_object(config, sites_of(sigma)))
+        for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma, direction):
+            kernel = restriction_kernel(config, src, tgt) if kind == "restrict" else step_kernel(src, tgt)
+            prog = P.compose(kernel, prog)
         return prog
 
     return FieldTheory(
         category=cat,
         backend=config.backend,
-        obj_fn=obj_fn,
+        obj_fn=lambda sigma: slice_object(config, sites_of(sigma)),
         mor_fn=mor_fn,
-        slots_fn=slots_fn,
-        label="partitioned-cca",
+        slots_fn=lambda sigma: slice_slots(config, sites_of(sigma)),
+        label=label,
+    )
+
+
+def build_cca(config: PartitionedCCAConfig) -> FieldTheory:
+    """The partitioned automaton as a field theory on the constant-time
+    foliation category of the diamond lattice."""
+    return _lattice_theory(
+        config, 1, lambda src, tgt: one_step_kernel(config, src, tgt), "partitioned-cca"
     )
 
 
@@ -428,48 +437,9 @@ def scattering_inverse(config: PartitionedCCAConfig, tol: float = P.VALIDITY_TOL
 def reversal_theory(config: PartitionedCCAConfig, v_inv: np.ndarray) -> FieldTheory:
     """The reverse-time field theory built from a given inverse of the
     *effective* scattering (no validation: see build_reversal)."""
-    cat = foliation_category_of_lattice(config.d, reversed_=True)
-
-    def obj_fn(sigma) -> P.ProcObject:
-        s = LatticeSlice.from_events(sigma)
-        return slice_object(config, s.sites if s else frozenset())
-
-    def slots_fn(sigma) -> list:
-        s = LatticeSlice.from_events(sigma)
-        return slice_slots(config, s.sites if s else frozenset())
-
-    def mor_fn(sigma, gamma) -> P.ProcMorphism:
-        sigma, gamma = frozenset(sigma), frozenset(gamma)
-        s = LatticeSlice.from_events(sigma)
-        g = LatticeSlice.from_events(gamma)
-        prog = P.identity(obj_fn(sigma))
-        if s is None:
-            if gamma:
-                raise BadParams("no morphism out of the empty slice")
-            return prog
-        if g is None:
-            return restriction_kernel(config, s.sites, frozenset())
-        k = s.t - g.t
-        if k < 0:
-            raise BadParams("reverse morphisms run backwards in time")
-        first = expand_sites(g.sites, k, config.d)
-        if not first <= s.sites:
-            raise BadParams("not a reverse lattice slice morphism")
-        prog = restriction_kernel(config, s.sites, first)
-        cur = first
-        for i in range(1, k + 1):
-            nxt = expand_sites(g.sites, k - i, config.d)
-            prog = P.compose(reverse_one_step_kernel(config, v_inv, cur, nxt), prog)
-            cur = nxt
-        return prog
-
-    return FieldTheory(
-        category=cat,
-        backend=config.backend,
-        obj_fn=obj_fn,
-        mor_fn=mor_fn,
-        slots_fn=slots_fn,
-        label="partitioned-cca-reversal",
+    return _lattice_theory(
+        config, -1, lambda src, tgt: reverse_one_step_kernel(config, v_inv, src, tgt),
+        "partitioned-cca-reversal",
     )
 
 
@@ -826,6 +796,12 @@ def mass_coin(m: float, eps: float) -> np.ndarray:
     )
 
 
+def effective_one_particle_block(config: PartitionedCCAConfig) -> np.ndarray:
+    """The one-particle block of a qubit-cell configuration's effective
+    scattering, in the component order of ``single_particle_step``."""
+    return effective_scattering(config)[np.ix_((2, 1), (2, 1))]
+
+
 def single_particle_step(psi: np.ndarray, coin: np.ndarray) -> np.ndarray:
     """One automaton step in the one-particle sector on a ring.
 
@@ -863,18 +839,13 @@ def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphi
     each direction factor to its destination site (no discards)."""
     if config.d != 1:
         raise BadParams("ring evolution is implemented for d=1")
-    if sites % 2:
-        raise BadParams("ring size must be even to respect the parity of the lattice")
-    obj = ring_object(config, sites)
-    ueff = effective_scattering(config)
-    m = config.cell_factors
-    prog = P.identity(obj)
-    for i in range(sites):
-        prog = P.compose(_cell_matrix_step(config, obj, ueff, range(i * m, (i + 1) * m)), prog)
-    slots = [(x, dlt) for x in range(sites) for dlt in ((-1,), (1,))]
-    routed = {(( (x - dlt[0]) % sites), dlt): (x, dlt) for x, dlt in slots}
-    perm = tuple(slots.index(routed[s]) for s in slots)
-    return P.compose(P.permute_factors(obj, perm), prog)
+    if sites < 2 or sites % 2:
+        raise BadParams("ring size must be even and at least 2 to respect the parity of the lattice")
+    dirs = config.directions
+    cells = [[((x,), dlt) for dlt in dirs] for x in range(sites)]
+    route = {((x,), dlt): (((x - dlt[0]) % sites,), dlt) for x in range(sites) for dlt in dirs}
+    ring = frozenset((x,) for x in range(sites))
+    return _scatter_and_route(config, ring, effective_scattering(config), cells, route)
 
 
 def ring_site_marginals(config: PartitionedCCAConfig, state: P.ProcState, sites: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 import numpy as np
@@ -22,9 +23,13 @@ from .cca import (
     build_cca,
     build_reversal,
     cca_config_from_json,
+    cca_config_to_json,
     check_invariance,
     check_symmetry_action,
+    cone_pair_witness,
     dirac_scattering,
+    effective_one_particle_block,
+    foliation_category_of_lattice,
     identity_invariance,
     lattice_slice,
     ring_object,
@@ -76,7 +81,7 @@ from .slices import (
 )
 
 
-_RANGE = __import__("re").compile(r"^-?\d+(\.\.|:)-?\d+$")
+_RANGE = re.compile(r"^-?\d+(\.\.|:)-?\d+$")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -318,8 +323,6 @@ def _cmd_check(args) -> int:
             report = validate_foliation(omega, leaves)
         else:
             if isinstance(omega, DiamondLattice):
-                from .cca import cone_pair_witness, foliation_category_of_lattice
-
                 cat = foliation_category_of_lattice(omega.d)
                 pairs = [
                     ((0, (0,) * omega.d), (t, (x,) + (0,) * (omega.d - 1)))
@@ -365,6 +368,10 @@ def _initial_single_particle(args, sites: int) -> np.ndarray:
 def _cmd_run(args) -> int:
     config = _load_cca(args)
     sites = args.sites
+    if sites < 1:
+        raise BadParams("--sites must be at least 1")
+    if args.steps < 0:
+        raise BadParams("--steps must be at least 0")
     records = []
     if args.mode == "single-particle":
         if config.backend != P.QUANTUM or config.d != 1 or config.cell_dim != 2:
@@ -413,7 +420,7 @@ def _cmd_run(args) -> int:
             if k < args.steps:
                 state = P.apply(step, state)
     out = {
-        "config": cca_json_echo(config),
+        "config": cca_config_to_json(config),
         "steps": args.steps,
         "sites": sites,
         "mode": args.mode,
@@ -424,19 +431,6 @@ def _cmd_run(args) -> int:
     if args.csv:
         _write_marginal_csv(out, args.csv)
     return 0
-
-
-def effective_one_particle_block(config: PartitionedCCAConfig) -> np.ndarray:
-    from .cca import effective_scattering
-
-    ueff = effective_scattering(config)
-    return ueff[np.ix_((2, 1), (2, 1))]
-
-
-def cca_json_echo(config: PartitionedCCAConfig) -> dict:
-    from .cca import cca_config_to_json
-
-    return cca_config_to_json(config)
 
 
 def _initial_density(args, config, obj) -> P.ProcState:

@@ -14,8 +14,6 @@ checks wire the compared morphisms through the induced slot permutations.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -26,22 +24,6 @@ from .report import Report
 from .slices import Slice, SliceCategory
 
 DEFAULT_TOL = 1e-10
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CAUSAL_FIELDS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    items = list(items)
-    workers = _max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +103,11 @@ def check_functoriality(
     """Psi(id) = id and Psi(g . f) = Psi(g) . Psi(f) on the given chains."""
     report = Report("functoriality")
     seen = set()
-
-    def one(chain):
+    for chain in triples:
         sigma, gamma, delta = (frozenset(s) for s in chain)
         direct = theory.mor(sigma, delta)
         step = P.compose(theory.mor(gamma, delta), theory.mor(sigma, gamma))
-        return chain, P.deviation(step, direct)
-
-    for chain, dev in _map(one, triples):
+        dev = P.deviation(step, direct)
         report.count()
         if dev > tol:
             report.record({"chain": chain, "law": "composition"}, dev)
@@ -153,8 +132,7 @@ def check_monoidality(
     gamma ->> gamma' and both products defined.
     """
     report = Report("monoidality")
-
-    def one(quad):
+    for quad in quads:
         sigma, sigma_p, gamma, gamma_p = (frozenset(s) for s in quad)
         f = theory.mor(sigma, sigma_p)
         g = theory.mor(gamma, gamma_p)
@@ -166,9 +144,6 @@ def check_monoidality(
         obj_ok = sorted(theory.slots(sigma | gamma)) == sorted(
             theory.slots(sigma) + theory.slots(gamma)
         ) and p_split.cod == P.tensor_obj(theory.obj(sigma), theory.obj(gamma))
-        return quad, dev, obj_ok
-
-    for quad, dev, obj_ok in _map(one, quads):
         report.count()
         if not obj_ok:
             report.record({"quad": quad, "law": "object equation"}, float("nan"))
@@ -186,26 +161,21 @@ def check_environment(
     """The no-signalling equations of the induced discard family:
     compatibility with evolution and with the partial products."""
     report = Report("no-signalling")
-
-    def evo(pair):
+    for pair in morphisms:
         sigma, gamma = (frozenset(s) for s in pair)
         lhs = P.compose(theory.discard_effect(gamma), theory.mor(sigma, gamma))
-        return pair, P.deviation(lhs, theory.discard_effect(sigma))
-
-    def prod(pair):
+        dev = P.deviation(lhs, theory.discard_effect(sigma))
+        report.count()
+        if dev > tol:
+            report.record({"pair": pair, "law": "discard after evolution"}, dev)
+    for pair in products:
         sigma, gamma = (frozenset(s) for s in pair)
         p_split, _ = merge_permutations(theory, sigma, gamma)
         tensored = P.compose(
             P.tensor_mor(theory.discard_effect(sigma), theory.discard_effect(gamma)),
             p_split,
         )
-        return pair, P.deviation(tensored, theory.discard_effect(sigma | gamma))
-
-    for pair, dev in _map(evo, morphisms):
-        report.count()
-        if dev > tol:
-            report.record({"pair": pair, "law": "discard after evolution"}, dev)
-    for pair, dev in _map(prod, products):
+        dev = P.deviation(tensored, theory.discard_effect(sigma | gamma))
         report.count()
         if dev > tol:
             report.record({"pair": pair, "law": "discard of product"}, dev)

@@ -228,15 +228,6 @@ def is_cauchy(omega: CausalOrder, sigma: Iterable, window: Window | None = None)
 # foliations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Foliation:
-    order: CausalOrder
-    leaves: tuple
-
-    def __iter__(self):
-        return iter(self.leaves)
-
-
 def validate_foliation(
     omega: CausalOrder, leaves: Sequence[Iterable], window: Window | None = None
 ) -> Report:

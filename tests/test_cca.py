@@ -21,6 +21,7 @@ from causal_fields.cca import (
     mass_coin,
     one_step_kernel,
     restriction_kernel,
+    reverse_one_step_kernel,
     reversal_theory,
     ring_object,
     ring_site_marginals,
@@ -29,6 +30,7 @@ from causal_fields.cca import (
     sample_separated_quads,
     sample_words,
     sample_zigzag_chain_pairs,
+    scattering_inverse,
     single_particle_step,
     site_probabilities,
     translated_kernels_identical,
@@ -196,6 +198,41 @@ def test_one_step_trace_preservation():
     f = one_step_kernel(c, frozenset({(0,), (2,), (4,)}), frozenset({(1,), (3,)}))
     lhs = P.compose(P.discard(f.cod), f)
     assert P.morphisms_equal(lhs, P.discard(f.dom))
+
+
+def test_reverse_one_step_wrong_predecessors():
+    with pytest.raises(WrongPredecessorSet):
+        reverse_one_step_kernel(cfg(), np.eye(4), frozenset({(1,)}), frozenset({(2,)}))
+
+
+def test_reverse_one_step_inverts_forward_step():
+    # forward {0,2,4} -> {1,3}, then back {1,3} -> {2}: only the cell of
+    # site 2 is reconstructed, exactly as if the rest had been discarded
+    from causal_fields.cca import _direction_reversal
+
+    c = cfg(u=random_unitary(np.random.default_rng(31), 4))
+    v_inv = scattering_inverse(c) @ _direction_reversal(c.cell_dim, c.d).T
+    fwd = one_step_kernel(c, frozenset({(0,), (2,), (4,)}), frozenset({(1,), (3,)}))
+    back = reverse_one_step_kernel(c, v_inv, frozenset({(1,), (3,)}), frozenset({(2,)}))
+    want = restriction_kernel(c, frozenset({(0,), (2,), (4,)}), frozenset({(2,)}))
+    assert P.deviation(P.compose(back, fwd), want) <= 1e-12
+
+
+def test_ring_step_build_is_linear(monkeypatch):
+    # the program is assembled once: the step checks grow with the ring,
+    # not with its square
+    calls = []
+    check = P._step_out_factors
+
+    def counted(factors, step):
+        calls.append(step[0])
+        return check(factors, step)
+
+    monkeypatch.setattr(P, "_step_out_factors", counted)
+    n = 400
+    f = ring_step_morphism(dirac_config(0.3, 0.1), n)
+    assert len(f.steps) == n + 1
+    assert len(calls) <= 2 * (n + 2)
 
 
 # -- the spec picture: swap scattering is exact transport ------------------------------

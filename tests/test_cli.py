@@ -284,6 +284,17 @@ def test_run_classical_density(tmp_path):
     assert read(out)["trace_drift"] < 1e-12
 
 
+@pytest.mark.parametrize("extra", [
+    ["--sites", "0", "--mode", "density", "--steps", "1"],
+    ["--sites", "0", "--steps", "1"],
+    ["--sites", "-2", "--steps", "1"],
+    ["--sites", "8", "--steps", "-1"],
+])
+def test_run_rejects_bad_ranges(dirac_file, extra, capsys):
+    assert main(["run", "--cca", dirac_file, *extra]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_csv(dirac_file, tmp_path):
     out = tmp_path / "run.json"
     csv_path = tmp_path / "marginals.csv"

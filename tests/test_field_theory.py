@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -336,17 +334,6 @@ def test_check_reversal_negative(generic_theory):
     rep = check_reversal(generic_theory, wrong, pairs)
     assert not rep.ok
     assert rep.worst() > 1e-6
-
-
-# -- parallel sampling -----------------------------------------------------------------------------
-
-def test_thread_env_var(generic_theory, monkeypatch):
-    quads = sample_separated_quads(np.random.default_rng(9), 10)
-    rep_serial = check_monoidality(generic_theory, quads)
-    monkeypatch.setenv("CAUSAL_FIELDS_THREADS", "4")
-    rep_parallel = check_monoidality(generic_theory, quads)
-    assert rep_serial.ok and rep_parallel.ok
-    assert rep_serial.samples == rep_parallel.samples
 
 
 # -- report serialisation ----------------------------------------------------------------------------
