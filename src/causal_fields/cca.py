@@ -571,8 +571,8 @@ def check_invariance(
             gs, gg = action.act(word, s), action.act(word, g)
             lhs = P.compose(alpha(word, g), theory.mor(s, g))
             rhs = P.compose(theory.mor(gs, gg), alpha(word, s))
-            dev = P.deviation(lhs, rhs)
-            if dev > tol:
+            dev = P.deviation(lhs, rhs, tol)
+            if not (dev <= tol):
                 report.record({"word": word, "pair": (s, g), "law": "naturality"}, dev)
     for h, g in word_pairs or []:
         for s in slice_samples or []:
@@ -580,8 +580,8 @@ def check_invariance(
             s = frozenset(s)
             lhs = alpha(tuple(g) + tuple(h), s)
             rhs = P.compose(alpha(h, action.act(g, s)), alpha(g, s))
-            dev = P.deviation(lhs, rhs)
-            if dev > tol:
+            dev = P.deviation(lhs, rhs, tol)
+            if not (dev <= tol):
                 report.record({"words": (h, g), "slice": s, "law": "cocycle"}, dev)
     return report
 
@@ -615,17 +615,29 @@ def window_slices(d1_t: int, lo: int, hi: int, max_sites: int) -> list:
 
 def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int, d: int = 1) -> list:
     """Every slice morphism between windowed d=1 slices (including into
-    the empty slice)."""
+    the empty slice), in source-major, target-minor order.
+
+    Decides ``cat.hom`` for every pair with each slice parsed once and each
+    target's cone cast once per time gap."""
     cat = foliation_category_of_lattice(d)
     all_slices = []
     for t in range(t0, t1 + 1):
         all_slices.extend(window_slices(t, lo, hi, max_sites))
+    members = [(s, LatticeSlice.from_events(s)) for s in all_slices if cat.contains(s)]
+    cones: dict = {}
     pairs = []
-    for s in all_slices:
-        for g in all_slices:
-            if not s and g:
+    for s, ls in members:
+        for j, (g, lg) in enumerate(members):
+            if not g:
+                pairs.append((s, g))
                 continue
-            if cat.hom(s, g):
+            if ls is None or lg.t < ls.t:
+                continue
+            k = lg.t - ls.t
+            cone = cones.get((j, k))
+            if cone is None:
+                cone = cones[(j, k)] = expand_sites(lg.sites, k, d)
+            if cone <= ls.sites:
                 pairs.append((s, g))
     return pairs
 

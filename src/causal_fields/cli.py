@@ -257,6 +257,10 @@ def _sampled_morphisms(rng, count):
 
 
 def _check_cca(args) -> Report:
+    if args.samples < 1:
+        raise BadParams("--samples must be at least 1")
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise BadParams("--tol must be finite and non-negative")
     config = _load_cca(args)
     if config.d != 1:
         raise BadParams("the check suites run on d=1 configurations")

@@ -107,16 +107,16 @@ def check_functoriality(
         sigma, gamma, delta = (frozenset(s) for s in chain)
         direct = theory.mor(sigma, delta)
         step = P.compose(theory.mor(gamma, delta), theory.mor(sigma, gamma))
-        dev = P.deviation(step, direct)
+        dev = P.deviation(step, direct, tol)
         report.count()
-        if dev > tol:
+        if not (dev <= tol):
             report.record({"chain": chain, "law": "composition"}, dev)
         for s in chain:
             seen.add(frozenset(s))
     for s in seen:
         report.count()
-        dev = P.deviation(theory.mor(s, s), P.identity(theory.obj(s)))
-        if dev > tol:
+        dev = P.deviation(theory.mor(s, s), P.identity(theory.obj(s)), tol)
+        if not (dev <= tol):
             report.record({"slice": s, "law": "identity"}, dev)
     return report
 
@@ -140,14 +140,14 @@ def check_monoidality(
         _, p_merge_out = merge_permutations(theory, sigma_p, gamma_p)
         wired = P.compose_all(p_split, P.tensor_mor(f, g), p_merge_out)
         union_mor = theory.mor(sigma | gamma, sigma_p | gamma_p)
-        dev = P.deviation(wired, union_mor)
+        dev = P.deviation(wired, union_mor, tol)
         obj_ok = sorted(theory.slots(sigma | gamma)) == sorted(
             theory.slots(sigma) + theory.slots(gamma)
         ) and p_split.cod == P.tensor_obj(theory.obj(sigma), theory.obj(gamma))
         report.count()
         if not obj_ok:
             report.record({"quad": quad, "law": "object equation"}, float("nan"))
-        if dev > tol:
+        if not (dev <= tol):
             report.record({"quad": quad, "law": "morphism factorisation"}, dev)
     return report
 
@@ -164,9 +164,9 @@ def check_environment(
     for pair in morphisms:
         sigma, gamma = (frozenset(s) for s in pair)
         lhs = P.compose(theory.discard_effect(gamma), theory.mor(sigma, gamma))
-        dev = P.deviation(lhs, theory.discard_effect(sigma))
+        dev = P.deviation(lhs, theory.discard_effect(sigma), tol)
         report.count()
-        if dev > tol:
+        if not (dev <= tol):
             report.record({"pair": pair, "law": "discard after evolution"}, dev)
     for pair in products:
         sigma, gamma = (frozenset(s) for s in pair)
@@ -175,9 +175,9 @@ def check_environment(
             P.tensor_mor(theory.discard_effect(sigma), theory.discard_effect(gamma)),
             p_split,
         )
-        dev = P.deviation(tensored, theory.discard_effect(sigma | gamma))
+        dev = P.deviation(tensored, theory.discard_effect(sigma | gamma), tol)
         report.count()
-        if dev > tol:
+        if not (dev <= tol):
             report.record({"pair": pair, "law": "discard of product"}, dev)
     return report
 
@@ -328,8 +328,9 @@ def check_reversal(
         dev = P.deviation(
             zigzag_composite(theory, reversal, a),
             zigzag_composite(theory, reversal, b),
+            tol,
         )
-        if dev > tol:
+        if not (dev <= tol):
             report.record({"chains": (a, b)}, dev)
     return report
 

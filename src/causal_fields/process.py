@@ -9,7 +9,11 @@ Morphisms are lazy kernel programs (sequences of elementary steps), never
 dense superoperators.  ``apply`` interprets a program step by step on a
 state; equality checking evaluates both programs on the full operator
 basis (quantum) or the standard basis (classical) via a compiled Kraus /
-matrix form of the program, and compares the results entrywise.
+matrix form of the program, and compares the results entrywise.  Against a
+tolerance, a quantum comparison accepts on the Frobenius norm of the Choi
+difference (an upper bound on the max entry, computed stably from a QR of
+the stacked Kraus columns) and takes the exact max-entry deviation
+otherwise.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ ORACLE_TOL = 1e-12
 
 #: refuse to compile programs on spaces larger than this
 _MAX_COMPILE_DIM = 4096
-#: switch basis-sweep comparisons to the Frobenius bound above this size
-_MAX_ENTRYWISE_DIM = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -433,55 +435,63 @@ def transfer_matrix(f: ProcMorphism) -> np.ndarray:
     return compile_kernel(f)
 
 
-def _choi_maxdiff(ms: np.ndarray, ns: np.ndarray, chunk: int = 512) -> float:
-    """Max entrywise deviation between the operator-basis sweeps of two
-    Kraus families (equivalently between their Choi matrices)."""
-    v = ms.reshape(ms.shape[0], -1).T  # (cod*dom, r1)
-    w = ns.reshape(ns.shape[0], -1).T
-    rows = v.shape[0]
-    worst = 0.0
-    for r0 in range(0, rows, chunk):
-        r1 = min(r0 + chunk, rows)
-        block = v[r0:r1] @ v.conj().T - w[r0:r1] @ w.conj().T
-        worst = max(worst, float(np.max(np.abs(block))))
-    return worst
+def _choi_maxdiff(x: np.ndarray, r: int, chunk: int = 512) -> float:
+    """Max entry of |V V^dag - W W^dag| for stacked columns x = [V | W]
+    with r columns in V: the max entrywise deviation between two Choi
+    matrices.  NaN if any entry is NaN."""
+    y = x.conj().T.copy()
+    y[r:] *= -1  # x @ y = V V^dag - W W^dag, one row block at a time
+    worst = [np.max(np.abs(x[r0:r0 + chunk] @ y)) for r0 in range(0, x.shape[0], chunk)]
+    return float(np.max(worst))
 
 
-def _choi_frobdiff(ms: np.ndarray, ns: np.ndarray) -> float:
-    """Frobenius norm of the Choi difference via Gram matrices: an upper
-    bound on the entrywise deviation that never materialises the Choi."""
-    v = ms.reshape(ms.shape[0], -1)
-    w = ns.reshape(ns.shape[0], -1)
-    gvv = np.abs(v @ v.conj().T) ** 2
-    gww = np.abs(w @ w.conj().T) ** 2
-    gvw = np.abs(v @ w.conj().T) ** 2
-    val = float(np.sum(gvv) + np.sum(gww) - 2.0 * np.sum(gvw))
-    return float(np.sqrt(max(val, 0.0)))
+def _choi_qr_bound(x: np.ndarray, r: int) -> float:
+    """Frobenius norm of V V^dag - W W^dag for x = [V | W] with r columns
+    in V, an upper bound on its max entry.
+
+    With X = Q R and R = [R1 | R2], the difference is
+    Q (R1 R1^dag - R2 R2^dag) Q^dag, so its Frobenius norm is that of the
+    matrix in the middle, of side at most the column count of X (X itself
+    stands in for R when it has no more rows than columns).  The QR route
+    is backward stable, unlike a difference of Gram sums, which cancels.
+    """
+    if x.shape[0] > x.shape[1]:
+        x = np.linalg.qr(x, mode="r")
+    r1, r2 = x[:, :r], x[:, r:]
+    return float(np.linalg.norm(r1 @ r1.conj().T - r2 @ r2.conj().T))
 
 
-def deviation(f: ProcMorphism, g: ProcMorphism) -> float:
+def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> float:
     """Max entrywise deviation of the two programs over a basis sweep.
 
     Quantum morphisms are evaluated on the full operator basis E_ij of the
-    input space (the sweep outputs are compared entrywise; they are exactly
-    the entries of the Choi matrices).  Classical morphisms are evaluated on
-    the standard basis.  Above ``_MAX_ENTRYWISE_DIM`` the reported value is
-    the Frobenius norm of the Choi difference instead, which bounds the
-    entrywise deviation from above.
+    input space (the sweep outputs are exactly the entries of the Choi
+    matrices); classical morphisms on the standard basis.
+
+    Given ``tol``, a quantum comparison first takes the Frobenius norm of
+    the Choi difference (via a QR of the stacked Kraus columns), which
+    bounds the max entry from above: if that bound is within ``tol`` it is
+    returned as is.  Otherwise (no ``tol``, a bound above ``tol``, or NaN)
+    the result is the exact max-entry deviation, so every value above
+    ``tol`` is exact.  NaN entries give NaN, never a pass.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("morphisms must share dom and cod")
     if f.backend == QUANTUM:
         ms, ns = kraus_family(f), kraus_family(g)
-        if f.dom.dim * f.cod.dim > _MAX_ENTRYWISE_DIM:
-            return _choi_frobdiff(ms, ns)
-        return _choi_maxdiff(ms, ns)
+        # Kraus operators as columns, (cod*dom, r1 + r2): Choi(f) = V V^dag
+        x = np.concatenate([ms.reshape(len(ms), -1).T, ns.reshape(len(ns), -1).T], axis=1)
+        if tol is not None:
+            bound = _choi_qr_bound(x, len(ms))
+            if bound <= tol:
+                return bound
+        return _choi_maxdiff(x, len(ms))
     a, b = transfer_matrix(f), transfer_matrix(g)
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
 def morphisms_equal(f: ProcMorphism, g: ProcMorphism, tol: float = VALIDITY_TOL) -> bool:
-    return deviation(f, g) <= tol
+    return deviation(f, g, tol) <= tol
 
 
 def kernels_identical(f: ProcMorphism, g: ProcMorphism) -> bool:

@@ -155,17 +155,19 @@ def test_acceptance_3_functor_laws():
     by_source: dict = {}
     for s, g in pairs:
         by_source.setdefault(s, []).append(g)
-    worst = 0.0
-    n_pairs = 0
+    # deviations within TOL are Frobenius bounds, those above it exact;
+    # np.max keeps a NaN, which then fails the assertion
+    devs = []
     for s, g in pairs:
         f = theory.mor(s, g)
         for d in by_source.get(g, ()):  # every composable pair
             comp = P.compose(theory.mor(g, d), f)
-            worst = max(worst, P.deviation(comp, theory.mor(s, d)))
-            n_pairs += 1
+            devs.append(P.deviation(comp, theory.mor(s, d), TOL))
+    n_pairs = len(devs)
     slices = {s for s, _ in pairs} | {g for _, g in pairs}
     for s in slices:
-        worst = max(worst, P.deviation(theory.mor(s, s), P.identity(theory.obj(s))))
+        devs.append(P.deviation(theory.mor(s, s), P.identity(theory.obj(s)), TOL))
+    worst = float(np.max(devs))
     elapsed = time.monotonic() - t0
     ok = worst <= TOL and elapsed < 60.0
     _line(3, ok, f"functoriality on {n_pairs} composable pairs + {len(slices)} "

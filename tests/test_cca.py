@@ -546,6 +546,17 @@ def test_window_morphisms_are_homs():
         assert cat.hom(s, g)
 
 
+@pytest.mark.parametrize("window", [(0, 2, 0, 4, 2), (0, 3, -4, 6, 3)])
+def test_window_morphisms_match_brute_force(window):
+    # the brute-force double loop over cat.hom, order included: seeded
+    # samplers index into this list
+    t0, t1, lo, hi, max_sites = window
+    cat = foliation_category_of_lattice(1)
+    slices = [s for t in range(t0, t1 + 1) for s in window_slices(t, lo, hi, max_sites)]
+    want = [(s, g) for s in slices for g in slices if not (not s and g) and cat.hom(s, g)]
+    assert window_morphisms(*window) == want
+
+
 def test_window_slices_count():
     got = window_slices(0, 0, 6, 3)
     # 4 sites at parity 0 in [0, 6]; subsets of size <= 3

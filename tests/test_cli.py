@@ -229,6 +229,19 @@ def test_check_seeded_determinism(dirac_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("target, extra", [
+    ("functoriality", ["--samples", "0"]),
+    ("functoriality", ["--samples", "-1"]),
+    ("monoidality", ["--samples", "-3"]),
+    ("functoriality", ["--tol", "nan"]),
+    ("nosignalling", ["--tol", "-1"]),
+    ("reversal", ["--tol", "inf"]),
+])
+def test_check_rejects_bad_ranges(dirac_file, target, extra, capsys):
+    assert main(["check", target, "--cca", dirac_file, *extra]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- run ---------------------------------------------------------------------------------
 
 def test_run_zero_steps_echoes_initial(dirac_file, tmp_path):

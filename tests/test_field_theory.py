@@ -94,6 +94,20 @@ def test_functoriality_detects_breakage(generic_theory):
     assert not rep.ok
 
 
+def test_functoriality_nan_scattering_fails_closed():
+    # a NaN slips past the unitarity gate (NaN > tol is False); the law
+    # check must still report it instead of passing
+    from causal_fields.cca import PartitionedCCAConfig
+
+    u = random_unitary(np.random.default_rng(5), 4)
+    u[1, 2] = np.nan
+    nan_theory = build_cca(PartitionedCCAConfig(d=1, cell_dim=2, scattering=u))
+    triples = [(sl(0, 0, 2), sl(1, 1), sl(1, 1)), (sl(0, 0, 2, 4), sl(1, 1, 3), sl(2, 2))]
+    rep = check_functoriality(nan_theory, triples)
+    assert not rep.ok
+    assert all(np.isnan(v["deviation"]) for v in rep.violations)
+
+
 def test_identity_assignment(theory):
     rep = check_functoriality(theory, [(sl(0, 0), sl(0, 0), sl(0, 0))])
     assert rep.ok

@@ -249,6 +249,72 @@ def test_equal_programs_different_steps():
     assert P.morphisms_equal(p, u, tol=1e-12)
 
 
+def _qubit_channel(rng, n_in: int, n_out: int) -> P.ProcMorphism:
+    """A Haar-random unitary on n_in qubits followed by discarding all but
+    the first n_out of them."""
+    a = qobj(*(2,) * n_in)
+    u = P.unitary_channel(a, random_unitary(rng, 2 ** n_in))
+    return P.compose(P.discard(a, range(n_out, n_in)), u)
+
+
+def test_deviation_accepts_equal_large_channels():
+    # 256 -> 64: the Choi matrices have 2^28 entries; U^dag U f equals f
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        f = _qubit_channel(rng, 8, 6)
+        v = random_unitary(rng, 64)
+        h = P.compose_all(f, P.unitary_channel(f.cod, v), P.unitary_channel(f.cod, v.conj().T))
+        assert P.morphisms_equal(f, h)
+        assert P.deviation(f, h, tol=1e-10) <= 1e-12
+
+
+def test_deviation_above_tol_is_exact():
+    # a violation just above tol reports the exact max-entry Choi difference
+    rng = np.random.default_rng(3)
+    a = qobj(2, 2)
+    u = random_unitary(rng, 4)
+    f = P.compose(P.discard(a, [1]), P.unitary_channel(a, u))
+    phases = np.exp(1e-7j * np.arange(4))
+    g = P.compose(P.discard(a, [1]), P.unitary_channel(a, u * phases))
+    exact = float(np.max(np.abs(P.choi_matrix(f) - P.choi_matrix(g))))
+    tol = exact * (1 - 1e-3)
+    assert P.deviation(f, g, tol) == pytest.approx(exact, rel=1e-6)
+    assert P.deviation(f, g, tol=np.inf) > 1.5 * exact  # the Frobenius bound
+    assert not P.morphisms_equal(f, g, tol)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_deviation_bound_dominates_max_entry(seed):
+    # given tol=inf, deviation returns the Frobenius bound: it equals the
+    # dense Choi difference's norm and is never below the max entry
+    rng = np.random.default_rng(seed)
+    a = qobj(*(2,) * int(rng.integers(1, 4)))
+    keep = int(rng.integers(0, len(a.factors) + 1))
+
+    def channel():
+        r = int(rng.integers(1, 6))
+        ks = rng.normal(size=(r, a.dim, a.dim)) + 1j * rng.normal(size=(r, a.dim, a.dim))
+        return P.compose(P.discard(a, range(keep, len(a.factors))), P.kraus_channel(a, ks))
+
+    f, g = channel(), channel()
+    diff = P.choi_matrix(f) - P.choi_matrix(g)
+    bound, exact = P.deviation(f, g, tol=np.inf), P.deviation(f, g)
+    assert bound == pytest.approx(np.linalg.norm(diff), rel=1e-10)
+    assert exact == pytest.approx(np.max(np.abs(diff)), rel=1e-12)
+    assert bound >= exact
+
+
+def test_nan_kernel_fails_closed():
+    a = qobj(2)
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = np.nan
+    f = P.ProcMorphism(a, a, (("matrix", m, (0,)),))
+    assert np.isnan(P.deviation(f, P.identity(a)))
+    assert np.isnan(P.deviation(f, P.identity(a), tol=1e-10))
+    assert not P.morphisms_equal(f, P.identity(a))
+    assert not P.morphisms_equal(f, f)
+
+
 def test_morphisms_equal_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         P.morphisms_equal(P.identity(qobj(2)), P.identity(qobj(3)))
