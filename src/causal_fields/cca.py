@@ -46,7 +46,6 @@ from .errors import (
 from .field_theory import FieldTheory
 from .order import (
     DiamondLattice,
-    ReversedLattice,
     iterated_neighbourhood,
     lattice,
     neighbourhood,
@@ -137,11 +136,8 @@ class LatticeSliceCategory(SliceCategory):
             return False
         s = LatticeSlice.from_events(sigma)
         g = LatticeSlice.from_events(gamma)
-        if isinstance(self.order, ReversedLattice):
-            s, g = LatticeSlice(-s.t, s.sites), LatticeSlice(-g.t, g.sites)
-        if g.t < s.t:
-            return False
-        return lattice_slice_leq(s, g, self.d)
+        k = self.order.arrow * (g.t - s.t)
+        return k >= 0 and expand_sites(g.sites, k, self.d) <= s.sites
 
 
 def cone_pair_witness(d: int):
@@ -209,13 +205,15 @@ class PartitionedCCAConfig:
         if u.shape != (m, m):
             raise BadParams(f"scattering must be {m}x{m} for d={self.d}, cell_dim={self.cell_dim}")
         if self.backend == P.QUANTUM:
-            if np.max(np.abs(u.conj().T @ u - np.eye(m))) > P.VALIDITY_TOL:
+            if not (np.max(np.abs(u.conj().T @ u - np.eye(m))) <= P.VALIDITY_TOL):
                 raise NotUnitary("quantum scattering must be unitary")
         elif self.backend == P.CLASSICAL:
-            if np.min(u) < -P.VALIDITY_TOL or np.max(np.abs(u.sum(axis=0) - 1)) > P.VALIDITY_TOL:
+            if not (-np.min(u) <= P.VALIDITY_TOL and np.max(np.abs(u.sum(axis=0) - 1)) <= P.VALIDITY_TOL):
                 raise NotStochastic("classical scattering must be column-stochastic")
         else:
             raise BadParams(f"unknown backend {self.backend!r}")
+        if self.scattering_inv is not None:
+            P.require_finite(np.asarray(self.scattering_inv), "scattering inverse")
 
     @property
     def directions(self) -> list[Coord]:
@@ -254,15 +252,18 @@ def cca_config_to_json(config: PartitionedCCAConfig) -> dict:
 
 
 def cca_config_from_json(obj: dict) -> PartitionedCCAConfig:
-    u = P.matrix_from_json(obj["U"])
     backend = obj.get("backend", P.QUANTUM)
-    if backend == P.CLASSICAL:
-        u = u.real
-    u_inv = None
-    if "U_inv" in obj:
-        u_inv = P.matrix_from_json(obj["U_inv"])
-        if backend == P.CLASSICAL:
-            u_inv = u_inv.real
+
+    def matrix(key: str) -> np.ndarray:
+        m = P.matrix_from_json(obj[key])
+        if backend != P.CLASSICAL:
+            return m
+        if np.any(m.imag != 0):
+            raise BadParams(f"classical {key} has a nonzero imaginary part")
+        return m.real
+
+    u = matrix("U")
+    u_inv = matrix("U_inv") if "U_inv" in obj else None
     return PartitionedCCAConfig(
         d=int(obj["d"]),
         cell_dim=int(obj["cell_dim"]),
@@ -429,7 +430,7 @@ def scattering_inverse(config: PartitionedCCAConfig, tol: float = P.VALIDITY_TOL
             raise NotInvertible("classical scattering is invertible only for permutations")
         u_inv = config.scattering_inv
         u_inv = u.T if u_inv is None else np.asarray(u_inv)
-    if np.max(np.abs(u @ u_inv - np.eye(m))) > tol:
+    if not (np.max(np.abs(u @ u_inv - np.eye(m))) <= tol):
         raise NotInvertible("scattering inverse does not invert the scattering")
     return u_inv
 
@@ -528,7 +529,7 @@ def check_symmetry_action(
                 gs, gg = action.act(word, s), action.act(word, g)
                 if not cat.tensor_defined(gs, gg) or action.act(word, frozenset(s) | frozenset(g)) != gs | gg:
                     report.record({"word": word, "pair": (s, g), "law": "product preservation"})
-    if isinstance(omega, (DiamondLattice, ReversedLattice)):
+    if isinstance(omega, DiamondLattice):
         for name in sorted(action.generators):
             for s in slice_samples:
                 s = frozenset(s)

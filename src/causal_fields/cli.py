@@ -109,7 +109,7 @@ def _rewrite_ranges(argv: list[str]) -> list[str]:
 
 
 def _emit(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -117,9 +117,29 @@ def _emit(obj, path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _reject_constant(token: str):
+    raise BadParams(f"JSON input holds the non-finite number {token}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
+def _parse_json(text: str):
+    """Strict JSON: malformed text, the ``NaN``/``Infinity`` tokens and
+    numbers that overflow to infinity are rejected with BadParams."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+    except json.JSONDecodeError as exc:
+        raise BadParams(f"malformed JSON input: {exc}") from None
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return _parse_json(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +343,7 @@ def _cmd_check(args) -> int:
     if args.target in ("foliation", "category"):
         omega = order_from_json(_load_json(args.order))
         if args.target == "foliation":
-            leaves = [frozenset(l) for l in json.loads(args.leaves)]
+            leaves = [frozenset(l) for l in _parse_json(args.leaves)]
             report = validate_foliation(omega, leaves)
         else:
             if isinstance(omega, DiamondLattice):
@@ -339,7 +359,7 @@ def _cmd_check(args) -> int:
                     event_pairs=pairs,
                 )
             elif args.leaves:
-                leaves = [frozenset(l) for l in json.loads(args.leaves)]
+                leaves = [frozenset(l) for l in _parse_json(args.leaves)]
                 cat = foliation_category(omega, leaves)
                 report = validate_slice_category(cat)
             else:
@@ -442,6 +462,8 @@ def _initial_density(args, config, obj) -> P.ProcState:
         blob = _load_json(args.initial)
         m = P.matrix_from_json(blob)
         if config.backend == P.CLASSICAL:
+            if np.any(m.imag != 0):
+                raise BadParams("a classical initial state has a nonzero imaginary part")
             return P.state(obj, m.real.reshape(-1))
         return P.state(obj, m)
     if config.backend == P.CLASSICAL:

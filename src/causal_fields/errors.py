@@ -83,6 +83,10 @@ class NotStochastic(CausalFieldsError):
     pass
 
 
+class NotFinite(CausalFieldsError):
+    """A matrix or state holds a NaN or an infinite entry."""
+
+
 # -- cellular automata ---------------------------------------------------------
 
 class NotSubset(CausalFieldsError):

@@ -54,11 +54,11 @@ class FieldTheory:
             self._objs[sigma] = self.obj_fn(sigma)
         return self._objs[sigma]
 
-    def mor(self, sigma: Iterable, gamma: Iterable, check: bool = True) -> P.ProcMorphism:
+    def mor(self, sigma: Iterable, gamma: Iterable) -> P.ProcMorphism:
         sigma, gamma = frozenset(sigma), frozenset(gamma)
         key = (sigma, gamma)
         if key not in self._mors:
-            if check and not self.category.hom(sigma, gamma):
+            if not self.category.hom(sigma, gamma):
                 raise NotInCategory(f"no morphism {sorted(sigma, key=repr)} ->> {sorted(gamma, key=repr)}")
             self._mors[key] = self.mor_fn(sigma, gamma)
         return self._mors[key]
@@ -396,26 +396,14 @@ def global_state_from_cauchy(
 # enumeration helpers for finite categories
 # ---------------------------------------------------------------------------
 
-def enumerate_hom_pairs(cat: SliceCategory, limit: int | None = None) -> list:
+def enumerate_hom_pairs(cat: SliceCategory) -> list:
     objs = cat.object_list()
-    out = []
-    for s, g in itertools.product(objs, repeat=2):
-        if cat.hom(s, g):
-            out.append((s, g))
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
+    return [(s, g) for s, g in itertools.product(objs, repeat=2) if cat.hom(s, g)]
 
 
-def enumerate_hom_triples(cat: SliceCategory, limit: int | None = None) -> list:
+def enumerate_hom_triples(cat: SliceCategory) -> list:
     pairs = enumerate_hom_pairs(cat)
     by_source: dict = {}
     for s, g in pairs:
         by_source.setdefault(s, []).append(g)
-    out = []
-    for s, g in pairs:
-        for d in by_source.get(g, ()):
-            out.append((s, g, d))
-            if limit is not None and len(out) >= limit:
-                return out
-    return out
+    return [(s, g, d) for s, g in pairs for d in by_source.get(g, ())]

@@ -38,7 +38,6 @@ class ExplicitOrder:
     """
 
     is_finite = True
-    kind = "explicit-finite"
 
     def __init__(self, events: Sequence[Event], hasse_edges: Iterable[tuple[Event, Event]]):
         events = list(events)
@@ -164,19 +163,11 @@ class ExplicitOrder:
     def up_set(self, x: Event) -> set:
         return self._bits_to_events(self._up[self.require_event(x)])
 
-    def down_set(self, x: Event) -> set:
-        return self._bits_to_events(self._down[self.require_event(x)])
-
     def suborder(self, subset: Iterable[Event]) -> "ExplicitOrder":
-        """The causal sub-order induced on a subset of events."""
-        subset = [e for e in self.events if e in set(subset)]
-        edges = [
-            (a, b)
-            for a in subset
-            for b in subset
-            if a != b and self.leq(a, b)
-        ]
-        return ExplicitOrder(subset, edges)
+        """The causal sub-order induced on a subset of events, in this
+        order's event order."""
+        keep = set(subset)
+        return induced_order(self, [e for e in self.events if e in keep])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExplicitOrder):
@@ -202,8 +193,16 @@ def build_explicit(events: Sequence[Event], hasse_edges: Iterable[tuple[Event, E
     return ExplicitOrder(events, hasse_edges)
 
 
+def induced_order(omega: "CausalOrder", events: Iterable[Event]) -> ExplicitOrder:
+    """The explicit sub-order of any causal order induced on a finite set of
+    its events, with the events kept in the caller's order."""
+    events = list(events)
+    edges = [(a, b) for a in events for b in events if a != b and omega.leq(a, b)]
+    return ExplicitOrder(events, edges)
+
+
 # ---------------------------------------------------------------------------
-# the (1+d) diamond lattice and its reverse
+# the (1+d) diamond lattice, in either time direction
 # ---------------------------------------------------------------------------
 
 def neighbourhood(d: int) -> list[tuple[int, ...]]:
@@ -220,15 +219,23 @@ def iterated_neighbourhood(k: int, d: int) -> list[tuple[int, ...]]:
 
 
 class DiamondLattice:
-    """The infinite diamond lattice on {(t, xs) : xs == (t,...,t) mod 2}."""
+    """The infinite diamond lattice on {(t, xs) : xs == (t,...,t) mod 2}.
+
+    ``arrow`` is the time arrow.  With +1 an event precedes the events of
+    later times inside its light cone; -1 is the causal reverse, the same
+    events with the relation transposed.  ``level`` is ``arrow * t``, and an
+    immediate successor is one step of ``t`` in the direction of ``arrow``.
+    """
 
     is_finite = False
-    kind = "diamond-lattice"
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, arrow: int = 1):
         if d < 1:
             raise ValueError("dimension must be >= 1")
+        if arrow not in (1, -1):
+            raise ValueError("arrow must be +1 or -1")
         self.d = d
+        self.arrow = arrow
         self._nbhd = neighbourhood(d)
 
     def has_event(self, e: Event) -> bool:
@@ -245,76 +252,40 @@ class DiamondLattice:
         return e
 
     def level(self, e: Event) -> int:
-        return e[0]
+        return self.arrow * e[0]
 
     def leq(self, x: Event, y: Event) -> bool:
         (t, a), (s, b) = self.require_event(x), self.require_event(y)
-        k = s - t
+        k = self.arrow * (s - t)
         if k < 0:
             return False
         return all(abs(b[i] - a[i]) <= k for i in range(self.d))
 
-    def immediate_successors(self, x: Event) -> tuple:
+    def _step(self, x: Event, sign: int) -> tuple:
         t, a = self.require_event(x)
-        return tuple((t + 1, tuple(a[i] + dlt[i] for i in range(self.d))) for dlt in self._nbhd)
+        return tuple(
+            (t + sign, tuple(a[i] + sign * dlt[i] for i in range(self.d))) for dlt in self._nbhd
+        )
+
+    def immediate_successors(self, x: Event) -> tuple:
+        return self._step(x, self.arrow)
 
     def immediate_predecessors(self, x: Event) -> tuple:
-        t, a = self.require_event(x)
-        return tuple((t - 1, tuple(a[i] - dlt[i] for i in range(self.d))) for dlt in self._nbhd)
+        return self._step(x, -self.arrow)
 
     def __eq__(self, other):
         if isinstance(other, DiamondLattice):
-            return self.d == other.d
+            return (self.d, self.arrow) == (other.d, other.arrow)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("diamond", self.d))
+        return hash(("diamond", self.d, self.arrow))
 
     def __repr__(self):
-        return f"DiamondLattice(d={self.d})"
+        return f"DiamondLattice(d={self.d}, arrow={self.arrow:+d})"
 
 
-class ReversedLattice:
-    """The causal reverse of a diamond lattice (time runs backwards)."""
-
-    is_finite = False
-    kind = "diamond-lattice-reversed"
-
-    def __init__(self, base: DiamondLattice):
-        self.base = base
-        self.d = base.d
-
-    def has_event(self, e):
-        return self.base.has_event(e)
-
-    def require_event(self, e):
-        return self.base.require_event(e)
-
-    def level(self, e) -> int:
-        return -e[0]
-
-    def leq(self, x, y):
-        return self.base.leq(y, x)
-
-    def immediate_successors(self, x):
-        return self.base.immediate_predecessors(x)
-
-    def immediate_predecessors(self, x):
-        return self.base.immediate_successors(x)
-
-    def __eq__(self, other):
-        if isinstance(other, ReversedLattice):
-            return self.base == other.base
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("diamond-rev", self.d))
-
-    def __repr__(self):
-        return f"ReversedLattice(d={self.d})"
-
-
-CausalOrder = ExplicitOrder | DiamondLattice | ReversedLattice
+CausalOrder = ExplicitOrder | DiamondLattice
 
 
 def lattice(d: int) -> DiamondLattice:
@@ -326,9 +297,7 @@ def reverse(omega: CausalOrder) -> CausalOrder:
     if isinstance(omega, ExplicitOrder):
         return ExplicitOrder(omega.events, [(b, a) for a, b in omega.hasse_edges()])
     if isinstance(omega, DiamondLattice):
-        return ReversedLattice(omega)
-    if isinstance(omega, ReversedLattice):
-        return omega.base
+        return DiamondLattice(omega.d, -omega.arrow)
     raise TypeError(f"not a causal order: {omega!r}")
 
 
@@ -345,16 +314,8 @@ class Window:
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
-    def expanded(self, pad: int) -> "Window":
-        return Window(
-            self.t0,
-            self.t1,
-            tuple(a - pad for a in self.lo),
-            tuple(b + pad for b in self.hi),
-        )
 
-
-def window_events(omega: DiamondLattice | ReversedLattice, window: Window) -> Iterator[Event]:
+def window_events(omega: DiamondLattice, window: Window) -> Iterator[Event]:
     d = omega.d
     for t in range(window.t0, window.t1 + 1):
         ranges = []
@@ -365,7 +326,7 @@ def window_events(omega: DiamondLattice | ReversedLattice, window: Window) -> It
             yield (t, xs)
 
 
-def materialize(omega: DiamondLattice | ReversedLattice, window: Window) -> ExplicitOrder:
+def materialize(omega: DiamondLattice, window: Window) -> ExplicitOrder:
     """The explicit finite order induced on a window of a lattice."""
     events = list(window_events(omega, window))
     have = set(events)
@@ -473,15 +434,14 @@ def diamond(omega: CausalOrder, x: Event, y: Event) -> frozenset:
         return frozenset(omega._bits_to_events(omega._up[xi] & omega._down[yi]))
     if not omega.leq(x, y):
         return frozenset()
-    if isinstance(omega, ReversedLattice):
-        return diamond(omega.base, y, x)
     (t, a), (s, b) = x, y
     out = []
-    for lvl in range(t, s + 1):
+    for lvl in range(t, s + omega.arrow, omega.arrow):
+        up, down = abs(lvl - t), abs(s - lvl)
         ranges = []
         for i in range(omega.d):
-            lo = max(a[i] - (lvl - t), b[i] - (s - lvl))
-            hi = min(a[i] + (lvl - t), b[i] + (s - lvl))
+            lo = max(a[i] - up, b[i] - down)
+            hi = min(a[i] + up, b[i] + down)
             lo += (lo - lvl) % 2
             ranges.append(range(lo, hi + 1, 2))
         out.extend((lvl, xs) for xs in itertools.product(*ranges))
@@ -532,7 +492,7 @@ def is_region(omega: CausalOrder, s: Iterable[Event]) -> bool:
     """Convexity: every diamond between members stays inside the set."""
     s = frozenset(s)
     _require_all(omega, s)
-    return all(diamond(omega, x, y) <= s for x in s for y in s)
+    return region_between(omega, s, s) <= s
 
 
 def region_between(omega: CausalOrder, sigma: Iterable[Event], gamma: Iterable[Event]) -> frozenset:
@@ -589,12 +549,6 @@ def check_morphism(f: OrderMorphism) -> bool:
     return True
 
 
-def compose_morphisms(g: OrderMorphism, f: OrderMorphism) -> OrderMorphism:
-    if f.cod != g.dom:
-        raise InvalidMorphism("codomain/domain mismatch")
-    return OrderMorphism(f.dom, g.cod, {e: g(f(e)) for e in f.mapping})
-
-
 def identity_morphism(omega: ExplicitOrder) -> OrderMorphism:
     return OrderMorphism(omega, omega, {e: e for e in omega.events})
 
@@ -619,12 +573,7 @@ def region_refinement_factor(i: OrderMorphism) -> tuple[OrderMorphism, OrderMorp
         raise UnboundedQuery("factorisation needs finite orders")
     if not check_morphism(i) or not i.is_injective():
         raise InvalidMorphism("input must be an injective causal-order morphism")
-    img = i.image
-    theta_events: set = set()
-    for x in img:
-        for y in img:
-            theta_events |= diamond(i.cod, x, y)
-    theta = i.cod.suborder(theta_events)
+    theta = i.cod.suborder(region_between(i.cod, i.image, i.image))
     refinement = OrderMorphism(i.dom, theta, dict(i.mapping))
     region_mor = OrderMorphism(theta, i.cod, {e: e for e in theta.events})
     return refinement, region_mor

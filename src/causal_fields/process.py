@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     BackendMismatch,
     BadFactorIndex,
+    NotFinite,
     NotStochastic,
     NotUnitary,
     ShapeMismatch,
@@ -100,9 +101,16 @@ class ProcState:
         return float(np.sum(self.data))
 
 
+def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` itself, or NotFinite if any entry is NaN or infinite."""
+    if not np.isfinite(arr).all():
+        raise NotFinite(f"{what} has a NaN or infinite entry")
+    return arr
+
+
 def state(obj: ProcObject, data) -> ProcState:
     arr = np.asarray(data, dtype=complex if obj.backend == QUANTUM else float)
-    return ProcState(obj, arr)
+    return ProcState(obj, require_finite(arr, "state data"))
 
 
 def basis_state(obj: ProcObject, index: int) -> ProcState:
@@ -200,7 +208,7 @@ def unitary_channel(obj: ProcObject, u, factors: Sequence[int] | None = None,
     if factors is None:
         factors = range(len(obj.factors))
     idx = tuple(factors)
-    if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > tol:
+    if not (np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol):
         raise NotUnitary("matrix is not unitary within tolerance")
     return ProcMorphism(obj, obj, (("matrix", u, idx),))
 
@@ -209,7 +217,7 @@ def kraus_channel(obj: ProcObject, kraus_ops, factors: Sequence[int] | None = No
     """A completely positive map given by a Kraus family on the chosen factors."""
     if obj.backend != QUANTUM:
         raise BackendMismatch("kraus_channel needs a quantum object")
-    ks = tuple(np.asarray(k, dtype=complex) for k in kraus_ops)
+    ks = tuple(require_finite(np.asarray(k, dtype=complex), "Kraus operator") for k in kraus_ops)
     if factors is None:
         factors = range(len(obj.factors))
     return ProcMorphism(obj, obj, (("kraus", ks, tuple(factors)),))
@@ -219,8 +227,8 @@ def stochastic_map(obj: ProcObject, s, factors: Sequence[int] | None = None) -> 
     """A (sub)stochastic matrix acting on the chosen factors of a classical object."""
     if obj.backend != CLASSICAL:
         raise BackendMismatch("stochastic_map needs a classical object")
-    s = np.asarray(s, dtype=float)
-    if np.min(s) < -VALIDITY_TOL:
+    s = require_finite(np.asarray(s, dtype=float), "stochastic matrix")
+    if not (-np.min(s) <= VALIDITY_TOL):
         raise NotStochastic("negative entries in stochastic matrix")
     if factors is None:
         factors = range(len(obj.factors))

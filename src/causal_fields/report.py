@@ -2,13 +2,23 @@
 
 Validators return a report rather than raising: the caller gets the full
 violation list.  Reports serialise to
-``{"law": ..., "samples": ..., "violations": [{"witness": ..., "deviation": ...}]}``.
+``{"law": ..., "samples": ..., "violations": [{"witness": ..., "deviation": ...}]}``,
+with a non-finite deviation written as the string "NaN", "Infinity" or
+"-Infinity" so that the output stays strict JSON.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
+
+
+def _number(x: float) -> float | str:
+    """A deviation as strict JSON: a non-finite one as the string of its
+    JSON token ("NaN", "Infinity", "-Infinity")."""
+    return x if math.isfinite(x) else json.dumps(x)
 
 
 def _jsonify(value: Any):
@@ -41,10 +51,6 @@ class Report:
     def record(self, witness, deviation: float = 0.0) -> None:
         self.violations.append({"witness": witness, "deviation": float(deviation)})
 
-    def merge(self, other: "Report") -> None:
-        self.samples += other.samples
-        self.violations.extend(other.violations)
-
     def worst(self) -> float:
         return max((v["deviation"] for v in self.violations), default=0.0)
 
@@ -53,7 +59,7 @@ class Report:
             "law": self.law,
             "samples": self.samples,
             "violations": [
-                {"witness": _jsonify(v["witness"]), "deviation": v["deviation"]}
+                {"witness": _jsonify(v["witness"]), "deviation": _number(v["deviation"])}
                 for v in self.violations
             ],
         }

@@ -25,8 +25,12 @@ from .errors import (
 from .order import (
     CausalOrder,
     ExplicitOrder,
+    OrderMorphism,
     Window,
+    _antichains,
+    event_id,
     future_domain,
+    induced_order,
     materialize,
     maximal_chains,
     region_between,
@@ -47,10 +51,7 @@ def is_slice(omega: CausalOrder, a: Iterable) -> bool:
     for e in a:
         omega.require_event(e)
     return all(
-        not omega.leq(x, y)
-        for x, y in itertools.combinations(a, 2)
-    ) and all(
-        not omega.leq(y, x)
+        not omega.leq(x, y) and not omega.leq(y, x)
         for x, y in itertools.combinations(a, 2)
     )
 
@@ -137,16 +138,7 @@ class SliceCategory:
         region_events = frozenset(region_events)
         if self.objects is not None:
             return [o for o in self.object_list() if o <= region_events]
-        events = sorted(region_events, key=repr)
-        sub = ExplicitOrder(
-            events,
-            [
-                (a, b)
-                for a in events
-                for b in events
-                if a != b and self.order.leq(a, b)
-            ],
-        )
+        sub = induced_order(self.order, sorted(region_events, key=repr))
         return [s for s in enumerate_slices(sub) if self.contains(s)]
 
 
@@ -190,16 +182,7 @@ def _finite_view(omega: CausalOrder, window: Window | None) -> ExplicitOrder:
 def enumerate_slices(omega: CausalOrder, window: Window | None = None) -> Iterator[Slice]:
     """Every antichain exactly once (depth-first, canonical event order)."""
     fin = _finite_view(omega, window)
-    events = list(fin.events)
-
-    def extend(prefix: list, start: int) -> Iterator[Slice]:
-        yield frozenset(prefix)
-        for k in range(start, len(events)):
-            e = events[k]
-            if all(not fin.leq(e, p) and not fin.leq(p, e) for p in prefix):
-                yield from extend(prefix + [e], k + 1)
-
-    yield from extend([], 0)
+    yield from _antichains(fin, fin.events)
 
 
 def maximal_slices(omega: CausalOrder, window: Window | None = None) -> Iterator[Slice]:
@@ -259,19 +242,18 @@ def validate_foliation(
 
 
 def foliation_category(
-    omega: CausalOrder, leaves: Sequence[Iterable], window: Window | None = None,
-    validate: bool = True,
+    omega: CausalOrder, leaves: Sequence[Iterable], window: Window | None = None
 ) -> SliceCategory:
-    """The category generated by all subsets of the foliation's leaves.
+    """The category generated by all subsets of the foliation's leaves,
+    which must pass ``validate_foliation``.
 
     The product of two members is defined exactly when they are disjoint
     subsets of one common Cauchy slice.
     """
     leaves = tuple(frozenset(l) for l in leaves)
-    if validate:
-        rep = validate_foliation(omega, leaves, window)
-        if not rep.ok:
-            raise InvalidFoliation(str(rep.violations[:3]))
+    rep = validate_foliation(omega, leaves, window)
+    if not rep.ok:
+        raise InvalidFoliation(str(rep.violations[:3]))
 
     def contains(s: Slice) -> bool:
         return not s or any(s <= leaf for leaf in leaves)
@@ -332,8 +314,6 @@ def all_slices_category(omega: CausalOrder, window: Window | None = None) -> Sli
 
 def validate_slice_category(
     cat: SliceCategory,
-    samples: int | None = None,
-    rng=None,
     pair_witnesses: Callable[[object, object], tuple[Slice, Slice]] | None = None,
     event_pairs: Sequence[tuple] | None = None,
 ) -> Report:
@@ -345,11 +325,11 @@ def validate_slice_category(
         slice is a member; defined products are separated unions that stay
         in the category).
 
-    Enumerable categories are checked exhaustively unless ``samples`` caps
-    the work.  Condition (1) on a non-enumerable category is undecidable by
-    search, so the caller must supply ``pair_witnesses``: a constructive
-    map sending a related event pair to a witnessing hom, checked on the
-    given ``event_pairs``.
+    Enumerable categories are checked exhaustively; condition (2) builds
+    each bounded region once per slice pair.  Condition (1) on a
+    non-enumerable category is undecidable by search, so the caller must
+    supply ``pair_witnesses``: a constructive map sending a related event
+    pair to a witnessing hom, checked on the given ``event_pairs``.
     """
     report = Report("slice-category")
     omega = cat.order
@@ -373,9 +353,6 @@ def validate_slice_category(
 
     if cat.objects is not None:
         objs = cat.object_list()
-        if rng is not None and samples is not None and len(objs) > samples:
-            idx = rng.choice(len(objs), size=samples, replace=False)
-            objs = [objs[i] for i in idx]
         if omega.is_finite:
             for x in omega.events:
                 for y in omega.events:
@@ -388,13 +365,14 @@ def validate_slice_category(
                         for g in objs
                     ):
                         report.record({"pair": (x, y), "reason": "condition (1) fails"})
-        for sigma, gamma, delta in itertools.product(objs, repeat=3):
-            report.count()
-            boxed = delta & region_between(omega, sigma, gamma)
-            if not cat.contains(boxed):
-                report.record(
-                    {"triple": (sigma, gamma, delta), "reason": "condition (2) fails"}
-                )
+        for sigma, gamma in itertools.product(objs, repeat=2):
+            box = region_between(omega, sigma, gamma)
+            for delta in objs:
+                report.count()
+                if not cat.contains(delta & box):
+                    report.record(
+                        {"triple": (sigma, gamma, delta), "reason": "condition (2) fails"}
+                    )
         for sigma, gamma in itertools.product(objs, repeat=2):
             report.count()
             if cat.tensor_defined(sigma, gamma):
@@ -473,16 +451,9 @@ def restrict_to_region(
 
     # The restriction lives on the region as a causal order in its own
     # right: the slice ordering is recomputed inside the (convex) region.
-    if omega.is_finite:
-        sub_order = omega.suborder(region)
-    else:
-        events = sorted(region)
-        sub_order = ExplicitOrder(
-            events,
-            [(a, b) for a in events for b in events if a != b and omega.leq(a, b)],
-        )
+    events = [e for e in omega.events if e in region] if omega.is_finite else sorted(region)
     return SliceCategory(
-        order=sub_order,
+        order=induced_order(omega, events),
         contains=contains,
         product_rule=cat.product_rule,
         objects=objects,
@@ -490,7 +461,7 @@ def restrict_to_region(
     )
 
 
-def reverse_category(cat: SliceCategory, check: bool = True) -> SliceCategory:
+def reverse_category(cat: SliceCategory) -> SliceCategory:
     """The same objects over the reversed order.
 
     Reversibility is a property, not a given: for enumerable categories the
@@ -505,7 +476,7 @@ def reverse_category(cat: SliceCategory, check: bool = True) -> SliceCategory:
         objects=cat.objects,
         label=f"{cat.label}^rev",
     )
-    if check and cat.objects is not None:
+    if cat.objects is not None:
         report = validate_slice_category(out)
         if not report.ok:
             raise NotReversible(str(report.violations[:3]))
@@ -516,10 +487,8 @@ def reverse_category(cat: SliceCategory, check: bool = True) -> SliceCategory:
 # pullback categories (ordering computed by the generic D+ test only)
 # ---------------------------------------------------------------------------
 
-def pullback_category(f, cat: SliceCategory) -> SliceCategory:
+def pullback_category(f: OrderMorphism, cat: SliceCategory) -> SliceCategory:
     """Slices of the domain suborder lying over some member of ``cat``."""
-    from .order import OrderMorphism  # local import to avoid a cycle
-
     assert isinstance(f, OrderMorphism)
 
     def contains(s: Slice) -> bool:
@@ -547,12 +516,8 @@ def pullback_category(f, cat: SliceCategory) -> SliceCategory:
 # ---------------------------------------------------------------------------
 
 def slice_to_json(s: Slice) -> dict:
-    from .order import event_id
-
     return {"events": sorted(event_id(e) for e in s)}
 
 
 def foliation_to_json(leaves: Sequence[Iterable]) -> dict:
-    from .order import event_id
-
     return {"leaves": [sorted(event_id(e) for e in leaf) for leaf in leaves]}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causal_fields import process as P
 from causal_fields.cca import (
@@ -40,6 +42,7 @@ from causal_fields.cca import (
 )
 from causal_fields.errors import (
     BadParams,
+    CausalFieldsError,
     NegativeTimeGap,
     NotInvertible,
     NotSubset,
@@ -301,6 +304,40 @@ def test_config_validation():
         PartitionedCCAConfig(d=1, cell_dim=2, scattering=np.diag([1, 1, 1, 0.5]))
     with pytest.raises(BadParams):
         PartitionedCCAConfig(d=1, cell_dim=2, scattering=np.eye(3))
+
+
+@given(
+    st.sampled_from(["quantum U", "quantum U_inv", "classical U", "classical U_inv"]),
+    st.integers(0, 15),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e300]),
+)
+@settings(max_examples=60, deadline=None)
+def test_prop_garbage_config_is_rejected(which, where, garbage):
+    # a non-finite entry in the scattering or its inverse, or an overflowing
+    # one in the scattering, is an error when the configuration is built;
+    # a finite but wrong inverse is left to scattering_inverse
+    backend, key = which.split()
+    assume(key == "U" or not np.isfinite(garbage))
+    u = SWAP.real.astype(complex if backend == "quantum" else float)
+    bad = u.copy()
+    bad.reshape(-1)[where] = garbage
+    mats = {"U": u, "U_inv": u.T.copy()}
+    mats[key] = bad
+    with pytest.raises(CausalFieldsError), np.errstate(invalid="ignore", over="ignore"):
+        PartitionedCCAConfig(
+            d=1, cell_dim=2, scattering=mats["U"], scattering_inv=mats["U_inv"], backend=backend
+        )
+
+
+@pytest.mark.parametrize("key", ["U", "U_inv"])
+def test_classical_config_rejects_imaginary_part(key):
+    blob = cca_config_to_json(cfg(SWAP.real, backend="classical"))
+    blob["U_inv"] = blob["U"]
+    blob[key] = P.matrix_to_json(SWAP + 1e-3j * np.eye(4))
+    with pytest.raises(BadParams):
+        cca_config_from_json(blob)
+    blob[key] = P.matrix_to_json(SWAP.astype(complex))
+    assert cca_config_from_json(blob).backend == "classical"
 
 
 # -- reversal -------------------------------------------------------------------------------

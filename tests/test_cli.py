@@ -242,6 +242,81 @@ def test_check_rejects_bad_ranges(dirac_file, target, extra, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _garbage_config_texts():
+    """Config files a check must refuse: a NaN/infinity token, a number
+    that overflows to infinity, and a classical matrix with an imaginary
+    part."""
+    blob = cca_config_to_json(dirac_config(0.4, 0.1))
+    out = {}
+    for name, token in [("nan", "NaN"), ("inf", "Infinity"), ("-inf", "-Infinity"), ("overflow", "1e999")]:
+        for key in ("U", "U_inv"):
+            b = dict(blob, U_inv=blob["U"])
+            b[key] = dict(b[key], data=[["X", 0.0]] + b[key]["data"][1:])
+            out[f"{name}-{key}"] = json.dumps(b).replace('"X"', token)
+    classical = cca_config_to_json(PartitionedCCAConfig(d=1, cell_dim=2, scattering=SWAP, backend="classical"))
+    classical["U"]["data"][0][1] = 0.5
+    out["classical-imaginary"] = json.dumps(classical)
+    return out
+
+
+GARBAGE_CONFIGS = _garbage_config_texts()
+
+
+@pytest.mark.parametrize("samples", ["1", "5", "12", "50"])
+@pytest.mark.parametrize("name", sorted(GARBAGE_CONFIGS))
+def test_check_rejects_garbage_config(tmp_path, name, samples, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(GARBAGE_CONFIGS[name])
+    assert main(["check", "functoriality", "--cca", str(path), "--samples", samples]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_json_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"events": [')
+    assert main(["gen", "file", "--in", str(path)]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_check_rejects_nonfinite_leaves(fork_file, capsys):
+    code = main(["check", "foliation", "--order", fork_file, "--leaves", '[["a", NaN], ["c"]]'])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def _strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"bare {token} in output")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_report_with_nonfinite_deviation_is_strict_json(tmp_path):
+    from causal_fields.cli import _emit
+    from causal_fields.report import Report
+
+    report = Report("law")
+    for dev in (float("nan"), float("inf"), float("-inf"), 0.5):
+        report.record({"dev": str(dev)}, dev)
+    out = tmp_path / "r.json"
+    _emit(report.to_json(), str(out))
+    blob = _strict_loads(out.read_text())
+    assert [v["deviation"] for v in blob["violations"]] == ["NaN", "Infinity", "-Infinity", 0.5]
+
+
+def test_check_reversal_without_inverse_is_strict_json(tmp_path):
+    # a column-stochastic scattering that is not a permutation has no
+    # reversal; the check reports it with an infinite deviation
+    s = np.full((4, 4), 0.25)
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(cca_config_to_json(
+        PartitionedCCAConfig(d=1, cell_dim=2, scattering=s, backend="classical"))))
+    out = tmp_path / "r.json"
+    assert main(["check", "reversal", "--cca", str(path), "--out", str(out)]) == 1
+    blob = _strict_loads(out.read_text())
+    assert blob["violations"][0]["deviation"] == "Infinity"
+
+
 # -- run ---------------------------------------------------------------------------------
 
 def test_run_zero_steps_echoes_initial(dirac_file, tmp_path):
@@ -295,6 +370,13 @@ def test_run_classical_density(tmp_path):
                  "--mode", "density", "--out", str(out)])
     assert code == 0
     assert read(out)["trace_drift"] < 1e-12
+    p = np.zeros(256, dtype=complex)
+    p[128], p[64] = 1.0, 0.5j
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(P.matrix_to_json(p)))
+    code = main(["run", "--cca", str(path), "--steps", "1", "--sites", "4",
+                 "--mode", "density", "--initial", str(initial)])
+    assert code == 2
 
 
 @pytest.mark.parametrize("extra", [

@@ -95,17 +95,15 @@ def test_functoriality_detects_breakage(generic_theory):
 
 
 def test_functoriality_nan_scattering_fails_closed():
-    # a NaN slips past the unitarity gate (NaN > tol is False); the law
-    # check must still report it instead of passing
+    # the unitarity gate reads not (dev <= tol), so a NaN scattering never
+    # becomes a theory whose law checks could pass on samples that miss it
     from causal_fields.cca import PartitionedCCAConfig
+    from causal_fields.errors import NotUnitary
 
     u = random_unitary(np.random.default_rng(5), 4)
     u[1, 2] = np.nan
-    nan_theory = build_cca(PartitionedCCAConfig(d=1, cell_dim=2, scattering=u))
-    triples = [(sl(0, 0, 2), sl(1, 1), sl(1, 1)), (sl(0, 0, 2, 4), sl(1, 1, 3), sl(2, 2))]
-    rep = check_functoriality(nan_theory, triples)
-    assert not rep.ok
-    assert all(np.isnan(v["deviation"]) for v in rep.violations)
+    with pytest.raises(NotUnitary):
+        PartitionedCCAConfig(d=1, cell_dim=2, scattering=u)
 
 
 def test_identity_assignment(theory):

@@ -24,6 +24,7 @@ from causal_fields.order import (
     future,
     future_domain,
     identity_morphism,
+    induced_order,
     is_region,
     iterated_neighbourhood,
     lattice,
@@ -39,6 +40,7 @@ from causal_fields.order import (
     region_between,
     region_refinement_factor,
     reverse,
+    window_events,
 )
 
 from helpers import all_subsets, future_domain_oracle, random_dag, reachable_oracle
@@ -253,6 +255,38 @@ def test_reverse_lattice_swaps_neighbours():
     d1 = lattice(1)
     rev = reverse(d1)
     assert set(rev.immediate_successors(ev(1, 1))) == set(d1.immediate_predecessors(ev(1, 1)))
+
+
+WINDOWS = [Window(0, 3, (-3,), (3,)), Window(-1, 2, (-2, -1), (2, 2))]
+
+
+@pytest.mark.parametrize("win", WINDOWS, ids=["d1", "d2"])
+def test_reverse_lattice_is_forward_with_endpoints_swapped(win):
+    fwd = lattice(len(win.lo))
+    rev = reverse(fwd)
+    assert rev.level(ev(2, *win.lo)) == -2 and rev != fwd
+    events = list(window_events(fwd, win))
+    for x, y in itertools.product(events, repeat=2):
+        assert rev.leq(x, y) == fwd.leq(y, x)
+        assert diamond(rev, x, y) == diamond(fwd, y, x)
+    assert materialize(rev, win) == reverse(materialize(fwd, win))
+
+
+@pytest.mark.parametrize("win", WINDOWS, ids=["d1", "d2"])
+def test_induced_order_on_lattice_window_is_materialize(win):
+    omega = lattice(len(win.lo))
+    events = list(window_events(omega, win))
+    sub = induced_order(omega, events)
+    assert sub.events == tuple(events)  # the caller's event order is kept
+    assert sub == materialize(omega, win)
+    assert sub.hasse_edges() == materialize(omega, win).hasse_edges()
+
+
+def test_induced_order_keeps_caller_order():
+    sub = induced_order(CHAIN, ["c", "a"])
+    assert sub.events == ("c", "a")
+    assert sub.leq("a", "c") and not sub.leq("c", "a")
+    assert CHAIN.suborder(["c", "a"]).events == ("a", "c")
 
 
 # -- morphisms -----------------------------------------------------------------------------------

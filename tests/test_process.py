@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_fields import process as P
 from causal_fields.errors import (
     BackendMismatch,
     BadFactorIndex,
+    CausalFieldsError,
     NotStochastic,
     NotUnitary,
     ShapeMismatch,
@@ -415,3 +418,41 @@ def test_matrix_json_roundtrip():
     m = random_unitary(RNG, 3)
     again = P.matrix_from_json(P.matrix_to_json(m))
     assert np.max(np.abs(again - m)) < 1e-15
+
+
+# -- non-finite input ----------------------------------------------------------------------------
+
+GARBAGE = [np.nan, np.inf, -np.inf]
+
+
+def _valid_input(kind: str):
+    """A valid input for one constructor, as (object, array, build)."""
+    rng = np.random.default_rng(3)
+    if kind == "unitary":
+        return qobj(2, 2), random_unitary(rng, 4), P.unitary_channel
+    if kind == "kraus":
+        u = random_unitary(rng, 2)
+        return qobj(2), np.stack([u / np.sqrt(2), u / np.sqrt(2)]), P.kraus_channel
+    if kind == "stochastic":
+        s = rng.random((4, 4))
+        return cobj(2, 2), s / s.sum(axis=0, keepdims=True), P.stochastic_map
+    if kind == "quantum state":
+        return qobj(2, 2), random_density(rng, 4), P.state
+    return cobj(2, 2), np.full(4, 0.25), P.state
+
+
+@given(
+    st.sampled_from(["unitary", "kraus", "stochastic", "quantum state", "classical state"]),
+    st.integers(0, 31),
+    st.sampled_from(GARBAGE),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_prop_nonfinite_input_is_rejected(kind, where, garbage, imaginary):
+    # a NaN or an infinity anywhere gives an error at construction, never an object
+    obj, arr, build = _valid_input(kind)
+    arr = np.array(arr, dtype=complex if obj.backend == P.QUANTUM else float)
+    flat = arr.reshape(-1)
+    flat[where % flat.size] = complex(0, garbage) if imaginary and arr.dtype == complex else garbage
+    with pytest.raises(CausalFieldsError), np.errstate(invalid="ignore", over="ignore"):
+        build(obj, arr)

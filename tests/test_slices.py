@@ -13,13 +13,16 @@ from causal_fields.errors import (
 from causal_fields.order import (
     Window,
     build_explicit,
+    diamond,
     future_domain,
     lattice,
     materialize,
     region_between,
     reverse,
 )
+from causal_fields.report import Report
 from causal_fields.slices import (
+    SliceCategory,
     all_slices_category,
     enumerate_slices,
     foliation_category,
@@ -263,6 +266,61 @@ def test_validate_slice_category_missing_empty():
     rep = validate_slice_category(broken)
     assert not rep.ok
     assert any("empty" in v["witness"]["reason"] for v in rep.violations)
+
+
+def _reference_validation(cat: SliceCategory) -> Report:
+    """validate_slice_category on an enumerable category, spelled out as
+    plain loops: condition (2) rebuilds the bounded region of every triple
+    from diamonds."""
+    report = Report("slice-category")
+    omega = cat.order
+    if not cat.contains(frozenset()):
+        report.record({"reason": "empty slice is not a member"})
+    report.count()
+    objs = cat.object_list()
+    for x in omega.events:
+        for y in omega.events:
+            if omega.leq(x, y):
+                report.count()
+                if not any(x in s and y in g and cat.hom(s, g) for s in objs for g in objs):
+                    report.record({"pair": (x, y), "reason": "condition (1) fails"})
+    for sigma in objs:
+        for gamma in objs:
+            for delta in objs:
+                report.count()
+                box = set()
+                for x in sigma:
+                    for y in gamma:
+                        box |= diamond(omega, x, y)
+                if not cat.contains(delta & box):
+                    report.record({"triple": (sigma, gamma, delta), "reason": "condition (2) fails"})
+    for sigma in objs:
+        for gamma in objs:
+            report.count()
+            if cat.tensor_defined(sigma, gamma):
+                if not space_like_separated(omega, sigma, gamma):
+                    report.record({"pair": (sigma, gamma), "reason": "product defined but not separated"})
+                elif not cat.contains(sigma | gamma):
+                    report.record({"pair": (sigma, gamma), "reason": "product leaves the category"})
+    return report
+
+
+def test_validate_slice_category_matches_triple_loop():
+    # two chains a < c and b < d: dropping {a} breaks condition (2), since
+    # {a, b} cut to the region between {a, b} and {c} is {a}
+    omega = build_explicit(["a", "b", "c", "d"], [("a", "c"), ("b", "d")])
+    full = all_slices_category(omega)
+    broken = SliceCategory(
+        order=omega,
+        contains=lambda s: s != {"a"} and full.contains(s),
+        product_rule=full.product_rule,
+        objects=lambda: [o for o in full.object_list() if o != {"a"}],
+        label="broken",
+    )
+    got, want = validate_slice_category(broken), _reference_validation(broken)
+    assert any("(2)" in v["witness"]["reason"] for v in got.violations)
+    assert got.samples == want.samples
+    assert got.violations == want.violations
 
 
 # -- restriction ------------------------------------------------------------------------------
