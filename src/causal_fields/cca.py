@@ -252,6 +252,12 @@ def cca_config_to_json(config: PartitionedCCAConfig) -> dict:
 
 
 def cca_config_from_json(obj: dict) -> PartitionedCCAConfig:
+    """Read the ``cca_config_to_json`` layout; a malformed blob is BadParams."""
+    for key in ("d", "cell_dim"):
+        if type(obj.get(key)) is not int:
+            raise BadParams(f'a config needs an integer "{key}", not {obj.get(key)!r}')
+    if "U" not in obj:
+        raise BadParams('a config needs the scattering matrix "U"')
     backend = obj.get("backend", P.QUANTUM)
 
     def matrix(key: str) -> np.ndarray:
@@ -265,8 +271,8 @@ def cca_config_from_json(obj: dict) -> PartitionedCCAConfig:
     u = matrix("U")
     u_inv = matrix("U_inv") if "U_inv" in obj else None
     return PartitionedCCAConfig(
-        d=int(obj["d"]),
-        cell_dim=int(obj["cell_dim"]),
+        d=obj["d"],
+        cell_dim=obj["cell_dim"],
         scattering=u,
         scattering_inv=u_inv,
         backend=backend,

@@ -139,7 +139,10 @@ def _parse_json(text: str):
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return _parse_json(fh.read())
+        obj = _parse_json(fh.read())
+    if not isinstance(obj, dict):
+        raise BadParams(f"{path} must hold a JSON object")
+    return obj
 
 
 # ---------------------------------------------------------------------------

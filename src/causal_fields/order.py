@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
+    BadParams,
     CycleDetected,
     DuplicateEvent,
     InfinitePreimage,
@@ -31,10 +32,13 @@ Event = Hashable
 class ExplicitOrder:
     """A finite poset stored as events + Hasse edges + reachability closure.
 
-    Reachability is kept as one bitset per event, so ``leq`` is O(1).  The
-    stored edge list is the transitive reduction of whatever edges were
-    supplied, which makes Hasse-adjacency queries (and hence maximal-chain
-    enumeration) reliable even for redundant input.
+    Reachability is kept as one bitset per event in each direction, so
+    ``leq`` is O(1).  The stored edges are the transitive reduction of the
+    supplied ones, so Hasse-adjacency queries (and hence maximal-chain
+    enumeration) are reliable even for redundant input.  The build takes
+    one big-integer OR per supplied edge and pass: up-sets in reverse
+    topological order, the reduction (an edge x -> y is a cover unless y
+    lies strictly above another successor of x), down-sets along covers.
     """
 
     is_finite = True
@@ -54,9 +58,16 @@ class ExplicitOrder:
                 raise CycleDetected(f"self-loop at {a!r}")
             adj[self._index[a]].add(self._index[b])
         self._topo = self._toposort(adj)
-        self._up = self._closure(adj, self._topo)
-        self._down = self._transpose_closure(self._up, n)
-        self._succ, self._pred = self._reduction(n)
+        self._up = self._closure(adj, reversed(self._topo))
+        self._succ, self._pred = [], [[] for _ in range(n)]
+        for x, outs in enumerate(adj):
+            above = 0
+            for b in outs:
+                above |= self._up[b] ^ (1 << b)
+            self._succ.append(tuple(y for y in sorted(outs) if not (above >> y) & 1))
+            for y in self._succ[x]:
+                self._pred[y].append(x)
+        self._down = self._closure(self._pred, self._topo)
 
     # -- construction helpers ------------------------------------------------
 
@@ -81,40 +92,16 @@ class ExplicitOrder:
         return order
 
     @staticmethod
-    def _closure(adj: list[set[int]], topo: list[int]) -> list[int]:
-        up = [0] * len(adj)
-        for x in reversed(topo):
+    def _closure(adj: Sequence[Iterable[int]], order: Iterable[int]) -> list[int]:
+        """Reflexive reachability along ``adj``, visiting each event after
+        every event it reaches."""
+        reach = [0] * len(adj)
+        for x in order:
             acc = 1 << x
             for b in adj[x]:
-                acc |= up[b]
-            up[x] = acc
-        return up
-
-    @staticmethod
-    def _transpose_closure(up: list[int], n: int) -> list[int]:
-        down = [0] * n
-        for x in range(n):
-            bits = up[x]
-            while bits:
-                b = bits & -bits
-                down[b.bit_length() - 1] |= 1 << x
-                bits ^= b
-        return down
-
-    def _reduction(self, n: int) -> tuple[list[tuple], list[tuple]]:
-        succ = [[] for _ in range(n)]
-        pred = [[] for _ in range(n)]
-        for x in range(n):
-            strict_up = self._up[x] & ~(1 << x)
-            bits = strict_up
-            while bits:
-                b = bits & -bits
-                y = b.bit_length() - 1
-                bits ^= b
-                if not (strict_up & (self._down[y] & ~(1 << y))):
-                    succ[x].append(y)
-                    pred[y].append(x)
-        return ([tuple(s) for s in succ], [tuple(p) for p in pred])
+                acc |= reach[b]
+            reach[x] = acc
+        return reach
 
     # -- queries ---------------------------------------------------------------
 
@@ -635,9 +622,19 @@ def order_to_json(omega: ExplicitOrder) -> dict:
 
 
 def order_from_json(obj: dict) -> CausalOrder:
+    """Read ``{"lattice": {"d": d}}`` or the ``order_to_json`` layout; a
+    malformed blob is BadParams."""
     if "lattice" in obj:
-        return DiamondLattice(int(obj["lattice"]["d"]))
-    return build_explicit(obj["events"], [tuple(e) for e in obj["hasse"]])
+        d = obj["lattice"].get("d") if isinstance(obj["lattice"], dict) else None
+        if type(d) is not int or d < 1:
+            raise BadParams(f'"lattice" needs an integer "d" >= 1, not {d!r}')
+        return DiamondLattice(d)
+    events, hasse = obj.get("events"), obj.get("hasse")
+    if not (isinstance(events, list) and isinstance(hasse, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in hasse)
+            and all(isinstance(e, str) for e in itertools.chain(events, *hasse))):
+        raise BadParams('an explicit order needs "events" (event ids) and "hasse" ([from, to] pairs)')
+    return build_explicit(events, [tuple(p) for p in hasse])
 
 
 def order_to_dot(omega: ExplicitOrder, name: str = "causal_order") -> str:

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     BackendMismatch,
     BadFactorIndex,
+    BadParams,
     NotFinite,
     NotStochastic,
     NotUnitary,
@@ -588,8 +589,18 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    shape = tuple(obj["shape"])
-    flat = np.array([complex(re, im) for re, im in obj["data"]])
+    """Read the ``matrix_to_json`` layout; a malformed blob is BadParams."""
+    shape, data = (obj.get("shape"), obj.get("data")) if isinstance(obj, dict) else (None, None)
+    if not (
+        isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+        and isinstance(data, list) and all(
+            isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z)
+            for z in data
+        )
+    ):
+        raise BadParams('a matrix is {"shape": [n, ...], "data": [[re, im], ...]}')
+    shape = tuple(shape)
+    flat = np.array([complex(re, im) for re, im in data])
     if flat.size != prod(shape):
         raise ShapeMismatch("matrix data does not match declared shape")
     return flat.reshape(shape)

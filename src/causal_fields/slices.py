@@ -326,10 +326,11 @@ def validate_slice_category(
         in the category).
 
     Enumerable categories are checked exhaustively; condition (2) builds
-    each bounded region once per slice pair.  Condition (1) on a
-    non-enumerable category is undecidable by search, so the caller must
-    supply ``pair_witnesses``: a constructive map sending a related event
-    pair to a witnessing hom, checked on the given ``event_pairs``.
+    each bounded region once per slice pair and asks ``cat.contains`` once
+    per distinct restricted slice.  Condition (1) on a non-enumerable
+    category is undecidable by search, so the caller must supply
+    ``pair_witnesses``: a constructive map sending a related event pair to
+    a witnessing hom, checked on the given ``event_pairs``.
     """
     report = Report("slice-category")
     omega = cat.order
@@ -365,11 +366,15 @@ def validate_slice_category(
                         for g in objs
                     ):
                         report.record({"pair": (x, y), "reason": "condition (1) fails"})
+        member: dict[frozenset, bool] = {}
         for sigma, gamma in itertools.product(objs, repeat=2):
             box = region_between(omega, sigma, gamma)
+            report.count(len(objs))
             for delta in objs:
-                report.count()
-                if not cat.contains(delta & box):
+                cut = delta & box
+                if cut not in member:
+                    member[cut] = cat.contains(cut)
+                if not member[cut]:
                     report.record(
                         {"triple": (sigma, gamma, delta), "reason": "condition (2) fails"}
                     )

@@ -278,6 +278,69 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+MALFORMED_ORDERS = {
+    "top_level_list": [["a", "b"]],
+    "top_level_string": "a<b",
+    "no_events": {"hasse": []},
+    "no_hasse": {"events": ["a", "b"]},
+    "events_not_a_list": {"events": "ab", "hasse": []},
+    "event_not_an_id": {"events": [["a"]], "hasse": []},
+    "hasse_entry_single": {"events": ["a", "b"], "hasse": [["a"]]},
+    "hasse_entry_triple": {"events": ["a", "b"], "hasse": [["a", "b", "a"]]},
+    "hasse_endpoint_list": {"events": ["a", "b"], "hasse": [[["a"], "b"]]},
+    "lattice_empty": {"lattice": {}},
+    "lattice_not_object": {"lattice": 1},
+    "lattice_d_string": {"lattice": {"d": "x"}},
+    "lattice_d_fraction": {"lattice": {"d": 1.7}},
+    "lattice_d_bool": {"lattice": {"d": True}},
+    "lattice_d_zero": {"lattice": {"d": 0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_ORDERS))
+def test_malformed_order_is_a_usage_error(tmp_path, name, capsys):
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(MALFORMED_ORDERS[name]))
+    assert main(["gen", "file", "--in", str(path)]) == 2
+    assert main(["query", "future", "--order", str(path), "--events", "a"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _malformed_configs() -> dict:
+    good = cca_config_to_json(dirac_config(0.4, 0.1))
+
+    def without(key):
+        return {k: v for k, v in good.items() if k != key}
+
+    return {
+        "top_level_list": [good],
+        "no_d": without("d"),
+        "no_cell_dim": without("cell_dim"),
+        "no_U": without("U"),
+        "d_string": {**good, "d": "x"},
+        "d_fraction": {**good, "d": 1.7},
+        "cell_dim_fraction": {**good, "cell_dim": 2.0},
+        "d_bool": {**good, "d": True},
+        "U_string": {**good, "U": "x"},
+        "U_no_data": {**good, "U": {"shape": [4, 4]}},
+        "U_entry_not_pair": {**good, "U": {**good["U"], "data": [[1.0]] * 16}},
+        "U_entry_string": {**good, "U": {**good["U"], "data": [["1", "0"]] * 16}},
+        "U_shape_fraction": {**good, "U": {**good["U"], "shape": [4.0, 4]}},
+    }
+
+
+MALFORMED_CONFIGS = _malformed_configs()
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_is_a_usage_error(tmp_path, name, capsys):
+    path = tmp_path / "cca.json"
+    path.write_text(json.dumps(MALFORMED_CONFIGS[name]))
+    assert main(["check", "functoriality", "--cca", str(path), "--samples", "1"]) == 2
+    assert main(["run", "--cca", str(path), "--steps", "1", "--sites", "4"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_check_rejects_nonfinite_leaves(fork_file, capsys):
     code = main(["check", "foliation", "--order", fork_file, "--leaves", '[["a", NaN], ["c"]]'])
     assert code == 2

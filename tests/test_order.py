@@ -565,3 +565,63 @@ def test_prop_maximal_chains_cover(omega):
         for u, v in itertools.pairwise(c):
             assert v in omega.immediate_successors(u)
     assert seen == set(omega.events)
+
+
+@st.composite
+def supplied_edges(draw):
+    """Events e0..e{n-1} listed in shuffled order, with random edges
+    e_i -> e_j (i < j): redundant ones and duplicates included."""
+    n = draw(st.integers(0, 9))
+    events = draw(st.permutations([f"e{i}" for i in range(n)]))
+    edges = []
+    for _ in range(draw(st.integers(0, 3 * n if n > 1 else 0))):
+        i = draw(st.integers(0, n - 2))
+        edges.append((f"e{i}", f"e{draw(st.integers(i + 1, n - 1))}"))
+    return events, edges + edges[: draw(st.integers(0, len(edges)))]
+
+
+def _dfs_reach(events, edges) -> dict:
+    out = {e: set() for e in events}
+    for a, b in edges:
+        out[a].add(b)
+    reach = {}
+    for x in events:
+        seen, stack = {x}, [x]
+        while stack:
+            for b in out[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        reach[x] = seen
+    return reach
+
+
+@given(supplied_edges())
+@settings(max_examples=200, deadline=None)
+def test_prop_explicit_order_matches_brute_force(case):
+    events, edges = case
+    omega = build_explicit(events, edges)
+    reach = _dfs_reach(events, edges)
+    for x in events:
+        for y in events:
+            assert omega.leq(x, y) == (y in reach[x])
+    # transitive reduction: x < y with nothing strictly between, listed by
+    # the position of x, then of y, in the event list
+    cover = [
+        (x, y)
+        for x in events
+        for y in events
+        if x != y and y in reach[x]
+        and not any(z not in (x, y) and z in reach[x] and y in reach[z] for z in events)
+    ]
+    assert omega.hasse_edges() == cover
+    n = len(events)
+    for i in range(n):
+        for j in range(n):
+            assert (omega._up[i] >> j) & 1 == (omega._down[j] >> i) & 1
+    if edges:
+        # close a cycle a -> b -> ... -> z -> a through the first edge
+        a, b = edges[0]
+        z = sorted(reach[b])[-1]
+        with pytest.raises(CycleDetected):
+            build_explicit(events, edges + [(z, a)])

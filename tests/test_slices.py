@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from causal_fields.order import (
     region_between,
     reverse,
 )
+from causal_fields import slices as slices_module
 from causal_fields.report import Report
 from causal_fields.slices import (
     SliceCategory,
@@ -318,6 +320,49 @@ def test_validate_slice_category_matches_triple_loop():
         label="broken",
     )
     got, want = validate_slice_category(broken), _reference_validation(broken)
+    assert any("(2)" in v["witness"]["reason"] for v in got.violations)
+    assert got.samples == want.samples
+    assert got.violations == want.violations
+
+
+def test_validate_slice_category_asks_each_restriction_once(monkeypatch):
+    # condition (2) is the only caller of region_between, and condition (3)
+    # starts with tensor_defined: the calls to contains in between are (2)'s
+    omega = build_explicit(["a", "b", "c", "d"], [("a", "c"), ("b", "d")])
+    full = all_slices_category(omega)
+    phase = ["(1)"]
+    asked = collections.Counter()
+
+    def contains(s):
+        if phase[0] == "(2)":
+            asked[s] += 1
+        return s != {"a"} and full.contains(s)
+
+    def region(*args):
+        phase[0] = "(2)"
+        return region_between(*args)
+
+    cat = SliceCategory(
+        order=omega,
+        contains=contains,
+        product_rule=full.product_rule,
+        objects=lambda: [o for o in full.object_list() if o != {"a"}],
+        label="broken",
+    )
+
+    def tensor_defined(sigma, gamma):
+        phase[0] = "(3)"
+        return SliceCategory.tensor_defined(cat, sigma, gamma)
+
+    cat.tensor_defined = tensor_defined
+    monkeypatch.setattr(slices_module, "region_between", region)
+    got = validate_slice_category(cat)
+    monkeypatch.undo()
+    objs = cat.object_list()
+    cuts = {d & region_between(omega, s, g) for s in objs for g in objs for d in objs}
+    assert set(asked) == cuts
+    assert set(asked.values()) == {1}
+    want = _reference_validation(cat)
     assert any("(2)" in v["witness"]["reason"] for v in got.violations)
     assert got.samples == want.samples
     assert got.violations == want.violations
