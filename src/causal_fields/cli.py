@@ -342,12 +342,22 @@ def _check_cca(args) -> Report:
     raise BadParams(f"unknown check target {args.target!r}")
 
 
+def _parse_leaves(text: str | None) -> list[frozenset]:
+    """The ``--leaves`` JSON: a list of leaves, each a list of event ids."""
+    leaves = _parse_json(text) if text else None
+    if not (isinstance(leaves, list) and all(
+        isinstance(leaf, list) and not any(isinstance(e, (list, dict)) for e in leaf)
+        for leaf in leaves
+    )):
+        raise BadParams('--leaves is a JSON list of leaves, each a list of event ids')
+    return [frozenset(leaf) for leaf in leaves]
+
+
 def _cmd_check(args) -> int:
     if args.target in ("foliation", "category"):
         omega = order_from_json(_load_json(args.order))
         if args.target == "foliation":
-            leaves = [frozenset(l) for l in _parse_json(args.leaves)]
-            report = validate_foliation(omega, leaves)
+            report = validate_foliation(omega, _parse_leaves(args.leaves))
         else:
             if isinstance(omega, DiamondLattice):
                 cat = foliation_category_of_lattice(omega.d)
@@ -362,8 +372,7 @@ def _cmd_check(args) -> int:
                     event_pairs=pairs,
                 )
             elif args.leaves:
-                leaves = [frozenset(l) for l in _parse_json(args.leaves)]
-                cat = foliation_category(omega, leaves)
+                cat = foliation_category(omega, _parse_leaves(args.leaves))
                 report = validate_slice_category(cat)
             else:
                 cat = all_slices_category(omega)
@@ -380,13 +389,16 @@ def _cmd_check(args) -> int:
 
 def _initial_single_particle(args, sites: int) -> np.ndarray:
     if args.initial:
-        blob = _load_json(args.initial)
-        comps = np.array(
-            [[complex(re, im) for re, im in row] for row in blob["components"]]
-        )
-        if comps.shape != (2, sites):
-            raise BadParams(f"initial components must be 2x{sites}")
-        return comps
+        comps = _load_json(args.initial).get("components")
+        if not (isinstance(comps, list) and len(comps) == 2 and all(
+            isinstance(row, list) and len(row) == sites and all(
+                isinstance(z, list) and len(z) == 2 and all(type(v) in (int, float) for v in z)
+                for z in row
+            )
+            for row in comps
+        )):
+            raise BadParams(f'initial "components" must be 2x{sites} [re, im] pairs')
+        return np.array([[complex(re, im) for re, im in row] for row in comps])
     psi = np.zeros((2, sites), dtype=complex)
     psi[0, sites // 2] = 1.0
     return psi

@@ -7,9 +7,11 @@ Two concrete backends share one morphism representation:
 
 Morphisms are lazy kernel programs (sequences of elementary steps), never
 dense superoperators.  ``apply`` interprets a program step by step on a
-state; equality checking evaluates both programs on the full operator
-basis (quantum) or the standard basis (classical) via a compiled Kraus /
-matrix form of the program, and compares the results entrywise.  Against a
+state, contracting each step onto the tensor axes it acts on; compiling
+runs the same contraction on the identity batch to give the Kraus /
+matrix form of the program.  Equality checking evaluates both programs on
+the full operator basis (quantum) or the standard basis (classical) via
+that compiled form, and compares the results entrywise.  Against a
 tolerance, a quantum comparison accepts on the Frobenius norm of the Choi
 difference (an upper bound on the max entry, computed stably from a QR of
 the stacked Kraus columns) and takes the exact max-entry deviation
@@ -356,29 +358,19 @@ def apply(f: ProcMorphism, rho: ProcState) -> ProcState:
 
 
 # ---------------------------------------------------------------------------
-# compiled form: defer discards to the end
+# compiled form: the program applied to the identity batch
 #
-# Discarding a factor commutes with every later step that does not touch it,
-# so a program is equivalent to a branch of full-space operators followed by
-# one partial trace / marginal sum.  The compiled form of a quantum program
-# is the Kraus family of the channel; of a classical program, its matrix.
+# Compiling is evaluating the program on every basis vector at once: the
+# identity batch eye(d), shaped dom.factors + (d,), with one leading axis of
+# Kraus branches.  Each matrix or Kraus step is contracted onto its own axes
+# (``_apply_on_axes``, as in ``apply``); a Kraus step branches the batch,
+# Kraus operator outer, existing branch inner.  Discarding a factor commutes
+# with every later step that does not touch it, so discards and permutations
+# only relabel axes, and the discarded axes join the branch index (quantum)
+# or are summed (classical) at the end.  The compiled form of a quantum
+# program is the Kraus family of the channel; of a classical program, its
+# matrix.
 # ---------------------------------------------------------------------------
-
-def _embed_full(m: np.ndarray, positions: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Extend an operator on the chosen tensor positions to the full space."""
-    n = len(dims)
-    pos = list(positions)
-    rest = [i for i in range(n) if i not in set(pos)]
-    rest_dim = prod(dims[i] for i in rest)
-    big = np.kron(m, np.eye(rest_dim, dtype=m.dtype))
-    order = pos + rest
-    shape = tuple(dims[i] for i in order)
-    big = big.reshape(shape + shape)
-    inv = np.argsort(order)
-    big = big.transpose(tuple(inv) + tuple(inv + n))
-    d = prod(dims)
-    return big.reshape(d, d)
-
 
 def compile_kernel(f: ProcMorphism) -> np.ndarray:
     """Compile a program to its channel form.
@@ -399,15 +391,17 @@ def compile_kernel(f: ProcMorphism) -> np.ndarray:
     alive = list(range(n))
     discarded: list[int] = []
     dtype = complex if quantum else float
-    mats = [np.eye(d, dtype=dtype)]
+    t = np.eye(d, dtype=dtype).reshape((1,) + dims + (d,))
     for step in f.steps:
         kind = step[0]
-        if kind == "matrix":
-            m_full = _embed_full(step[1].astype(dtype), [alive[i] for i in step[2]], dims)
-            mats = [m_full @ a for a in mats]
-        elif kind == "kraus":
-            embedded = [_embed_full(k, [alive[i] for i in step[2]], dims) for k in step[1]]
-            mats = [e @ a for e in embedded for a in mats]
+        if kind in ("matrix", "kraus"):
+            axes = [1 + alive[i] for i in step[2]]
+            if kind == "matrix":
+                t = _apply_on_axes(t, step[1].astype(dtype, copy=False), axes)
+            else:
+                t = np.concatenate([_apply_on_axes(t, k, axes) for k in step[1]])
+                if not quantum and len(t) != 1:
+                    raise ShapeMismatch("classical programs cannot contain kraus steps")
         elif kind == "discard":
             idx = set(step[1])
             discarded.extend(alive[i] for i in sorted(idx))
@@ -415,19 +409,12 @@ def compile_kernel(f: ProcMorphism) -> np.ndarray:
         elif kind == "permute":
             alive = [alive[p] for p in step[1]]
     k_dim = prod(dims[w] for w in alive)
-    e_dim = prod(dims[w] for w in discarded)
-    order = tuple(alive) + tuple(discarded) + (n,)
-    branches = []
-    for a in mats:
-        t = a.reshape(dims + (d,)).transpose(order).reshape(k_dim, e_dim, d)
-        branches.append(t)
     if quantum:
-        out = np.concatenate([t.transpose(1, 0, 2) for t in branches], axis=0)
-        out = np.ascontiguousarray(out)
+        t = t.transpose((0,) + tuple(1 + w for w in discarded + alive) + (n + 1,))
+        out = np.ascontiguousarray(t.reshape(-1, k_dim, d))
     else:
-        if len(branches) != 1:
-            raise ShapeMismatch("classical programs cannot contain kraus steps")
-        out = branches[0].sum(axis=1)
+        t = t[0].transpose(tuple(alive + discarded) + (n,))
+        out = t.reshape(k_dim, -1, d).sum(axis=1)
     f._cache["kernel"] = out
     return out
 

@@ -171,3 +171,56 @@ def dense_superoperator(f) -> np.ndarray:
         v[i] = 1.0
         cols.append(P.apply(f, P.ProcState(f.dom, v)).data)
     return np.array(cols).T
+
+
+def _embed_full(m: np.ndarray, positions, dims) -> np.ndarray:
+    """Extend an operator on the chosen tensor positions to the full space
+    as a permuted ``kron(m, I)``."""
+    n = len(dims)
+    pos = list(positions)
+    rest = [i for i in range(n) if i not in set(pos)]
+    rest_dim = int(np.prod([dims[i] for i in rest]))
+    big = np.kron(m, np.eye(rest_dim, dtype=m.dtype))
+    order = pos + rest
+    shape = tuple(dims[i] for i in order)
+    big = big.reshape(shape + shape)
+    inv = np.argsort(order)
+    big = big.transpose(tuple(inv) + tuple(inv + n))
+    d = int(np.prod(dims))
+    return big.reshape(d, d)
+
+
+def compile_kernel_oracle(f) -> np.ndarray:
+    """The compiled form of a kernel program by full-space products: every
+    step is embedded as a d x d operator and multiplied onto a list of Kraus
+    branches (Kraus operator outer, existing branch inner); discards are
+    deferred to one partial trace / marginal sum at the end.  Same layout
+    as ``process.compile_kernel``, by an independent route."""
+    dims = f.dom.factors
+    n, d = len(dims), f.dom.dim
+    quantum = f.backend == "quantum"
+    dtype = complex if quantum else float
+    alive, discarded = list(range(n)), []
+    mats = [np.eye(d, dtype=dtype)]
+    for step in f.steps:
+        kind = step[0]
+        if kind == "matrix":
+            m_full = _embed_full(step[1].astype(dtype), [alive[i] for i in step[2]], dims)
+            mats = [m_full @ a for a in mats]
+        elif kind == "kraus":
+            embedded = [_embed_full(k, [alive[i] for i in step[2]], dims) for k in step[1]]
+            mats = [e @ a for e in embedded for a in mats]
+        elif kind == "discard":
+            idx = set(step[1])
+            discarded.extend(alive[i] for i in sorted(idx))
+            alive = [w for i, w in enumerate(alive) if i not in idx]
+        elif kind == "permute":
+            alive = [alive[p] for p in step[1]]
+    k_dim = int(np.prod([dims[w] for w in alive]))
+    e_dim = int(np.prod([dims[w] for w in discarded]))
+    order = tuple(alive) + tuple(discarded) + (n,)
+    branches = [a.reshape(dims + (d,)).transpose(order).reshape(k_dim, e_dim, d) for a in mats]
+    if quantum:
+        return np.concatenate([t.transpose(1, 0, 2) for t in branches], axis=0)
+    assert len(branches) == 1, "classical programs have no kraus steps"
+    return branches[0].sum(axis=1)

@@ -347,6 +347,42 @@ def test_check_rejects_nonfinite_leaves(fork_file, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, leaves", [
+    ("foliation", "[1, 2]"),
+    ("category", "[1, 2]"),
+    ("foliation", '[["a"], [["b"]]]'),
+    ("category", '[[{"a": 1}]]'),
+    ("foliation", '{"a": ["b"]}'),
+    ("foliation", '"abc"'),
+    ("foliation", None),
+])
+def test_check_rejects_malformed_leaves(fork_file, target, leaves, capsys):
+    # --leaves is a list of lists of event ids; anything else is a usage error
+    extra = [] if leaves is None else ["--leaves", leaves]
+    assert main(["check", target, "--order", fork_file, *extra]) == 2
+    assert "--leaves" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob", [
+    {},
+    {"components": 5},
+    {"components": [[1, 2, 3, 4], [5, 6, 7, 8]]},
+    {"components": [[["a", 0]] * 4, [[0, 0]] * 4]},
+    {"components": [[[1, 0, 0]] * 4, [[0, 0]] * 4]},
+    {"components": [[[1, 0]] * 4, [[0, 0]] * 3 + [[0]]]},
+    {"components": [[[1, 0]] * 4, [[0, 0]] * 3]},
+    {"components": [[[True, False]] * 4, [[0, 0]] * 4]},
+])
+def test_run_rejects_malformed_initial(dirac_file, tmp_path, blob, capsys):
+    # components are 2 x sites [re, im] pairs of numbers; anything else is a usage error
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(blob))
+    code = main(["run", "--cca", dirac_file, "--steps", "1", "--sites", "4",
+                 "--initial", str(initial)])
+    assert code == 2
+    assert "components" in capsys.readouterr().err
+
+
 def _strict_loads(text):
     def refuse(token):
         raise ValueError(f"bare {token} in output")

@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from causal_fields.errors import (
     ShapeMismatch,
 )
 
-from helpers import dense_superoperator, random_density, random_unitary
+from helpers import compile_kernel_oracle, dense_superoperator, random_density, random_unitary
 
 RNG = np.random.default_rng(42)
 
@@ -308,14 +310,86 @@ def test_deviation_bound_dominates_max_entry(seed):
 
 
 def test_nan_kernel_fails_closed():
-    a = qobj(2)
+    # a NaN in a quantum matrix step, a Kraus step or a classical matrix step
+    # (built directly, past the constructors' checks) never compares equal
     m = np.eye(2, dtype=complex)
     m[0, 1] = np.nan
-    f = P.ProcMorphism(a, a, (("matrix", m, (0,)),))
-    assert np.isnan(P.deviation(f, P.identity(a)))
-    assert np.isnan(P.deviation(f, P.identity(a), tol=1e-10))
-    assert not P.morphisms_equal(f, P.identity(a))
-    assert not P.morphisms_equal(f, f)
+    k = np.stack([np.eye(2), np.eye(2)]) / np.sqrt(2)
+    k[1, 1, 0] = np.nan
+    s = np.eye(2)
+    s[1, 1] = np.nan
+    a, c = qobj(2), cobj(2)
+    for f in (
+        P.ProcMorphism(a, a, (("matrix", m, (0,)),)),
+        P.ProcMorphism(a, a, (("kraus", tuple(k), (0,)),)),
+        P.ProcMorphism(c, c, (("matrix", s, (0,)),)),
+    ):
+        ident = P.identity(f.dom)
+        assert np.isnan(P.deviation(f, ident))
+        assert np.isnan(P.deviation(f, ident, tol=1e-10))
+        assert not P.morphisms_equal(f, ident)
+        assert not P.morphisms_equal(f, f)
+
+
+def test_compile_refuses_large_domain():
+    f = P.identity(qobj(P._MAX_COMPILE_DIM + 1))
+    with pytest.raises(ShapeMismatch):
+        P.compile_kernel(f)
+    with pytest.raises(ShapeMismatch):
+        P.morphisms_equal(f, f)
+
+
+def test_compile_refuses_classical_kraus_step():
+    a = cobj(2, 2)
+    f = P.ProcMorphism(a, a, (("kraus", (np.eye(2), np.eye(2)), (1,)),))
+    with pytest.raises(ShapeMismatch):
+        P.compile_kernel(f)
+
+
+# -- compilation against the full-space oracle --------------------------------------------
+
+@st.composite
+def kernel_programs(draw):
+    """A random program of matrix, Kraus, discard and permute steps on 1-4
+    factors of dims 1-3; Kraus steps on the quantum backend only."""
+    backend = draw(st.sampled_from([P.QUANTUM, P.CLASSICAL]))
+    facs = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["matrix", "discard", "permute"] + (["kraus"] if backend == P.QUANTUM else [])
+
+    def operator(m):
+        if backend == P.CLASSICAL:
+            return rng.random((m, m))
+        return (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(2 * m)
+
+    steps, cur = [], facs
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        n = len(cur)
+        if kind == "permute":
+            step = ("permute", tuple(draw(st.permutations(range(n)))))
+        elif kind == "discard":
+            step = ("discard", tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))) if n else ())
+        else:
+            idx = tuple(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))) if n else ()
+            m = prod(cur[i] for i in idx)
+            if kind == "matrix":
+                step = ("matrix", operator(m), idx)
+            else:
+                step = ("kraus", tuple(operator(m) for _ in range(draw(st.integers(1, 3)))), idx)
+        steps.append(step)
+        cur = P._step_out_factors(cur, step)
+    obj = P.ProcObject(backend, facs)
+    return P.ProcMorphism(obj, P.ProcObject(backend, cur), tuple(steps))
+
+
+@given(kernel_programs())
+@settings(max_examples=200, deadline=None)
+def test_prop_compile_matches_full_space_oracle(f):
+    # the identity-batch evaluator and the kron-embedding products give the
+    # same Kraus family (same order) or transfer matrix, entry by entry
+    got, want = P.compile_kernel(f), compile_kernel_oracle(f)
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
 
 
 def test_morphisms_equal_shape_mismatch():
