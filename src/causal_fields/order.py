@@ -34,11 +34,12 @@ class ExplicitOrder:
 
     Reachability is kept as one bitset per event in each direction, so
     ``leq`` is O(1).  The stored edges are the transitive reduction of the
-    supplied ones, so Hasse-adjacency queries (and hence maximal-chain
-    enumeration) are reliable even for redundant input.  The build takes
-    one big-integer OR per supplied edge and pass: up-sets in reverse
-    topological order, the reduction (an edge x -> y is a cover unless y
-    lies strictly above another successor of x), down-sets along covers.
+    supplied ones, so Hasse-adjacency queries (and hence causal paths and
+    domains of dependence) are reliable even for redundant input.  The
+    build takes one big-integer OR per supplied edge and pass: up-sets in
+    reverse topological order, the reduction (an edge x -> y is a cover
+    unless y lies strictly above another successor of x), down-sets along
+    covers.
     """
 
     is_finite = True
@@ -149,6 +150,37 @@ class ExplicitOrder:
 
     def up_set(self, x: Event) -> set:
         return self._bits_to_events(self._up[self.require_event(x)])
+
+    # -- event bitsets: bit i stands for ``events[i]`` ---------------------------
+
+    def _mask(self, events: Iterable[Event]) -> int:
+        bits = 0
+        for e in events:
+            bits |= 1 << self.require_event(e)
+        return bits
+
+    @staticmethod
+    def _span(bits: int, table: Sequence[int]) -> int:
+        """The OR of ``table[i]`` over the members ``i`` of ``bits``: with
+        ``_up`` the up-closure of the set, with ``_down`` its down-closure."""
+        out = 0
+        while bits:
+            b = bits & -bits
+            out |= table[b.bit_length() - 1]
+            bits ^= b
+        return out
+
+    def _domain(self, bits: int, past: bool = False) -> int:
+        """D+ of a set of events (D- with ``past``), in one pass over the
+        linear extension (backwards for D-): an event is in the domain iff
+        it is in the set, or it has immediate predecessors (successors) and
+        all of them are in the domain."""
+        order, covers = (reversed(self._topo), self._succ) if past else (self._topo, self._pred)
+        out = 0
+        for x in order:
+            if (bits >> x) & 1 or (covers[x] and all((out >> c) & 1 for c in covers[x])):
+                out |= 1 << x
+        return out
 
     def suborder(self, subset: Iterable[Event]) -> "ExplicitOrder":
         """The causal sub-order induced on a subset of events, in this
@@ -361,7 +393,8 @@ def future_domain(omega: CausalOrder, a: Iterable[Event]) -> frozenset:
 
     Computed by the recursion "x is in the domain iff x is in the set, or x
     is non-minimal and all its immediate predecessors are in the domain".
-    On lattices the recursion is run level by level; it grounds out because
+    On finite orders that is one bitset pass over a linear extension.  On
+    lattices the recursion is run level by level; it grounds out because
     the domain is contained in the up-closure of a finite set and each
     level's slice of the domain shrinks above the set's maximal time.
     """
@@ -370,15 +403,7 @@ def future_domain(omega: CausalOrder, a: Iterable[Event]) -> frozenset:
     if not a:
         return frozenset()
     if omega.is_finite:
-        out: set = set()
-        for x in omega.topological_order():
-            if x in a:
-                out.add(x)
-            else:
-                preds = omega.immediate_predecessors(x)
-                if preds and all(p in out for p in preds):
-                    out.add(x)
-        return frozenset(out)
+        return frozenset(omega._bits_to_events(omega._domain(omega._mask(a))))
     levels = sorted({omega.level(e) for e in a})
     lo = levels[0]
     hi = levels[-1]
@@ -405,6 +430,11 @@ def future_domain(omega: CausalOrder, a: Iterable[Event]) -> frozenset:
 
 
 def past_domain(omega: CausalOrder, a: Iterable[Event]) -> frozenset:
+    """The past domain of dependence: the future domain in the reversed
+    order.  On finite orders it is the mirror pass, backwards over the
+    linear extension along immediate successors."""
+    if omega.is_finite:
+        return frozenset(omega._bits_to_events(omega._domain(omega._mask(a), past=True)))
     return future_domain(reverse(omega), a)
 
 
@@ -460,21 +490,6 @@ def causal_paths(omega: CausalOrder, x: Event, y: Event) -> Iterator[tuple]:
     yield from walk([x])
 
 
-def maximal_chains(omega: ExplicitOrder) -> Iterator[tuple]:
-    """All inextendible chains of a finite order (minimal to maximal)."""
-
-    def walk(prefix: list) -> Iterator[tuple]:
-        succ = omega.immediate_successors(prefix[-1])
-        if not succ:
-            yield tuple(prefix)
-            return
-        for s in succ:
-            yield from walk(prefix + [s])
-
-    for m in omega.minimal_elements():
-        yield from walk([m])
-
-
 def is_region(omega: CausalOrder, s: Iterable[Event]) -> bool:
     """Convexity: every diamond between members stays inside the set."""
     s = frozenset(s)
@@ -483,7 +498,15 @@ def is_region(omega: CausalOrder, s: Iterable[Event]) -> bool:
 
 
 def region_between(omega: CausalOrder, sigma: Iterable[Event], gamma: Iterable[Event]) -> frozenset:
-    """The union of the diamonds from members of sigma to members of gamma."""
+    """The union of the diamonds from members of sigma to members of gamma.
+
+    On finite orders that is ``up[sigma] & down[gamma]``, the up-closure of
+    sigma cut by the down-closure of gamma: the diamond from x to y is
+    ``up[x] & down[y]``, and AND distributes over the union.
+    """
+    if omega.is_finite:
+        up = omega._span(omega._mask(sigma), omega._up)
+        return frozenset(omega._bits_to_events(up & omega._span(omega._mask(gamma), omega._down)))
     sigma, gamma = frozenset(sigma), frozenset(gamma)
     out: set = set()
     for x in sigma:

@@ -176,6 +176,8 @@ class ProcMorphism:
     def __post_init__(self):
         facs = self.dom.factors
         for step in self.steps:
+            if step[0] == "kraus" and self.backend != QUANTUM:
+                raise ShapeMismatch("classical programs cannot contain kraus steps")
             facs = _step_out_factors(facs, step)
         if facs != self.cod.factors:
             raise ShapeMismatch(
@@ -400,8 +402,6 @@ def compile_kernel(f: ProcMorphism) -> np.ndarray:
                 t = _apply_on_axes(t, step[1].astype(dtype, copy=False), axes)
             else:
                 t = np.concatenate([_apply_on_axes(t, k, axes) for k in step[1]])
-                if not quantum and len(t) != 1:
-                    raise ShapeMismatch("classical programs cannot contain kraus steps")
         elif kind == "discard":
             idx = set(step[1])
             discarded.extend(alive[i] for i in sorted(idx))

@@ -40,6 +40,23 @@ def chains_to(omega: ExplicitOrder, x) -> list[tuple]:
     return list(walk([x]))
 
 
+def maximal_chains(omega: ExplicitOrder):
+    """All inextendible chains of a finite order (minimal to maximal), by
+    walking immediate successors: the definition a Cauchy slice is tested
+    against."""
+
+    def walk(prefix):
+        succ = omega.immediate_successors(prefix[-1])
+        if not succ:
+            yield tuple(prefix)
+            return
+        for s in succ:
+            yield from walk(prefix + [s])
+
+    for m in omega.minimal_elements():
+        yield from walk([m])
+
+
 def future_domain_oracle(omega: ExplicitOrder, a) -> frozenset:
     """x is in D+(A) iff every maximal chain ending at x intersects A."""
     a = frozenset(a)

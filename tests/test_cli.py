@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -218,6 +219,18 @@ def test_check_category(fork_file, tmp_path):
     code = main(["check", "category", "--order", fork_file,
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
+
+
+def test_check_category_refuses_a_large_window(tmp_path, capsys):
+    # 46 events and 3,703 slices: refused before any quadratic work
+    order = tmp_path / "honey.json"
+    assert main(["gen", "honeycomb", "--t", "0:4", "--x", "-4:4", "--out", str(order),
+                 "--morphism-out", str(tmp_path / "collapse.json")]) == 0
+    start = time.perf_counter()
+    code = main(["check", "category", "--order", str(order), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert time.perf_counter() - start < 2.0
+    assert "exceeds the limit of 1300 objects" in capsys.readouterr().err
 
 
 def test_check_seeded_determinism(dirac_file, tmp_path):

@@ -29,7 +29,6 @@ from causal_fields.order import (
     iterated_neighbourhood,
     lattice,
     materialize,
-    maximal_chains,
     order_from_json,
     order_to_dot,
     order_to_json,
@@ -43,7 +42,7 @@ from causal_fields.order import (
     window_events,
 )
 
-from helpers import all_subsets, future_domain_oracle, random_dag, reachable_oracle
+from helpers import all_subsets, future_domain_oracle, maximal_chains, random_dag, reachable_oracle
 
 CHAIN = build_explicit(["a", "b", "c"], [("a", "b"), ("b", "c")])
 FORK = build_explicit(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -625,3 +624,26 @@ def test_prop_explicit_order_matches_brute_force(case):
         z = sorted(reach[b])[-1]
         with pytest.raises(CycleDetected):
             build_explicit(events, edges + [(z, a)])
+
+
+@given(dags, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_prop_region_between_is_union_of_diamonds(omega, seed):
+    rng = np.random.default_rng(seed)
+    events = list(omega.events)
+    for _ in range(5):
+        sigma = [e for e in events if rng.random() < 0.4]
+        gamma = [e for e in events if rng.random() < 0.4]
+        want = frozenset().union(*(diamond(omega, x, y) for x in sigma for y in gamma))
+        assert region_between(omega, sigma, gamma) == want
+
+
+@given(dags, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_prop_domains_match_chain_oracle(omega, seed):
+    rng = np.random.default_rng(seed)
+    rev = reverse(omega)
+    for _ in range(5):
+        a = frozenset(e for e in omega.events if rng.random() < 0.4)
+        assert future_domain(omega, a) == future_domain_oracle(omega, a)
+        assert past_domain(omega, a) == future_domain_oracle(rev, a)

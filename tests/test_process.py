@@ -341,9 +341,18 @@ def test_compile_refuses_large_domain():
 
 def test_compile_refuses_classical_kraus_step():
     a = cobj(2, 2)
-    f = P.ProcMorphism(a, a, (("kraus", (np.eye(2), np.eye(2)), (1,)),))
     with pytest.raises(ShapeMismatch):
-        P.compile_kernel(f)
+        P.compile_kernel(P.ProcMorphism(a, a, (("kraus", (np.eye(2), np.eye(2)), (1,)),)))
+
+
+@pytest.mark.parametrize("ops", [1, 2])
+def test_classical_kraus_step_is_refused_when_built(ops):
+    # a one-operator step used to build, compile to a complex matrix and
+    # break apply; both sizes are now refused before anything runs
+    a = cobj(2, 2)
+    step = ("kraus", tuple(1j * np.array([[0.0, 1.0], [1.0, 0.0]]) for _ in range(ops)), (0,))
+    with pytest.raises(ShapeMismatch, match="kraus"):
+        P.ProcMorphism(a, a, (step,))
 
 
 # -- compilation against the full-space oracle --------------------------------------------

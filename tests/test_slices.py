@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_fields.errors import (
+    BadParams,
     NotARegionOfC,
     NotSeparated,
     UnboundedQuery,
@@ -45,7 +46,7 @@ from causal_fields.slices import (
     validate_slice_category,
 )
 
-from helpers import all_subsets, random_dag
+from helpers import all_subsets, maximal_chains, random_dag
 
 CHAIN = build_explicit(["a", "b"], [("a", "b")])
 CHAIN3 = build_explicit(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -272,15 +273,16 @@ def test_validate_slice_category_missing_empty():
 
 def _reference_validation(cat: SliceCategory) -> Report:
     """validate_slice_category on an enumerable category, spelled out as
-    plain loops: condition (2) rebuilds the bounded region of every triple
-    from diamonds."""
+    plain loops: condition (1) searches every hom for every related pair (on
+    finite orders), condition (2) rebuilds the bounded region of every
+    triple from diamonds."""
     report = Report("slice-category")
     omega = cat.order
     if not cat.contains(frozenset()):
         report.record({"reason": "empty slice is not a member"})
     report.count()
     objs = cat.object_list()
-    for x in omega.events:
+    for x in omega.events if omega.is_finite else ():
         for y in omega.events:
             if omega.leq(x, y):
                 report.count()
@@ -325,22 +327,17 @@ def test_validate_slice_category_matches_triple_loop():
     assert got.violations == want.violations
 
 
-def test_validate_slice_category_asks_each_restriction_once(monkeypatch):
-    # condition (2) is the only caller of region_between, and condition (3)
-    # starts with tensor_defined: the calls to contains in between are (2)'s
+def test_validate_slice_category_asks_each_restriction_once():
+    # over the whole validation, contains is asked once per distinct slice:
+    # the empty slice, the objects, every restriction to a bounded region
+    # and the unions of defined products
     omega = build_explicit(["a", "b", "c", "d"], [("a", "c"), ("b", "d")])
     full = all_slices_category(omega)
-    phase = ["(1)"]
     asked = collections.Counter()
 
     def contains(s):
-        if phase[0] == "(2)":
-            asked[s] += 1
+        asked[s] += 1
         return s != {"a"} and full.contains(s)
-
-    def region(*args):
-        phase[0] = "(2)"
-        return region_between(*args)
 
     cat = SliceCategory(
         order=omega,
@@ -349,23 +346,73 @@ def test_validate_slice_category_asks_each_restriction_once(monkeypatch):
         objects=lambda: [o for o in full.object_list() if o != {"a"}],
         label="broken",
     )
-
-    def tensor_defined(sigma, gamma):
-        phase[0] = "(3)"
-        return SliceCategory.tensor_defined(cat, sigma, gamma)
-
-    cat.tensor_defined = tensor_defined
-    monkeypatch.setattr(slices_module, "region_between", region)
     got = validate_slice_category(cat)
-    monkeypatch.undo()
     objs = cat.object_list()
     cuts = {d & region_between(omega, s, g) for s in objs for g in objs for d in objs}
-    assert set(asked) == cuts
+    unions = {s | g for s in objs for g in objs}
+    assert cuts <= set(asked) <= {frozenset()} | set(objs) | cuts | unions
     assert set(asked.values()) == {1}
     want = _reference_validation(cat)
     assert any("(2)" in v["witness"]["reason"] for v in got.violations)
     assert got.samples == want.samples
     assert got.violations == want.violations
+
+
+def _without(cat: SliceCategory, gone, product_rule=None) -> SliceCategory:
+    """The category with the slices in ``gone`` removed from both its
+    objects and its membership predicate."""
+    gone = set(gone)
+    return SliceCategory(
+        order=cat.order,
+        contains=lambda s: s not in gone and cat.contains(s),
+        product_rule=product_rule or cat.product_rule,
+        objects=lambda: [o for o in cat.object_list() if o not in gone],
+        label="without",
+    )
+
+
+def test_validate_lattice_window_category_is_pinned():
+    # an enumerable category over the lattice: the bitsets live on the
+    # sub-order induced on the objects' events
+    cat = all_slices_category(lattice(1), Window(0, 2, (-2,), (2,)))
+    rep = validate_slice_category(cat)
+    assert (rep.samples, rep.violations) == (14401, [])
+    broken = _without(cat, [frozenset({ev(0, 0)})])
+    rep = validate_slice_category(broken)
+    assert rep.samples == 12697 and len(rep.violations) == 56
+    reason = "condition (2) fails"
+    assert rep.violations[0]["witness"] == {
+        "triple": ({ev(0, -2), ev(0, 0)}, {ev(0, -2), ev(0, 0)}, {ev(0, 0), ev(0, 2)}),
+        "reason": reason,
+    }
+    assert rep.violations[-1]["witness"] == {
+        "triple": ({ev(0, 0), ev(0, 2)}, {ev(2, 2)}, {ev(0, -2), ev(0, 0)}),
+        "reason": reason,
+    }
+    want = _reference_validation(broken)
+    assert (rep.samples, rep.violations) == (want.samples, want.violations)
+
+
+def test_validate_refuses_a_large_category_before_enumerating_it(monkeypatch):
+    # 64 slices: the refusal reads 4 of them and asks only for the empty one
+    monkeypatch.setattr(slices_module, "MAX_CATEGORY_OBJECTS", 3)
+    full = all_slices_category(build_explicit(list("abcdef"), []))
+    pulled, asked = [], []
+
+    def objects():
+        for s in full.objects():
+            pulled.append(s)
+            yield s
+
+    def contains(s):
+        asked.append(s)
+        return full.contains(s)
+
+    cat = SliceCategory(full.order, contains, full.product_rule, objects, label="big")
+    with pytest.raises(BadParams, match="'big' exceeds the limit of 3 objects"):
+        validate_slice_category(cat)
+    assert len(pulled) == 4
+    assert asked == [frozenset()]
 
 
 # -- restriction ------------------------------------------------------------------------------
@@ -534,10 +581,37 @@ def test_prop_foliation_category_is_slice_category(omega, seed):
 @given(dags)
 @settings(max_examples=30, deadline=None)
 def test_prop_cauchy_unique_intersection(omega):
-    from causal_fields.order import maximal_chains
-
     for sigma in maximal_slices(omega):
         if not is_cauchy(omega, sigma):
             continue
         for chain in maximal_chains(omega):
             assert len(set(chain) & sigma) == 1
+
+
+@given(dags)
+@settings(max_examples=40, deadline=None)
+def test_prop_is_cauchy_matches_chain_definition(omega):
+    chains = [set(c) for c in maximal_chains(omega)]
+    for sigma in all_subsets(omega.events, max_size=3):
+        want = is_slice(omega, sigma) and all(c & sigma for c in chains)
+        assert is_cauchy(omega, sigma) == want
+    for sigma in maximal_slices(omega):
+        assert is_cauchy(omega, sigma) == all(c & sigma for c in chains)
+
+
+@given(dags, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_prop_validator_matches_reference(omega, seed):
+    # random slices removed from both objects and contains, and a random
+    # product rule: every condition can fail, on the order and its reverse
+    rng = np.random.default_rng(seed)
+    full = all_slices_category(omega)
+    objs = full.object_list()
+    gone = [s for s in objs if rng.random() < 0.2]
+    allowed = {(a, b) for a in objs for b in objs if rng.random() < 0.7}
+    cat = _without(full, gone, lambda a, b: (a, b) in allowed)
+    for order in (omega, reverse(omega)):
+        cat.order = order
+        got, want = validate_slice_category(cat), _reference_validation(cat)
+        assert got.samples == want.samples
+        assert got.violations == want.violations
