@@ -12,10 +12,15 @@ runs the same contraction on the identity batch to give the Kraus /
 matrix form of the program.  Equality checking evaluates both programs on
 the full operator basis (quantum) or the standard basis (classical) via
 that compiled form, and compares the results entrywise.  Against a
-tolerance, a quantum comparison accepts on the Frobenius norm of the Choi
-difference (an upper bound on the max entry, computed stably from a QR of
-the stacked Kraus columns) and takes the exact max-entry deviation
-otherwise.
+tolerance, a comparison first tries to accept on the joint causal cone of
+the two programs: discarding after a normalised step is discarding its
+inputs, so domain factors that reach no output only through normalised
+steps are dropped, and a bound that grows with those steps' normalisation
+defects is compared with the tolerance.  Failing that, a quantum
+comparison accepts on the Frobenius norm of the full Choi difference (an
+upper bound on the max entry, computed stably from a QR of the stacked
+Kraus columns) and takes the exact max-entry deviation otherwise, so every
+reported violation comes from the full sweep.
 """
 
 from __future__ import annotations
@@ -457,6 +462,120 @@ def _choi_qr_bound(x: np.ndarray, r: int) -> float:
     return float(np.linalg.norm(r1 @ r1.conj().T - r2 @ r2.conj().T))
 
 
+def _kraus_columns(ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Both Kraus families as columns, (cod*dom, r1 + r2): Choi(f) = V V^dag."""
+    return np.concatenate([ms.reshape(len(ms), -1).T, ns.reshape(len(ns), -1).T], axis=1)
+
+
+def _defect(m: np.ndarray, quantum: bool) -> float:
+    """Normalisation defect of a matrix step: ||M^dag M - I|| in Frobenius
+    norm (quantum; it bounds the spectral norm) or max_j |sum_i M_ij - 1|
+    (classical; infinite if an entry is negative).  NaN gives NaN or inf."""
+    if quantum:
+        return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+    if not (np.min(m) >= 0):
+        return np.inf
+    return float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+
+
+def _joint_cone(f: ProcMorphism, g: ProcMorphism) -> tuple[list[bool], dict]:
+    """Which domain wires of ``f`` and ``g`` the comparison must keep, and
+    the defect of every matrix step (keyed by the matrix's id).
+
+    Wires acted on by one matrix or Kraus step of either program are
+    joined; a component is kept if it holds a codomain wire of either
+    program, a Kraus step, or a matrix step whose defect is not within
+    VALIDITY_TOL (NaN included).
+    """
+    quantum = f.backend == QUANTUM
+    n = len(f.dom.factors)
+    root = list(range(n))
+
+    def find(w: int) -> int:
+        while root[w] != w:
+            root[w] = root[root[w]]
+            w = root[w]
+        return w
+
+    defects: dict[int, float] = {}
+    marked: set[int] = set()
+    for h in (f, g):
+        alive = list(range(n))  # the domain wire at each current position
+        for step in h.steps:
+            kind = step[0]
+            if kind == "discard":
+                gone = set(step[1])
+                alive = [w for i, w in enumerate(alive) if i not in gone]
+            elif kind == "permute":
+                alive = [alive[p] for p in step[1]]
+            else:
+                wires = [alive[i] for i in step[2]]
+                for w in wires[1:]:
+                    root[find(w)] = find(wires[0])
+                if kind == "matrix" and id(step[1]) not in defects:
+                    defects[id(step[1])] = _defect(step[1], quantum)
+                if kind == "kraus" or not (defects[id(step[1])] <= VALIDITY_TOL):
+                    marked.update(wires)
+        marked.update(alive)
+    kept_roots = {find(w) for w in marked}
+    return [find(w) in kept_roots for w in range(n)], defects
+
+
+def _restrict(f: ProcMorphism, keep: list[bool], defects: dict) -> tuple[ProcMorphism, float]:
+    """``f`` on the kept domain wires (domain order, same codomain), and
+    e = prod(1 + defect) - 1 over the matrix steps it drops.
+
+    Steps on dropped wires go, dropped wires leave discard steps, and every
+    other step is re-indexed; permutations are restricted to kept wires.
+    A step on no wire at all is kept.
+    """
+    alive = list(range(len(f.dom.factors)))
+    steps, grow = [], 1.0
+    for step in f.steps:
+        kind = step[0]
+        live = [w for w in alive if keep[w]]
+        if kind == "discard":
+            gone = {alive[i] for i in step[1]}
+            idx = tuple(j for j, w in enumerate(live) if w in gone)
+            if idx:
+                steps.append(("discard", idx))
+            alive = [w for w in alive if w not in gone]
+        elif kind == "permute":
+            alive = [alive[p] for p in step[1]]
+            perm = tuple(live.index(w) for w in alive if keep[w])
+            if perm != tuple(range(len(perm))):
+                steps.append(("permute", perm))
+        else:
+            wires = [alive[i] for i in step[2]]
+            if not wires or keep[wires[0]]:
+                steps.append((kind, step[1], tuple(live.index(w) for w in wires)))
+            else:
+                grow *= 1 + defects[id(step[1])]
+    dom = ProcObject(f.backend, tuple(d for d, k in zip(f.dom.factors, keep) if k))
+    return ProcMorphism(dom, f.cod, tuple(steps)), grow - 1
+
+
+def _cone_bound(f: ProcMorphism, g: ProcMorphism) -> float | None:
+    """An upper bound on the max-entry deviation of ``f`` and ``g`` from
+    their joint cone, or None when the cone is the whole domain."""
+    keep, defects = _joint_cone(f, g)
+    if all(keep):
+        return None
+    fr, e_f = _restrict(f, keep, defects)
+    gr, e_g = _restrict(g, keep, defects)
+    if f.backend == QUANTUM:
+        ms, ns = kraus_family(fr), kraus_family(gr)
+        x = _kraus_columns(ms, ns)
+        w = x[:, len(ms):]
+        b = _choi_qr_bound(x, len(ms))
+        m_g = float(np.max(np.sum(w.real ** 2 + w.imag ** 2, axis=1)))
+    else:
+        a, c = transfer_matrix(fr), transfer_matrix(gr)
+        b = float(np.max(np.abs(a - c)))
+        m_g = float(np.max(np.abs(c)))
+    return b * (1 + e_f) + m_g * (e_f + e_g)
+
+
 def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> float:
     """Max entrywise deviation of the two programs over a basis sweep.
 
@@ -464,19 +583,47 @@ def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> flo
     input space (the sweep outputs are exactly the entries of the Choi
     matrices); classical morphisms on the standard basis.
 
-    Given ``tol``, a quantum comparison first takes the Frobenius norm of
-    the Choi difference (via a QR of the stacked Kraus columns), which
-    bounds the max entry from above: if that bound is within ``tol`` it is
-    returned as is.  Otherwise (no ``tol``, a bound above ``tol``, or NaN)
-    the result is the exact max-entry deviation, so every value above
-    ``tol`` is exact.  NaN entries give NaN, never a pass.
+    Given ``tol``, the comparison first tries to accept on the joint causal
+    cone.  Every domain factor is a wire; the wires of each matrix or Kraus
+    step of ``f`` and of ``g`` are joined, and a component is kept if it
+    holds a codomain wire of either program, a Kraus step, or a matrix step
+    that is not normalised within VALIDITY_TOL (a classical one also if it
+    has a negative entry; NaN is never normalised).  The programs f', g'
+    on the kept wires give
+
+        bound = b' (1 + e_f) + m_g (e_f + e_g),
+
+    where b' is the Frobenius norm of Choi(f') - Choi(g') (quantum) or
+    max|T(f') - T(g')| (classical), m_g is the largest diagonal entry of
+    Choi(g') (quantum) or max|T(g')| (classical), and e_f = prod(1 + d_i) - 1
+    over the defects d_i of the matrix steps f drops (e_g alike).  If
+    ``bound <= tol`` it is returned.  Soundness: on the wire partition
+    f = f' (x) D_f, where D_f ends in a full trace, so
+    Choi(f) = Choi(f') (x) N_f^T with N_f = D_f^dag(1) (classical: the row
+    of column sums of D_f).  Each dropped step is completely positive (or
+    entrywise non-negative) and grows ||N - 1|| from x to at most
+    (1 + d) x + d, so ||N_f - 1|| <= e_f.  Then
+    Choi(f) - Choi(g) = (Choi(f') - Choi(g')) (x) N_f^T
+    + Choi(g') (x) (N_f - N_g)^T, the max entry of X (x) Y is
+    max|X| max|Y|, and a positive matrix's max entry is on its diagonal,
+    so the exact deviation is at most ``bound``.
+
+    Otherwise (no ``tol``, nothing dropped, a bound above ``tol``, or NaN)
+    the full programs are compared: a quantum comparison takes the
+    Frobenius norm of the Choi difference (via a QR of the stacked Kraus
+    columns), which bounds the max entry from above, and returns it if it
+    is within ``tol``; else the result is the exact max-entry deviation, so
+    every value above ``tol`` is exact.  NaN entries give NaN, never a pass.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("morphisms must share dom and cod")
+    if tol is not None:
+        bound = _cone_bound(f, g)
+        if bound is not None and bound <= tol:
+            return bound
     if f.backend == QUANTUM:
         ms, ns = kraus_family(f), kraus_family(g)
-        # Kraus operators as columns, (cod*dom, r1 + r2): Choi(f) = V V^dag
-        x = np.concatenate([ms.reshape(len(ms), -1).T, ns.reshape(len(ns), -1).T], axis=1)
+        x = _kraus_columns(ms, ns)
         if tol is not None:
             bound = _choi_qr_bound(x, len(ms))
             if bound <= tol:

@@ -560,14 +560,18 @@ def reverse_category(cat: SliceCategory) -> SliceCategory:
 def pullback_category(f: OrderMorphism, cat: SliceCategory) -> SliceCategory:
     """Slices of the domain suborder lying over some member of ``cat``."""
     assert isinstance(f, OrderMorphism)
+    base = None  # the base's objects, listed on first use
 
     def contains(s: Slice) -> bool:
+        nonlocal base
         s = frozenset(s)
         if not is_slice(f.dom, s):
             return False
         image = frozenset(f.mapping[e] for e in s)
         if cat.objects is not None:
-            return any(image <= sigma for sigma in cat.object_list())
+            if base is None:
+                base = cat.object_list()
+            return any(image <= sigma for sigma in base)
         return cat.contains(image)
 
     def product_rule(a: Slice, b: Slice) -> bool:

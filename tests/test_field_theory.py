@@ -161,6 +161,30 @@ def test_environment_equations(generic_theory):
     assert rep.ok, rep.violations[:2]
 
 
+def test_environment_with_a_lossy_dead_step_still_fails(generic_theory, monkeypatch):
+    # every evolution first shrinks its first factor by 0.9, a step no
+    # output depends on once discarded: the cone keeps it, so the report
+    # (violations and their deviations) is the full sweep's
+    lossy = 0.9 * np.eye(2, dtype=complex)
+
+    def mor_fn(sigma, gamma):
+        f = generic_theory.mor(sigma, gamma)
+        if not (sigma and gamma):
+            return f
+        return P.ProcMorphism(f.dom, f.cod, (("matrix", lossy, (0,)),) + f.steps)
+
+    theory = FieldTheory(generic_theory.category, P.QUANTUM, generic_theory.obj_fn, mor_fn,
+                         generic_theory.slots_fn, label="lossy")
+    pairs = [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2, 4), sl(1, 1, 3)), (sl(0, 0, 2), sl(0, 0))]
+    products = [(sl(0, 0), sl(0, 2))]
+    rep = check_environment(theory, pairs, products)
+    assert not rep.ok and len(rep.violations) == 3
+
+    exact = P.deviation  # without tol: the full sweep's max entry
+    monkeypatch.setattr(P, "deviation", lambda f, g, tol=None: exact(f, g))
+    assert rep.to_json() == check_environment(theory, pairs, products).to_json()
+
+
 def test_discard_family_empty_is_one(generic_theory):
     fam = discard_family(generic_theory, [frozenset(), sl(0, 0)])
     eff = fam[frozenset()]

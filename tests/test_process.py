@@ -539,3 +539,192 @@ def test_prop_nonfinite_input_is_rejected(kind, where, garbage, imaginary):
     flat[where % flat.size] = complex(0, garbage) if imaginary and arr.dtype == complex else garbage
     with pytest.raises(CausalFieldsError), np.errstate(invalid="ignore", over="ignore"):
         build(obj, arr)
+
+
+# -- the joint-cone accept ----------------------------------------------------------------------
+
+def _full_path(f, g, tol):
+    """``deviation(f, g, tol)`` on the whole programs, without the cone accept."""
+    if f.backend == P.QUANTUM:
+        ms, ns = P.kraus_family(f), P.kraus_family(g)
+        x = P._kraus_columns(ms, ns)
+        bound = P._choi_qr_bound(x, len(ms))
+        return bound if bound <= tol else P._choi_maxdiff(x, len(ms))
+    return float(np.max(np.abs(P.transfer_matrix(f) - P.transfer_matrix(g))))
+
+
+def _same_value(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def _with_dead_steps(obj, live, bad, good):
+    """(f, g) on three wires that keep wire 0: f runs ``live`` on wire 0,
+    ``bad`` on wire 1 and the normalised ``good`` on wire 2, then discards
+    wires 1 and 2; g runs ``live`` and discards."""
+    f = P.ProcMorphism(obj, P.ProcObject(obj.backend, obj.factors[:1]), (
+        ("matrix", live, (0,)), bad + ((1,),), ("matrix", good, (2,)), ("discard", (1, 2))))
+    g = P.ProcMorphism(obj, f.cod, (("matrix", live, (0,)), ("discard", (1, 2))))
+    return f, g
+
+
+def _nan_matrix(dtype):
+    m = np.eye(2, dtype=dtype)
+    m[1, 1] = np.nan
+    return m
+
+
+FAIL_CLOSED = {
+    "quantum NaN matrix": (P.QUANTUM, ("matrix", _nan_matrix(complex))),
+    "classical NaN matrix": (P.CLASSICAL, ("matrix", _nan_matrix(float))),
+    "non-normalised kraus": (P.QUANTUM, ("kraus", (np.sqrt(0.5) * np.eye(2, dtype=complex),))),
+    "unitary with defect 1e-9": (P.QUANTUM, ("matrix", (1 + 5e-10) * random_unitary(np.random.default_rng(1), 2))),
+    "sub-stochastic": (P.CLASSICAL, ("matrix", np.array([[0.5, 0.0], [0.25, 1.0]]))),
+    "negative entry -1e-11": (P.CLASSICAL, ("matrix", np.array([[1.0, -1e-11], [0.0, 1.0]]))),
+}
+
+
+@pytest.mark.parametrize("case", list(FAIL_CLOSED))
+def test_cone_keeps_a_bad_dead_step(case):
+    # a step that is not normalised within VALIDITY_TOL (NaN included), a
+    # Kraus step, or a classical step with a negative entry stays in the
+    # compared programs even though no output depends on it; the normalised
+    # step next to it is dropped
+    backend, bad = FAIL_CLOSED[case]
+    quantum = backend == P.QUANTUM
+    live = random_unitary(np.random.default_rng(2), 2) if quantum else np.array([[0.3, 0.6], [0.7, 0.4]])
+    good = random_unitary(np.random.default_rng(3), 2) if quantum else np.array([[0.0, 1.0], [1.0, 0.0]])
+    f, g = _with_dead_steps(P.ProcObject(backend, (2, 2, 2)), live, bad, good)
+    keep, _ = P._joint_cone(f, g)
+    assert keep == [True, True, False]
+    for tol in (1e-12, P.VALIDITY_TOL):
+        want = _full_path(f, g, tol)
+        got = P.deviation(f, g, tol)
+        assert (got <= tol) == (want <= tol)
+        assert P.morphisms_equal(f, g, tol) == (want <= tol)
+        if not (want <= tol):
+            assert _same_value(got, want), (tol, got, want)
+    # at tol=1e-12 every case is a violation, reported from the full sweep
+    assert not (P.deviation(f, g, 1e-12) <= 1e-12)
+
+
+def test_cone_accept_with_exact_dropped_steps_beats_the_full_bound():
+    # dropped permutation matrices have defect 0, so the reduced accept is
+    # the Frobenius bound of the 2-dim cone, not of the 16-dim domain
+    rng = np.random.default_rng(4)
+    a = qobj(2, 2, 2, 2)
+    u = random_unitary(rng, 2)
+    dead = (("matrix", SX, (1,)), ("matrix", SWAP, (2, 3)), ("discard", (1, 2, 3)))
+    cod = qobj(2)
+    f = P.ProcMorphism(a, cod, (("matrix", u, (0,)),) + dead)
+    g = P.ProcMorphism(a, cod, (("matrix", u * np.exp(1e-12j * np.arange(2)), (0,)),) + dead)
+    diff = P.choi_matrix(f) - P.choi_matrix(g)
+    got = P.deviation(f, g, P.VALIDITY_TOL)
+    assert np.max(np.abs(diff)) <= got < np.linalg.norm(diff)
+    assert got < _full_path(f, g, P.VALIDITY_TOL)
+
+
+def _pair_step(draw, rng, backend, kind, m):
+    """One matrix or Kraus step payload of dimension m."""
+    quantum = backend == P.QUANTUM
+    if kind == "kraus":
+        r = draw(st.integers(1, 3))
+        if draw(st.booleans()):  # normalised: an isometry cut into blocks
+            v = random_unitary(rng, m * r)[:, :m]
+            return tuple(v[k * m:(k + 1) * m] for k in range(r))
+        return tuple((rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) / np.sqrt(2 * m)
+                     for _ in range(r))
+    flavour = draw(st.sampled_from(["normalised", "permutation", "perturbed", "lossy"]))
+    perm = np.eye(m)[rng.permutation(m)]
+    if flavour == "permutation":
+        return perm.astype(complex) if quantum else perm
+    if quantum:
+        base = random_unitary(rng, m)
+    else:
+        base = rng.random((m, m)) if draw(st.booleans()) else perm.copy()
+        base /= base.sum(axis=0, keepdims=True)
+    if flavour == "lossy":
+        return 0.9 * base
+    if flavour == "perturbed":
+        eps = draw(st.sampled_from([1e-13, 1e-12, 1e-11]))
+        noise = rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if quantum else 0)
+        return base + eps * noise
+    return base
+
+
+def _perturb(draw, rng, payload):
+    if isinstance(payload, tuple):
+        return tuple(_perturb(draw, rng, k) for k in payload)
+    eps = draw(st.sampled_from([0.0, 1e-12, 1e-11]))
+    return payload + eps * rng.normal(size=payload.shape).astype(payload.dtype)
+
+
+@st.composite
+def program_pairs(draw):
+    """(f, g, tol) with the same domain and codomain: f is a random program
+    of matrix (Haar / column-stochastic, permutation, perturbed by <= 1e-11,
+    lossy), Kraus, discard and permute steps on 1-4 factors; g has f's
+    shape and shares f's matrices, perturbs them or draws them fresh; each
+    may start with extra steps of its own."""
+    backend = draw(st.sampled_from([P.QUANTUM, P.CLASSICAL]))
+    facs = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda fs: prod(fs) <= 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["matrix", "discard", "permute"] + (["kraus"] if backend == P.QUANTUM else [])
+
+    def acting_step(kind, cur):
+        idx = tuple(draw(st.lists(st.integers(0, len(cur) - 1), unique=True, min_size=1, max_size=2)))
+        return (kind, _pair_step(draw, rng, backend, kind, prod(cur[i] for i in idx)), idx)
+
+    def prelude():
+        return [acting_step(draw(st.sampled_from([k for k in kinds if k in ("matrix", "kraus")])), facs)
+                for _ in range(draw(st.integers(0, 2)))]
+
+    steps, cur = [], facs
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=6)):
+        if not cur:
+            break
+        if kind == "permute":
+            step = ("permute", tuple(draw(st.permutations(range(len(cur))))))
+        elif kind == "discard":
+            step = ("discard", tuple(sorted(draw(st.sets(st.integers(0, len(cur) - 1), max_size=len(cur))))))
+        else:
+            step = acting_step(kind, cur)
+        steps.append(step)
+        cur = P._step_out_factors(cur, step)
+    if cur and draw(st.booleans()):  # a final discard leaves dead wires
+        step = ("discard", tuple(sorted(draw(st.sets(st.integers(0, len(cur) - 1), min_size=1)))))
+        steps.append(step)
+        cur = P._step_out_factors(cur, step)
+    how = draw(st.sampled_from(["share", "perturb", "fresh"]))
+    g_steps = []
+    for step in steps:
+        if step[0] in ("matrix", "kraus") and how == "perturb":
+            step = (step[0], _perturb(draw, rng, step[1]), step[2])
+        elif step[0] in ("matrix", "kraus") and how == "fresh":
+            m = len(step[1]) if step[0] == "matrix" else len(step[1][0])
+            step = (step[0], _pair_step(draw, rng, backend, step[0], m), step[2])
+        g_steps.append(step)
+    dom, cod = P.ProcObject(backend, facs), P.ProcObject(backend, cur)
+    f = P.ProcMorphism(dom, cod, tuple(prelude() + steps))
+    g = P.ProcMorphism(dom, cod, tuple(prelude() + g_steps))
+    tol = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-4, 0.1, 1.0]))
+    return f, g, tol
+
+
+@given(program_pairs())
+@settings(max_examples=300, deadline=None)
+def test_prop_reduced_accept_is_sound(pair):
+    # an accepted value bounds the dense max-entry difference; a value
+    # above tol is the exact one, bit for bit; and the decision is the
+    # exact one away from tol
+    f, g, tol = pair
+    got, exact = P.deviation(f, g, tol), P.deviation(f, g)
+    if f.backend == P.QUANTUM:
+        dense = float(np.max(np.abs(P.choi_matrix(f) - P.choi_matrix(g))))
+    else:
+        dense = float(np.max(np.abs(P.transfer_matrix(f) - P.transfer_matrix(g))))
+    if got <= tol:
+        assert dense <= got + 1e-12
+    else:
+        assert _same_value(got, exact)
+    if not abs(exact - tol) <= 1e-9:
+        assert (got <= tol) == (exact <= tol)

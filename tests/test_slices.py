@@ -1,5 +1,7 @@
 import collections
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -515,6 +517,55 @@ def test_pullback_category_membership():
         [frozenset(), frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})],
         key=sorted,
     )
+
+
+def _honeycomb_collapse(tmp_path):
+    """The collapse of the honeycomb over t 0..2, x -2..2 onto its 8-event diamond."""
+    from causal_fields.cli import main
+    from causal_fields.order import OrderMorphism, order_from_json
+
+    mor = tmp_path / "collapse.json"
+    main(["gen", "honeycomb", "--t", "0:2", "--x", "-2:2", "--out", str(tmp_path / "honey.json"),
+          "--morphism-out", str(mor)])
+    blob = json.loads(mor.read_text())
+    dom, cod = order_from_json(blob["dom"]), order_from_json(blob["cod"])
+    return OrderMorphism(dom, cod, {src: dst for src, dst in blob["map"]})
+
+
+def test_pullback_category_lists_the_base_once(tmp_path):
+    # membership used to list the base's objects on every query: 85 times
+    # to list the pullback, 170 times to validate it
+    q = _honeycomb_collapse(tmp_path)
+    base = all_slices_category(q.cod)
+    assert len(q.cod.events) == 8
+    calls = []
+
+    def counted_base():
+        calls.append(1)
+        return base.objects()
+
+    def pullback():
+        return pullback_category(q, dataclasses.replace(base, objects=counted_base))
+
+    base_objects = base.object_list()
+
+    def reference_contains(s):
+        # the membership as it was: the image lies in some base object
+        return is_slice(q.dom, s) and any(frozenset(q.mapping[e] for e in s) <= b for b in base_objects)
+
+    cat = pullback()
+    objs = cat.object_list()
+    assert len(objs) == 85 and len(calls) == 1
+    assert objs == [s for s in enumerate_slices(q.dom) if reference_contains(s)]
+    assert all(cat.contains(s) == reference_contains(s) for s in enumerate_slices(q.dom))
+    assert len(calls) == 1
+
+    calls.clear()
+    rep = validate_slice_category(pullback())
+    assert len(calls) == 1
+    want = validate_slice_category(SliceCategory(q.dom, reference_contains, lambda a, b: True,
+                                                 lambda: objs, label="pullback"))
+    assert rep.to_json() == want.to_json()
 
 
 # -- json ----------------------------------------------------------------------------------------
