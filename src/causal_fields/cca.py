@@ -17,8 +17,8 @@ Every evolution kernel comes from one scatter-and-route builder (the
 partitioned, Margolus form of Schumacher-Werner, quant-ph/0405174).  Its
 cells are slot groups of the source slice, each acted on by the one cell
 matrix; its route maps every kept slot to a target slot label.  The program
-is one matrix step per cell, one discard of the unrouted slots and one
-permutation into canonical target order.  A forward step scatters at each
+is one matrix step per cell, then the unrouted slots discarded and the kept
+ones put in canonical target order (``process.program``).  A forward step scatters at each
 source event and routes ``(y, dlt)`` to ``(y - dlt, dlt)``; a reverse step
 applies the inverse effective scattering to the slots ``(x - dlt, dlt)``
 and routes them back to ``(x, dlt)``; a ring step routes modulo the ring.
@@ -293,26 +293,20 @@ def slice_object(config: PartitionedCCAConfig, sites: Sites) -> P.ProcObject:
 
 def _scatter_and_route(config: PartitionedCCAConfig, sites: Sites, mat, cells, route: dict) -> P.ProcMorphism:
     """The one kernel builder: ``mat`` on every slot group of ``cells`` (in
-    the given order), one discard of the slots ``route`` leaves out, and one
-    permutation putting each kept slot at its target label, targets in
-    canonical slice order.  The cell matrix is checked once, by the
-    backend's own constructor on a single cell."""
+    the given order), a discard of the slots ``route`` leaves out, and each
+    kept slot at its target label, targets in canonical slice order.  The
+    cell matrix is checked once, by the backend's own constructor on a
+    single cell."""
     cell = P.ProcObject(config.backend, (config.cell_dim,) * config.cell_factors)
     make = P.unitary_channel if config.backend == P.QUANTUM else P.stochastic_map
     mat = make(cell, mat).steps[0][1]
     slots = slice_slots(config, sites)
     pos = {s: i for i, s in enumerate(slots)}
-    steps = [("matrix", mat, tuple(pos[s] for s in group)) for group in cells]
-    drop = tuple(i for i, s in enumerate(slots) if s not in route)
-    if drop:
-        steps.append(("discard", drop))
-    kept = [route[s] for s in slots if s in route]
-    at = {label: j for j, label in enumerate(kept)}
-    perm = tuple(at[label] for label in sorted(kept))
-    if perm != tuple(range(len(perm))):
-        steps.append(("permute", perm))
-    cod = P.ProcObject(config.backend, (config.cell_dim,) * len(kept))
-    return P.ProcMorphism(slice_object(config, sites), cod, tuple(steps))
+    ops = [("matrix", mat, tuple(pos[s] for s in group)) for group in cells]
+    gone = [i for i, s in enumerate(slots) if s not in route]
+    out = [pos[s] for s in sorted(route, key=route.get)]
+    cod = P.ProcObject(config.backend, (config.cell_dim,) * len(out))
+    return P.program(slice_object(config, sites), cod, ops, gone, out)
 
 
 def restriction_kernel(config: PartitionedCCAConfig, xs: Sites, ys: Sites) -> P.ProcMorphism:
@@ -868,15 +862,21 @@ def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphi
 
 
 def ring_site_marginals(config: PartitionedCCAConfig, state: P.ProcState, sites: int) -> np.ndarray:
-    """Per-site occupation: one minus the weight of the local all-zero state."""
-    m = config.cell_factors
+    """Per-site occupation: one minus the weight of the local all-zero state.
+
+    One pass over the diagonal sums the factors out from the last one down,
+    as partial traces one factor at a time would; each site reads its
+    all-zero entry off the pass with the later sites summed out, and sums
+    out the earlier ones in the same order."""
+    c, m = config.cell_dim, config.cell_factors
+    diag = np.real(np.diagonal(state.data)) if config.backend == P.QUANTUM else state.data
+    tails = [diag.reshape((c,) * (m * sites))]
+    for _ in range(m * (sites - 1)):
+        tails.append(tails[-1].sum(axis=-1))
     out = np.zeros(sites)
     for i in range(sites):
-        keep = list(range(i * m, (i + 1) * m))
-        drop = [j for j in range(len(state.obj.factors)) if j not in keep]
-        local = P.apply(P.discard(state.obj, drop), state)
-        if config.backend == P.QUANTUM:
-            out[i] = 1.0 - float(np.real(local.data[0, 0]))
-        else:
-            out[i] = 1.0 - float(local.data[0])
+        q = tails[m * (sites - 1 - i)][(...,) + (0,) * m]
+        while q.ndim:
+            q = q.sum(axis=-1)
+        out[i] = 1.0 - float(q)
     return out

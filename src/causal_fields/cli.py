@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -273,8 +274,14 @@ def _load_cca(args) -> PartitionedCCAConfig:
     return cca_config_from_json(blob)
 
 
+@functools.cache
+def _check_window() -> tuple:
+    """Every slice morphism of the law-check window, built once per process."""
+    return tuple(window_morphisms(0, 3, -4, 6, 3))
+
+
 def _sampled_morphisms(rng, count):
-    pairs = window_morphisms(0, 3, -4, 6, 3)
+    pairs = _check_window()
     idx = rng.choice(len(pairs), size=min(count, len(pairs)), replace=False)
     return [pairs[i] for i in idx]
 

@@ -6,21 +6,27 @@ Two concrete backends share one morphism representation:
 * ``classical`` -- stochastic maps acting on probability vectors.
 
 Morphisms are lazy kernel programs (sequences of elementary steps), never
-dense superoperators.  ``apply`` interprets a program step by step on a
-state, contracting each step onto the tensor axes it acts on; compiling
-runs the same contraction on the identity batch to give the Kraus /
-matrix form of the program.  Equality checking evaluates both programs on
-the full operator basis (quantum) or the standard basis (classical) via
-that compiled form, and compares the results entrywise.  Against a
-tolerance, a comparison first tries to accept on the joint causal cone of
-the two programs: discarding after a normalised step is discarding its
-inputs, so domain factors that reach no output only through normalised
-steps are dropped, and a bound that grows with those steps' normalisation
-defects is compared with the tolerance.  Failing that, a quantum
-comparison accepts on the Frobenius norm of the full Choi difference (an
-upper bound on the max entry, computed stably from a QR of the stacked
-Kraus columns) and takes the exact max-entry deviation otherwise, so every
-reported violation comes from the full sweep.
+dense superoperators.  No step creates a wire, so every program has one
+resolved form, recorded when it is built: its matrix and Kraus steps on
+domain wires (``ops``), the domain wires it discards in discard order
+(``gone``), and the domain wire at each codomain position (``out``).
+Every interpreter reads that form.  ``apply`` contracts each op onto the
+axes its wires hold in the working state and traces each discarded wire
+right after the last op on it, so the state never holds a wire longer
+than the step list does; compiling runs the same contraction on the
+identity batch to give the Kraus / matrix form of the program.  Equality
+checking evaluates both programs on the full operator basis (quantum) or
+the standard basis (classical) via that compiled form, and compares the
+results entrywise.  Against a tolerance, a comparison first tries to
+accept on the joint causal cone of the two programs: discarding after a
+normalised step is discarding its inputs, so domain factors that reach no
+output only through normalised steps are dropped, and a bound that grows
+with those steps' normalisation defects is compared with the tolerance.
+Failing that, a quantum comparison accepts on the Frobenius norm of the
+full Choi difference (an upper bound on the max entry, computed stably
+from a QR of the stacked Kraus columns) and takes the exact max-entry
+deviation otherwise, so every reported violation comes from the full
+sweep.
 """
 
 from __future__ import annotations
@@ -101,6 +107,7 @@ class ProcState:
         want = (d, d) if self.obj.backend == QUANTUM else (d,)
         if self.data.shape != want:
             raise ShapeMismatch(f"state data {self.data.shape}, expected {want}")
+        require_finite(self.data, "state data")
 
     @property
     def norm(self) -> float:
@@ -117,8 +124,7 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 def state(obj: ProcObject, data) -> ProcState:
-    arr = np.asarray(data, dtype=complex if obj.backend == QUANTUM else float)
-    return ProcState(obj, require_finite(arr, "state data"))
+    return ProcState(obj, np.asarray(data, dtype=complex if obj.backend == QUANTUM else float))
 
 
 def basis_state(obj: ProcObject, index: int) -> ProcState:
@@ -142,6 +148,12 @@ def basis_state(obj: ProcObject, index: int) -> ProcState:
 #   ("kraus", Ms, idx)   apply the Kraus family in place on factors idx
 #   ("discard", idx)     partial trace / marginal sum over factors idx
 #   ("permute", perm)    reorder all factors: new[i] = old[perm[i]]
+#
+# Steps are the input format.  The constructor resolves them once against
+# the domain wires: ``ops`` holds the matrix and Kraus steps with their
+# factor indices replaced by domain wires, ``gone`` the discarded wires in
+# discard order, ``out`` the domain wire at each codomain position.
+# ``program`` writes a resolved form back as steps.
 # ---------------------------------------------------------------------------
 
 def _step_out_factors(factors: tuple[int, ...], step) -> tuple[int, ...]:
@@ -160,7 +172,8 @@ def _step_out_factors(factors: tuple[int, ...], step) -> tuple[int, ...]:
         idx = step[1]
         if len(set(idx)) != len(idx) or any(not 0 <= i < n for i in idx):
             raise BadFactorIndex(f"bad factor indices {idx} for {n} factors")
-        return tuple(d for i, d in enumerate(factors) if i not in set(idx))
+        drop = set(idx)
+        return tuple(d for i, d in enumerate(factors) if i not in drop)
     if kind == "permute":
         perm = step[1]
         if sorted(perm) != list(range(n)):
@@ -171,23 +184,41 @@ def _step_out_factors(factors: tuple[int, ...], step) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ProcMorphism:
-    """A morphism as a kernel program from ``dom`` to ``cod``."""
+    """A morphism as a kernel program from ``dom`` to ``cod``; ``ops``,
+    ``gone`` and ``out`` hold its resolved form."""
 
     dom: ProcObject
     cod: ProcObject
     steps: tuple = ()
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    ops: tuple = field(init=False, compare=False, repr=False)
+    gone: tuple = field(init=False, compare=False, repr=False)
+    out: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         facs = self.dom.factors
+        alive = list(range(len(facs)))  # the domain wire at each position
+        ops, gone = [], []
         for step in self.steps:
-            if step[0] == "kraus" and self.backend != QUANTUM:
+            kind = step[0]
+            if kind == "kraus" and self.backend != QUANTUM:
                 raise ShapeMismatch("classical programs cannot contain kraus steps")
             facs = _step_out_factors(facs, step)
+            if kind == "discard":
+                idx = set(step[1])
+                gone.extend(alive[i] for i in sorted(idx))
+                alive = [w for i, w in enumerate(alive) if i not in idx]
+            elif kind == "permute":
+                alive = [alive[p] for p in step[1]]
+            else:
+                ops.append((kind, step[1], tuple(alive[i] for i in step[2])))
         if facs != self.cod.factors:
             raise ShapeMismatch(
                 f"program produces factors {facs}, declared cod {self.cod.factors}"
             )
+        object.__setattr__(self, "ops", tuple(ops))
+        object.__setattr__(self, "gone", tuple(gone))
+        object.__setattr__(self, "out", tuple(alive))
 
     @property
     def backend(self) -> str:
@@ -205,7 +236,8 @@ def discard(obj: ProcObject, which: Sequence[int] | None = None) -> ProcMorphism
     idx = tuple(sorted(which))
     if not idx:
         return identity(obj)
-    keep = tuple(d for i, d in enumerate(obj.factors) if i not in set(idx))
+    drop = set(idx)
+    keep = tuple(d for i, d in enumerate(obj.factors) if i not in drop)
     return ProcMorphism(obj, ProcObject(obj.backend, keep), (("discard", idx),))
 
 
@@ -268,39 +300,33 @@ def compose_all(*morphisms: ProcMorphism) -> ProcMorphism:
     return out
 
 
-def _shift_step(step, offset: int, n_other_after: int, n_self: int):
-    """Reindex a step acting on the block of ``n_self`` factors at ``offset``."""
-    kind = step[0]
-    if kind in ("matrix", "kraus"):
-        return (kind, step[1], tuple(i + offset for i in step[2]))
-    if kind == "discard":
-        return (kind, tuple(i + offset for i in step[1]))
-    if kind == "permute":
-        perm = step[1]
-        if offset == 0:
-            return (kind, perm + tuple(range(n_self, n_self + n_other_after)))
-        return (kind, tuple(range(offset)) + tuple(p + offset for p in perm))
-    raise ShapeMismatch(f"unknown step kind {kind!r}")
+def program(dom: ProcObject, cod: ProcObject, ops, gone, out) -> ProcMorphism:
+    """The kernel program with a given resolved form: the steps ``ops`` on
+    domain wires, then one permutation that puts the wires ``out`` first
+    and the wires ``gone`` after them, then one discard of the ``gone``
+    block, so the wires are discarded in the order given.  A step that
+    would do nothing is left out."""
+    order = tuple(out) + tuple(gone)
+    steps = list(ops)
+    if order != tuple(range(len(order))):
+        steps.append(("permute", order))
+    if gone:
+        steps.append(("discard", tuple(range(len(out), len(order)))))
+    return ProcMorphism(dom, cod, tuple(steps))
 
 
 def tensor_mor(f: ProcMorphism, g: ProcMorphism) -> ProcMorphism:
     """f tensor g; runs f on the left block, then g on the right block."""
     if f.backend != g.backend:
         raise BackendMismatch(f"{f.backend} vs {g.backend}")
-    dom = tensor_obj(f.dom, g.dom)
-    cod = tensor_obj(f.cod, g.cod)
-    n_b = len(g.dom.factors)
-    steps = []
-    facs = f.dom.factors
-    for step in f.steps:
-        steps.append(_shift_step(step, 0, n_b, len(facs)))
-        facs = _step_out_factors(facs, step)
-    offset = len(f.cod.factors)
-    gfacs = g.dom.factors
-    for step in g.steps:
-        steps.append(_shift_step(step, offset, 0, len(gfacs)))
-        gfacs = _step_out_factors(gfacs, step)
-    return ProcMorphism(dom, cod, tuple(steps))
+    n = len(f.dom.factors)
+
+    def shift(wires):
+        return tuple(w + n for w in wires)
+
+    ops = f.ops + tuple((kind, m, shift(wires)) for kind, m, wires in g.ops)
+    return program(tensor_obj(f.dom, g.dom), tensor_obj(f.cod, g.cod), ops,
+                   f.gone + shift(g.gone), f.out + shift(g.out))
 
 
 # ---------------------------------------------------------------------------
@@ -317,51 +343,44 @@ def _apply_on_axes(t: np.ndarray, m: np.ndarray, axes: Sequence[int]) -> np.ndar
 
 
 def apply(f: ProcMorphism, rho: ProcState) -> ProcState:
-    """Evaluate the kernel program left to right on a state."""
+    """Evaluate the kernel program on a state, op by op on the axes of the
+    live wires.  Each discarded wire is traced out (summed, classically)
+    right after the last op on it; wires freed at the same point go last
+    discarded first, so a discard step sums its highest factor first."""
     if rho.obj != f.dom:
         raise ShapeMismatch(f"state on {rho.obj}, morphism from {f.dom}")
-    facs = list(f.dom.factors)
+    dims = f.dom.factors
     quantum = f.backend == QUANTUM
-    t = rho.data.reshape(tuple(facs) * 2 if quantum else tuple(facs))
-    for step in f.steps:
-        kind = step[0]
-        n = len(facs)
+    last = {w: i for i, (_, _, wires) in enumerate(f.ops) for w in wires}
+    drops: dict[int, list] = {}
+    for w in f.gone:
+        drops.setdefault(last.get(w, -1), []).append(w)
+    live = list(range(len(dims)))  # the domain wire on each axis
+    t = rho.data.reshape(dims * 2 if quantum else dims)
+
+    def trace(after: int):
+        nonlocal t
+        for w in reversed(drops.get(after, ())):
+            i = live.index(w)
+            t = np.trace(t, axis1=i, axis2=i + len(live)) if quantum else np.sum(t, axis=i)
+            del live[i]
+
+    trace(-1)
+    for i, (kind, m, wires) in enumerate(f.ops):
+        axes = [live.index(w) for w in wires]
+        conj_axes = [a + len(live) for a in axes]
         if kind == "matrix":
-            m, idx = step[1], step[2]
+            t = _apply_on_axes(t, m, axes)
             if quantum:
-                t = _apply_on_axes(t, m, idx)
-                t = _apply_on_axes(t, m.conj(), [i + n for i in idx])
-            else:
-                t = _apply_on_axes(t, m, idx)
-        elif kind == "kraus":
-            ks, idx = step[1], step[2]
-            acc = None
-            for k in ks:
-                term = _apply_on_axes(t, k, idx)
-                term = _apply_on_axes(term, k.conj(), [i + n for i in idx])
-                acc = term if acc is None else acc + term
-            t = acc
-        elif kind == "discard":
-            for i in sorted(step[1], reverse=True):
-                if quantum:
-                    t = np.trace(t, axis1=i, axis2=i + n)
-                    n -= 1
-                else:
-                    t = np.sum(t, axis=i)
-            facs = [d for j, d in enumerate(facs) if j not in set(step[1])]
-            continue
-        elif kind == "permute":
-            perm = step[1]
-            if quantum:
-                t = t.transpose(tuple(perm) + tuple(p + n for p in perm))
-            else:
-                t = t.transpose(perm)
-            facs = [facs[p] for p in perm]
-            continue
-        facs = list(_step_out_factors(tuple(facs), step))
+                t = _apply_on_axes(t, m.conj(), conj_axes)
+        else:
+            terms = [_apply_on_axes(_apply_on_axes(t, k, axes), k.conj(), conj_axes) for k in m]
+            t = sum(terms[1:], terms[0])
+        trace(i)
+    perm = [live.index(w) for w in f.out]
+    t = t.transpose(perm + [p + len(live) for p in perm] if quantum else perm)
     d = f.cod.dim
-    t = t.reshape((d, d) if quantum else (d,))
-    return ProcState(f.cod, t)
+    return ProcState(f.cod, t.reshape((d, d) if quantum else (d,)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +388,13 @@ def apply(f: ProcMorphism, rho: ProcState) -> ProcState:
 #
 # Compiling is evaluating the program on every basis vector at once: the
 # identity batch eye(d), shaped dom.factors + (d,), with one leading axis of
-# Kraus branches.  Each matrix or Kraus step is contracted onto its own axes
-# (``_apply_on_axes``, as in ``apply``); a Kraus step branches the batch,
-# Kraus operator outer, existing branch inner.  Discarding a factor commutes
-# with every later step that does not touch it, so discards and permutations
-# only relabel axes, and the discarded axes join the branch index (quantum)
-# or are summed (classical) at the end.  The compiled form of a quantum
-# program is the Kraus family of the channel; of a classical program, its
-# matrix.
+# Kraus branches.  Each op of the resolved form is contracted onto the axes
+# of its domain wires (``_apply_on_axes``, as in ``apply``); a Kraus step
+# branches the batch, Kraus operator outer, existing branch inner.  The
+# discarded axes join the branch index in discard order (quantum) or are
+# summed (classical) at the end, and the kept axes are read in ``out``
+# order.  The compiled form of a quantum program is the Kraus family of the
+# channel; of a classical program, its matrix.
 # ---------------------------------------------------------------------------
 
 def compile_kernel(f: ProcMorphism) -> np.ndarray:
@@ -395,30 +413,20 @@ def compile_kernel(f: ProcMorphism) -> np.ndarray:
     dims = f.dom.factors
     n = len(dims)
     quantum = f.backend == QUANTUM
-    alive = list(range(n))
-    discarded: list[int] = []
     dtype = complex if quantum else float
     t = np.eye(d, dtype=dtype).reshape((1,) + dims + (d,))
-    for step in f.steps:
-        kind = step[0]
-        if kind in ("matrix", "kraus"):
-            axes = [1 + alive[i] for i in step[2]]
-            if kind == "matrix":
-                t = _apply_on_axes(t, step[1].astype(dtype, copy=False), axes)
-            else:
-                t = np.concatenate([_apply_on_axes(t, k, axes) for k in step[1]])
-        elif kind == "discard":
-            idx = set(step[1])
-            discarded.extend(alive[i] for i in sorted(idx))
-            alive = [w for i, w in enumerate(alive) if i not in idx]
-        elif kind == "permute":
-            alive = [alive[p] for p in step[1]]
-    k_dim = prod(dims[w] for w in alive)
+    for kind, m, wires in f.ops:
+        axes = [1 + w for w in wires]
+        if kind == "matrix":
+            t = _apply_on_axes(t, m.astype(dtype, copy=False), axes)
+        else:
+            t = np.concatenate([_apply_on_axes(t, k, axes) for k in m])
+    k_dim = prod(dims[w] for w in f.out)
     if quantum:
-        t = t.transpose((0,) + tuple(1 + w for w in discarded + alive) + (n + 1,))
+        t = t.transpose((0,) + tuple(1 + w for w in f.gone + f.out) + (n + 1,))
         out = np.ascontiguousarray(t.reshape(-1, k_dim, d))
     else:
-        t = t[0].transpose(tuple(alive + discarded) + (n,))
+        t = t[0].transpose(f.out + f.gone + (n,))
         out = t.reshape(k_dim, -1, d).sum(axis=1)
     f._cache["kernel"] = out
     return out
@@ -500,23 +508,14 @@ def _joint_cone(f: ProcMorphism, g: ProcMorphism) -> tuple[list[bool], dict]:
     defects: dict[int, float] = {}
     marked: set[int] = set()
     for h in (f, g):
-        alive = list(range(n))  # the domain wire at each current position
-        for step in h.steps:
-            kind = step[0]
-            if kind == "discard":
-                gone = set(step[1])
-                alive = [w for i, w in enumerate(alive) if i not in gone]
-            elif kind == "permute":
-                alive = [alive[p] for p in step[1]]
-            else:
-                wires = [alive[i] for i in step[2]]
-                for w in wires[1:]:
-                    root[find(w)] = find(wires[0])
-                if kind == "matrix" and id(step[1]) not in defects:
-                    defects[id(step[1])] = _defect(step[1], quantum)
-                if kind == "kraus" or not (defects[id(step[1])] <= VALIDITY_TOL):
-                    marked.update(wires)
-        marked.update(alive)
+        for kind, m, wires in h.ops:
+            for w in wires[1:]:
+                root[find(w)] = find(wires[0])
+            if kind == "matrix" and id(m) not in defects:
+                defects[id(m)] = _defect(m, quantum)
+            if kind == "kraus" or not (defects[id(m)] <= VALIDITY_TOL):
+                marked.update(wires)
+        marked.update(h.out)
     kept_roots = {find(w) for w in marked}
     return [find(w) in kept_roots for w in range(n)], defects
 
@@ -525,34 +524,19 @@ def _restrict(f: ProcMorphism, keep: list[bool], defects: dict) -> tuple[ProcMor
     """``f`` on the kept domain wires (domain order, same codomain), and
     e = prod(1 + defect) - 1 over the matrix steps it drops.
 
-    Steps on dropped wires go, dropped wires leave discard steps, and every
-    other step is re-indexed; permutations are restricted to kept wires.
-    A step on no wire at all is kept.
+    Ops on dropped wires go, dropped wires leave the discards, and the
+    kept wires are re-indexed.  An op on no wire at all is kept.
     """
-    alive = list(range(len(f.dom.factors)))
-    steps, grow = [], 1.0
-    for step in f.steps:
-        kind = step[0]
-        live = [w for w in alive if keep[w]]
-        if kind == "discard":
-            gone = {alive[i] for i in step[1]}
-            idx = tuple(j for j, w in enumerate(live) if w in gone)
-            if idx:
-                steps.append(("discard", idx))
-            alive = [w for w in alive if w not in gone]
-        elif kind == "permute":
-            alive = [alive[p] for p in step[1]]
-            perm = tuple(live.index(w) for w in alive if keep[w])
-            if perm != tuple(range(len(perm))):
-                steps.append(("permute", perm))
+    new = {w: j for j, w in enumerate(w for w, k in enumerate(keep) if k)}
+    ops, grow = [], 1.0
+    for kind, m, wires in f.ops:
+        if not wires or keep[wires[0]]:
+            ops.append((kind, m, tuple(new[w] for w in wires)))
         else:
-            wires = [alive[i] for i in step[2]]
-            if not wires or keep[wires[0]]:
-                steps.append((kind, step[1], tuple(live.index(w) for w in wires)))
-            else:
-                grow *= 1 + defects[id(step[1])]
+            grow *= 1 + defects[id(m)]
     dom = ProcObject(f.backend, tuple(d for d, k in zip(f.dom.factors, keep) if k))
-    return ProcMorphism(dom, f.cod, tuple(steps)), grow - 1
+    gone = [new[w] for w in f.gone if keep[w]]
+    return program(dom, f.cod, ops, gone, [new[w] for w in f.out]), grow - 1
 
 
 def _cone_bound(f: ProcMorphism, g: ProcMorphism) -> float | None:
@@ -638,26 +622,18 @@ def morphisms_equal(f: ProcMorphism, g: ProcMorphism, tol: float = VALIDITY_TOL)
 
 
 def kernels_identical(f: ProcMorphism, g: ProcMorphism) -> bool:
-    """Exact structural equality of two kernel programs (no tolerance)."""
-    if f.dom != g.dom or f.cod != g.cod or len(f.steps) != len(g.steps):
+    """Exact structural equality of two kernel programs (no tolerance): the
+    same ops on the same wires, discards and codomain wires."""
+    if (f.dom, f.cod, f.gone, f.out) != (g.dom, g.cod, g.gone, g.out) or len(f.ops) != len(g.ops):
         return False
-    for s, t in zip(f.steps, g.steps):
-        if s[0] != t[0]:
+    for (kind, m, wires), (kind2, m2, wires2) in zip(f.ops, g.ops):
+        if (kind, wires) != (kind2, wires2):
             return False
-        if s[0] in ("matrix", "kraus"):
-            if s[2] != t[2]:
+        if kind == "matrix":
+            if not np.array_equal(m, m2):
                 return False
-            if s[0] == "matrix":
-                if not np.array_equal(s[1], t[1]):
-                    return False
-            else:
-                if len(s[1]) != len(t[1]) or any(
-                    not np.array_equal(a, b) for a, b in zip(s[1], t[1])
-                ):
-                    return False
-        else:
-            if s[1] != t[1]:
-                return False
+        elif len(m) != len(m2) or any(not np.array_equal(a, b) for a, b in zip(m, m2)):
+            return False
     return True
 
 

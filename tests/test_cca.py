@@ -566,6 +566,28 @@ def test_ring_marginals():
     assert np.allclose(marg, [0, 1, 0, 0], atol=1e-12)
 
 
+@pytest.mark.parametrize("backend", [P.QUANTUM, P.CLASSICAL])
+@pytest.mark.parametrize("sites", [2, 4])
+def test_ring_site_marginals_match_per_site_partial_traces(backend, sites):
+    # the one pass over the diagonal sums in the order of one partial trace
+    # (marginal sum) per site, so the two agree bit for bit
+    rng = np.random.default_rng(sites)
+    c = cfg(u=np.eye(4)[rng.permutation(4)], backend=backend)
+    obj = ring_object(c, sites)
+    if backend == P.QUANTUM:
+        rho = P.state(obj, random_density(rng, obj.dim))
+    else:
+        p = rng.random(obj.dim)
+        rho = P.state(obj, p / p.sum())
+    m = c.cell_factors
+    want = []
+    for i in range(sites):
+        drop = [j for j in range(m * sites) if not i * m <= j < (i + 1) * m]
+        local = P.apply(P.discard(obj, drop), rho).data.reshape(-1)
+        want.append(1.0 - float(np.real(local[0])))
+    assert np.array_equal(ring_site_marginals(c, rho, sites), want)
+
+
 def test_dirac_convergence_second_order():
     devs = dirac_convergence_deviations(m=1.0, t_phys=4.0, eps0=0.2, halvings=3)
     ratios = [devs[i] / devs[i + 1] for i in range(3)]

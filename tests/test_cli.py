@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from causal_fields import process as P
-from causal_fields.cca import cca_config_to_json, dirac_config, PartitionedCCAConfig
+from causal_fields import cli, process as P
+from causal_fields.cca import cca_config_to_json, dirac_config, PartitionedCCAConfig, window_morphisms
 from causal_fields.cli import main
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -101,6 +101,20 @@ def test_lattice_category_check_with_witnesses(tmp_path):
     out = tmp_path / "report.json"
     assert main(["check", "category", "--order", str(order), "--out", str(out)]) == 0
     assert read(out)["violations"] == []
+
+
+def test_check_window_is_built_once_per_process(monkeypatch):
+    # the law-check suites sample from one window; it is built on the first
+    # call only, and every seed still draws the same morphisms from it
+    calls = []
+    monkeypatch.setattr(cli, "window_morphisms", lambda *a: calls.append(a) or window_morphisms(*a))
+    cli._check_window.cache_clear()
+    want = window_morphisms(0, 3, -4, 6, 3)
+    for seed in (0, 7):
+        got = [cli._sampled_morphisms(np.random.default_rng(seed), 12) for _ in range(2)]
+        idx = np.random.default_rng(seed).choice(len(want), size=12, replace=False)
+        assert got[0] == got[1] == [want[i] for i in idx]
+    assert calls == [(0, 3, -4, 6, 3)]
 
 
 def test_gen_bad_usage_exit_code():

@@ -2,14 +2,16 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causal_fields import process as P
+from causal_fields.cca import build_cca, dirac_config, lattice_slice
 from causal_fields.errors import (
     BackendMismatch,
     BadFactorIndex,
     CausalFieldsError,
+    NotFinite,
     NotStochastic,
     NotUnitary,
     ShapeMismatch,
@@ -399,6 +401,82 @@ def test_prop_compile_matches_full_space_oracle(f):
     got, want = P.compile_kernel(f), compile_kernel_oracle(f)
     assert got.shape == want.shape
     assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
+
+
+def _random_state(obj, rng):
+    if obj.backend == P.QUANTUM:
+        return P.state(obj, random_density(rng, obj.dim))
+    p = rng.random(obj.dim)
+    return P.state(obj, p / p.sum())
+
+
+@given(kernel_programs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_prop_apply_matches_full_space_oracle(f, seed):
+    # apply, tracing each discarded wire right after the last op on it,
+    # agrees with sum_K K rho K^dag (quantum) or T p (classical) of the
+    # full-space compiled form
+    rho = _random_state(f.dom, np.random.default_rng(seed))
+    k = compile_kernel_oracle(f)
+    if f.backend == P.QUANTUM:
+        want = np.einsum("rai,ij,rbj->ab", k, rho.data, k.conj())
+    else:
+        want = k @ rho.data
+    got = P.apply(f, rho).data
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
+
+
+@given(kernel_programs())
+@settings(max_examples=100, deadline=None)
+def test_prop_program_writes_back_the_resolved_form(f):
+    # the emitter gives at most one permutation and one discard after the
+    # ops, and the constructor reads the same form back, discard order kept
+    g = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+    assert (g.ops, g.gone, g.out) == (f.ops, f.gone, f.out)
+    assert P.kernels_identical(f, g)
+    assert len(g.steps) <= len(f.ops) + 2
+
+
+@given(kernel_programs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_prop_non_finite_step_fails_closed(f, data):
+    # one NaN or infinite entry in a matrix or Kraus step reaches the
+    # result, and apply refuses it rather than return a state
+    acting = [i for i, step in enumerate(f.steps) if step[0] in ("matrix", "kraus")]
+    assume(acting)
+    i = data.draw(st.sampled_from(acting))
+    kind, payload, idx = f.steps[i]
+    mats = [m.copy() for m in (payload if kind == "kraus" else (payload,))]
+    j = data.draw(st.integers(0, len(mats) - 1))
+    mats[j].flat[data.draw(st.integers(0, mats[j].size - 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    step = (kind, tuple(mats) if kind == "kraus" else mats[0], idx)
+    g = P.ProcMorphism(f.dom, f.cod, f.steps[:i] + (step,) + f.steps[i + 1:])
+    rho = _random_state(f.dom, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+    with np.errstate(all="ignore"), pytest.raises(NotFinite):
+        P.apply(g, rho)
+
+
+def test_apply_never_holds_a_wire_longer_than_the_steps(monkeypatch):
+    # a 3-step field-theory morphism restricts its source and discards the
+    # edge outputs of every step; apply traces each wire right after the
+    # last op on it, so at every op its tensor holds at most the wires the
+    # step list holds there (deferring the traces to the end fails this)
+    theory = build_cca(dirac_config(0.3, 0.5))
+    f = theory.mor(lattice_slice(0, [-4, -2, 0, 2, 4]), lattice_slice(3, [1]))
+    counts, facs = [], f.dom.factors
+    for step in f.steps:
+        if step[0] == "matrix":
+            counts.append(len(facs))
+        facs = P._step_out_factors(facs, step)
+    assert len(set(counts)) == 3 and max(counts) < len(f.dom.factors)
+    ndims, real = [], P._apply_on_axes
+    monkeypatch.setattr(P, "_apply_on_axes", lambda t, m, axes: ndims.append(t.ndim) or real(t, m, axes))
+    out = P.apply(f, _random_state(f.dom, np.random.default_rng(5)))
+    assert len(ndims) == 2 * len(counts)  # M, then conj(M), per matrix step
+    for n, c in zip(ndims, np.repeat(counts, 2)):
+        assert n <= 2 * c
+    assert abs(out.norm - 1.0) <= P.VALIDITY_TOL
 
 
 def test_morphisms_equal_shape_mismatch():

@@ -2,6 +2,9 @@
 command-line contract (subcommands and check targets)."""
 
 import argparse
+import importlib
+import importlib.util
+from pathlib import Path
 
 import causal_fields
 from causal_fields.cli import _build_parser
@@ -60,3 +63,18 @@ def test_cli_subcommands_and_check_targets_are_pinned():
     commands = _choices(_build_parser(), "command")
     assert set(commands) == SUBCOMMANDS
     assert list(_choices(commands["check"], "target")) == CHECK_TARGETS
+
+
+def test_tracer_boundaries_resolve():
+    # the benchmark's tracer wraps these names from outside the library, so
+    # a rename must fail here and not only in the benchmark's own tests
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, owner, attr, _ in tracer.SPANS + tracer.AGGREGATES:
+        mod_name, _, cls_name = owner.partition(":")
+        target = importlib.import_module(mod_name)
+        if cls_name:
+            target = getattr(target, cls_name)
+        assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
