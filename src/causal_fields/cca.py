@@ -299,7 +299,7 @@ def _scatter_and_route(config: PartitionedCCAConfig, sites: Sites, mat, cells, r
     single cell."""
     cell = P.ProcObject(config.backend, (config.cell_dim,) * config.cell_factors)
     make = P.unitary_channel if config.backend == P.QUANTUM else P.stochastic_map
-    mat = make(cell, mat).steps[0][1]
+    mat = make(cell, mat).ops[0][1]
     slots = slice_slots(config, sites)
     pos = {s: i for i, s in enumerate(slots)}
     ops = [("matrix", mat, tuple(pos[s] for s in group)) for group in cells]
@@ -390,11 +390,11 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
         return s.sites if s else frozenset()
 
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
-        prog = P.identity(slice_object(config, sites_of(sigma)))
-        for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma, direction):
-            kernel = restriction_kernel(config, src, tgt) if kind == "restrict" else step_kernel(src, tgt)
-            prog = P.compose(kernel, prog)
-        return prog
+        kernels = [
+            restriction_kernel(config, src, tgt) if kind == "restrict" else step_kernel(src, tgt)
+            for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma, direction)
+        ]
+        return P.compose_all(*kernels) if kernels else P.identity(slice_object(config, frozenset()))
 
     return FieldTheory(
         category=cat,
@@ -704,9 +704,8 @@ def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2, t0: int = 0)
         start = start + ((start - t) % 2)
         return frozenset((t, (start + 2 * i,)) for i in range(n_sites))
 
-    def build_chain(n_zigzag, gaps, final_sites, centre):
-        # pattern: up g0 | down g1 | up g2 | ... (2*n_zigzag + 1 segments)
-        total = sum(gaps)
+    def build_chain(gaps, final_sites, centre):
+        # pattern: up g0 | down g1 | up g2 | ... (an odd number of segments)
         sizes = [final_sites]
         for g in reversed(gaps):
             sizes.append(sizes[-1] + g)
@@ -716,7 +715,6 @@ def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2, t0: int = 0)
         for i, g in enumerate(gaps):
             t = t + g if i % 2 == 0 else t - g
             chain.append(interval(t, centre, sizes[i + 1]))
-        assert total == sum(gaps)
         return chain
 
     out = []
@@ -755,8 +753,8 @@ def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2, t0: int = 0)
         width = max(wa, wb)
         if width > 4:
             continue
-        chain_a = build_chain(n, ga, final + (width - wa), centre)
-        chain_b = build_chain(m, gb, final + (width - wb), centre)
+        chain_a = build_chain(ga, final + (width - wa), centre)
+        chain_b = build_chain(gb, final + (width - wb), centre)
         # equal endpoints: rebuild with a common start width and final slice
         start = interval(t0, centre, width)
         chain_a[0] = start

@@ -298,13 +298,11 @@ def zigzag_composite(
     """The image of an alternating chain: forward steps through the theory,
     odd steps through the reversal."""
     chain = [frozenset(s) for s in chain]
-    out = None
-    for i, (a, b) in enumerate(itertools.pairwise(chain)):
-        step = theory.mor(a, b) if i % 2 == 0 else reversal.mor(a, b)
-        out = step if out is None else P.compose(step, out)
-    if out is None:
-        out = P.identity(theory.obj(chain[0]))
-    return out
+    steps = [
+        theory.mor(a, b) if i % 2 == 0 else reversal.mor(a, b)
+        for i, (a, b) in enumerate(itertools.pairwise(chain))
+    ]
+    return P.compose_all(*steps) if steps else P.identity(theory.obj(chain[0]))
 
 
 def check_reversal(

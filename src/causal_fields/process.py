@@ -10,27 +10,27 @@ dense superoperators.  No step creates a wire, so every program has one
 resolved form, recorded when it is built: its matrix and Kraus steps on
 domain wires (``ops``), the domain wires it discards in discard order
 (``gone``), and the domain wire at each codomain position (``out``).
-Every interpreter reads that form.  ``apply`` contracts each op onto the
-axes its wires hold in the working state and traces each discarded wire
-right after the last op on it, so the state never holds a wire longer
-than the step list does; compiling runs the same contraction on the
-identity batch to give the Kraus / matrix form of the program.  Equality
-checking evaluates both programs on the full operator basis (quantum) or
-the standard basis (classical) via that compiled form, and compares the
-results entrywise.  Against a tolerance, a comparison first tries to
-accept on the joint causal cone of the two programs: discarding after a
-normalised step is discarding its inputs, so domain factors that reach no
-output only through normalised steps are dropped, and a bound that grows
-with those steps' normalisation defects is compared with the tolerance.
-Failing that, a quantum comparison accepts on the Frobenius norm of the
-full Choi difference (an upper bound on the max entry, computed stably
-from a QR of the stacked Kraus columns) and takes the exact max-entry
-deviation otherwise, so every reported violation comes from the full
-sweep.
+Every interpreter reads that form, and composites are built from it.
+``apply`` contracts each op onto the axes its wires hold in the working
+state and traces each discarded wire right after the last op on it, so
+the state never holds a wire longer than the step list does; compiling
+runs the same contraction on the identity batch to give the Kraus /
+matrix form of the program.  Equality checking evaluates both programs
+via that compiled form on the full operator basis (quantum) or the
+standard basis (classical), entrywise.  Against a tolerance, a
+comparison accepts on one rule, a bound from the joint causal cone of the
+two programs: discarding after a normalised step is discarding its
+inputs, so domain factors that reach no output only through normalised
+steps are dropped, and the bound grows with those steps' normalisation
+defects.  With nothing dropped the cone is the whole domain and the bound
+is the Frobenius norm of the Choi difference, from a QR of the stacked
+Kraus columns.  Otherwise the result is the exact max-entry deviation, so
+every reported violation comes from the full sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
@@ -164,9 +164,9 @@ def _step_out_factors(factors: tuple[int, ...], step) -> tuple[int, ...]:
         if len(set(idx)) != len(idx) or any(not 0 <= i < n for i in idx):
             raise BadFactorIndex(f"bad factor indices {idx} for {n} factors")
         m = prod(factors[i] for i in idx)
-        mat = step[1] if kind == "matrix" else step[1][0]
-        if mat.shape != (m, m):
-            raise ShapeMismatch(f"matrix {mat.shape} on factors of total dim {m}")
+        shapes = {mat.shape for mat in ((step[1],) if kind == "matrix" else step[1])}
+        if shapes != {(m, m)}:
+            raise ShapeMismatch(f"{kind} step of shapes {sorted(shapes)} on factors of total dim {m}")
         return factors
     if kind == "discard":
         idx = step[1]
@@ -286,18 +286,25 @@ def permute_factors(obj: ProcObject, perm: Sequence[int]) -> ProcMorphism:
 
 
 def compose(g: ProcMorphism, f: ProcMorphism) -> ProcMorphism:
-    """g after f (kernel concatenation)."""
-    if f.cod != g.dom:
-        raise ShapeMismatch(f"cannot compose: cod {f.cod} != dom {g.dom}")
-    return ProcMorphism(f.dom, g.cod, f.steps + g.steps)
+    """g after f."""
+    return compose_all(f, g)
 
 
 def compose_all(*morphisms: ProcMorphism) -> ProcMorphism:
-    """Compose left to right: compose_all(f, g, h) = h . g . f."""
-    out = morphisms[0]
-    for m in morphisms[1:]:
-        out = compose(m, out)
-    return out
+    """Compose left to right: compose_all(f, g, h) = h . g . f, built once
+    by reading each program's wires through the ``out`` of those before it.
+    One morphism is returned as it is."""
+    first = morphisms[0]
+    if len(morphisms) == 1:
+        return first
+    ops, gone, out = list(first.ops), list(first.gone), first.out
+    for f, g in itertools.pairwise(morphisms):
+        if f.cod != g.dom:
+            raise ShapeMismatch(f"cannot compose: cod {f.cod} != dom {g.dom}")
+        ops += [(kind, m, tuple(out[w] for w in wires)) for kind, m, wires in g.ops]
+        gone += [out[w] for w in g.gone]
+        out = tuple(out[w] for w in g.out)
+    return program(first.dom, morphisms[-1].cod, ops, gone, out)
 
 
 def program(dom: ProcObject, cod: ProcObject, ops, gone, out) -> ProcMorphism:
@@ -539,22 +546,22 @@ def _restrict(f: ProcMorphism, keep: list[bool], defects: dict) -> tuple[ProcMor
     return program(dom, f.cod, ops, gone, [new[w] for w in f.out]), grow - 1
 
 
-def _cone_bound(f: ProcMorphism, g: ProcMorphism) -> float | None:
+def _cone_bound(f: ProcMorphism, g: ProcMorphism) -> float:
     """An upper bound on the max-entry deviation of ``f`` and ``g`` from
-    their joint cone, or None when the cone is the whole domain."""
+    their joint cone; when it is the whole domain, the programs themselves
+    are compared and ``e_f = e_g = 0``."""
     keep, defects = _joint_cone(f, g)
-    if all(keep):
-        return None
-    fr, e_f = _restrict(f, keep, defects)
-    gr, e_g = _restrict(g, keep, defects)
+    e_f = e_g = 0.0
+    if not all(keep):
+        f, e_f = _restrict(f, keep, defects)
+        g, e_g = _restrict(g, keep, defects)
+    a, c = compile_kernel(f), compile_kernel(g)
     if f.backend == QUANTUM:
-        ms, ns = kraus_family(fr), kraus_family(gr)
-        x = _kraus_columns(ms, ns)
-        w = x[:, len(ms):]
-        b = _choi_qr_bound(x, len(ms))
+        x = _kraus_columns(a, c)
+        w = x[:, len(a):]
+        b = _choi_qr_bound(x, len(a))
         m_g = float(np.max(np.sum(w.real ** 2 + w.imag ** 2, axis=1)))
     else:
-        a, c = transfer_matrix(fr), transfer_matrix(gr)
         b = float(np.max(np.abs(a - c)))
         m_g = float(np.max(np.abs(c)))
     return b * (1 + e_f) + m_g * (e_f + e_g)
@@ -577,12 +584,14 @@ def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> flo
 
         bound = b' (1 + e_f) + m_g (e_f + e_g),
 
-    where b' is the Frobenius norm of Choi(f') - Choi(g') (quantum) or
-    max|T(f') - T(g')| (classical), m_g is the largest diagonal entry of
-    Choi(g') (quantum) or max|T(g')| (classical), and e_f = prod(1 + d_i) - 1
-    over the defects d_i of the matrix steps f drops (e_g alike).  If
-    ``bound <= tol`` it is returned.  Soundness: on the wire partition
-    f = f' (x) D_f, where D_f ends in a full trace, so
+    where b' is the Frobenius norm of Choi(f') - Choi(g') (quantum; via a
+    QR of the stacked Kraus columns) or max|T(f') - T(g')| (classical), m_g
+    is the largest diagonal entry of Choi(g') (quantum) or max|T(g')|
+    (classical), and e_f = prod(1 + d_i) - 1 over the defects d_i of the
+    matrix steps f drops (e_g alike).  If ``bound <= tol`` it is returned.
+    When every wire is kept, f' = f, g' = g and e_f = e_g = 0, so the bound
+    is the Frobenius norm of the full Choi difference.  Soundness: on the
+    wire partition f = f' (x) D_f, where D_f ends in a full trace, so
     Choi(f) = Choi(f') (x) N_f^T with N_f = D_f^dag(1) (classical: the row
     of column sums of D_f).  Each dropped step is completely positive (or
     entrywise non-negative) and grows ||N - 1|| from x to at most
@@ -592,29 +601,20 @@ def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> flo
     max|X| max|Y|, and a positive matrix's max entry is on its diagonal,
     so the exact deviation is at most ``bound``.
 
-    Otherwise (no ``tol``, nothing dropped, a bound above ``tol``, or NaN)
-    the full programs are compared: a quantum comparison takes the
-    Frobenius norm of the Choi difference (via a QR of the stacked Kraus
-    columns), which bounds the max entry from above, and returns it if it
-    is within ``tol``; else the result is the exact max-entry deviation, so
-    every value above ``tol`` is exact.  NaN entries give NaN, never a pass.
+    Otherwise (no ``tol``, a bound above ``tol``, or NaN) the result is the
+    exact max-entry deviation of the full programs, so every value above
+    ``tol`` is exact.  NaN entries give NaN, never a pass.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("morphisms must share dom and cod")
     if tol is not None:
         bound = _cone_bound(f, g)
-        if bound is not None and bound <= tol:
+        if bound <= tol:
             return bound
+    a, c = compile_kernel(f), compile_kernel(g)
     if f.backend == QUANTUM:
-        ms, ns = kraus_family(f), kraus_family(g)
-        x = _kraus_columns(ms, ns)
-        if tol is not None:
-            bound = _choi_qr_bound(x, len(ms))
-            if bound <= tol:
-                return bound
-        return _choi_maxdiff(x, len(ms))
-    a, b = transfer_matrix(f), transfer_matrix(g)
-    return float(np.max(np.abs(a - b))) if a.size else 0.0
+        return _choi_maxdiff(_kraus_columns(a, c), len(a))
+    return float(np.max(np.abs(a - c)))
 
 
 def morphisms_equal(f: ProcMorphism, g: ProcMorphism, tol: float = VALIDITY_TOL) -> bool:

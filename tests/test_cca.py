@@ -238,6 +238,31 @@ def test_ring_step_build_is_linear(monkeypatch):
     assert len(calls) <= 2 * (n + 2)
 
 
+def test_compose_all_is_linear(monkeypatch):
+    # composing reads each program's resolved form once: the step checks
+    # grow with the number of programs, not with its square
+    obj = P.ProcObject(P.QUANTUM, (2, 2, 2))
+    u = dirac_scattering(0.3, 0.1)
+    n = 400
+    ms = [
+        P.unitary_channel(obj, u, (i % 3, (i + 1) % 3)) if i % 2 else P.permute_factors(obj, (1, 2, 0))
+        for i in range(n)
+    ]
+    calls = []
+    check = P._step_out_factors
+
+    def counted(factors, step):
+        calls.append(step[0])
+        return check(factors, step)
+
+    monkeypatch.setattr(P, "_step_out_factors", counted)
+    f = P.compose_all(*ms)
+    assert len(calls) <= 2 * n + 4
+    monkeypatch.setattr(P, "_step_out_factors", check)
+    steps = tuple(step for m in ms for step in m.steps)
+    assert P.kernels_identical(f, P.ProcMorphism(obj, obj, steps))
+
+
 # -- the spec picture: swap scattering is exact transport ------------------------------
 
 def test_swap_scattering_transports():

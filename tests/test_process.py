@@ -6,7 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causal_fields import process as P
-from causal_fields.cca import build_cca, dirac_config, lattice_slice
+from causal_fields.cca import (
+    build_cca,
+    dirac_config,
+    factorize_morphism,
+    lattice_slice,
+    one_step_kernel,
+    restriction_kernel,
+)
 from causal_fields.errors import (
     BackendMismatch,
     BadFactorIndex,
@@ -79,6 +86,10 @@ def test_permutations_compose():
 def test_compose_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         P.compose(P.identity(qobj(2)), P.identity(qobj(3)))
+    a, b = P.identity(qobj(2)), P.identity(qobj(3))
+    for ms in [(a, b, b), (a, a, b), (b, a, a)]:
+        with pytest.raises(ShapeMismatch):
+            P.compose_all(*ms)
 
 
 # -- discarding ----------------------------------------------------------------
@@ -360,11 +371,15 @@ def test_classical_kraus_step_is_refused_when_built(ops):
 # -- compilation against the full-space oracle --------------------------------------------
 
 @st.composite
-def kernel_programs(draw):
+def kernel_programs(draw, dom=None):
     """A random program of matrix, Kraus, discard and permute steps on 1-4
-    factors of dims 1-3; Kraus steps on the quantum backend only."""
-    backend = draw(st.sampled_from([P.QUANTUM, P.CLASSICAL]))
-    facs = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    factors of dims 1-3, or on ``dom`` if given; Kraus steps on the quantum
+    backend only."""
+    if dom is None:
+        backend = draw(st.sampled_from([P.QUANTUM, P.CLASSICAL]))
+        facs = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    else:
+        backend, facs = dom.backend, dom.factors
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kinds = ["matrix", "discard", "permute"] + (["kraus"] if backend == P.QUANTUM else [])
 
@@ -401,6 +416,36 @@ def test_prop_compile_matches_full_space_oracle(f):
     got, want = P.compile_kernel(f), compile_kernel_oracle(f)
     assert got.shape == want.shape
     assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
+
+
+@st.composite
+def composable_programs(draw):
+    """Three random programs f, g, h with f.cod = g.dom and g.cod = h.dom."""
+    f = draw(kernel_programs())
+    g = draw(kernel_programs(f.cod))
+    return f, g, draw(kernel_programs(g.cod))
+
+
+@given(composable_programs())
+@settings(max_examples=200, deadline=None)
+def test_prop_compose_is_step_concatenation(fgh):
+    # composing resolved forms gives the program of the concatenated step
+    # lists (the old composition, kept here as the oracle), and it compiles
+    # to the same array bit for bit
+    f, g, h = fgh
+    for got, want in [
+        (P.compose(g, f), P.ProcMorphism(f.dom, g.cod, f.steps + g.steps)),
+        (P.compose_all(f, g, h), P.ProcMorphism(f.dom, h.cod, f.steps + g.steps + h.steps)),
+    ]:
+        assert P.kernels_identical(got, want)
+        assert np.array_equal(P.compile_kernel(got), P.compile_kernel(want))
+
+
+def test_compose_all_of_one_morphism_is_that_morphism():
+    f = P.unitary_channel(qobj(2), SX)
+    kernel = P.compile_kernel(f)
+    assert P.compose_all(f) is f
+    assert P.compile_kernel(P.compose_all(f)) is kernel
 
 
 def _random_state(obj, rng):
@@ -461,11 +506,20 @@ def test_apply_never_holds_a_wire_longer_than_the_steps(monkeypatch):
     # a 3-step field-theory morphism restricts its source and discards the
     # edge outputs of every step; apply traces each wire right after the
     # last op on it, so at every op its tensor holds at most the wires the
-    # step list holds there (deferring the traces to the end fails this)
-    theory = build_cca(dirac_config(0.3, 0.5))
-    f = theory.mor(lattice_slice(0, [-4, -2, 0, 2, 4]), lattice_slice(3, [1]))
+    # step list holds there (deferring the traces to the end fails this).
+    # The step list is that of the factor kernels laid end to end, since
+    # the composite's own steps are the write-back of its resolved form
+    config = dirac_config(0.3, 0.5)
+    sigma, gamma = lattice_slice(0, [-4, -2, 0, 2, 4]), lattice_slice(3, [1])
+    f = build_cca(config).mor(sigma, gamma)
+    steps = [
+        step
+        for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma)
+        for step in (restriction_kernel(config, src, tgt) if kind == "restrict"
+                     else one_step_kernel(config, src, tgt)).steps
+    ]
     counts, facs = [], f.dom.factors
-    for step in f.steps:
+    for step in steps:
         if step[0] == "matrix":
             counts.append(len(facs))
         facs = P._step_out_factors(facs, step)
@@ -498,6 +552,10 @@ def test_kraus_channel_matches_dense():
     want = big0 @ rho.data @ big0.conj().T + big1 @ rho.data @ big1.conj().T
     assert np.max(np.abs(out.data - want)) < 1e-12
     assert P.is_normalised(f)
+    # every operator of the family is checked, and the family is not empty
+    for ks in ([np.eye(2), np.eye(3)], []):
+        with pytest.raises(ShapeMismatch):
+            P.kraus_channel(qobj(2), ks)
 
 
 def test_choi_cross_validation():
