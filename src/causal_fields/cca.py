@@ -859,16 +859,17 @@ def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphi
     return _scatter_and_route(config, ring, effective_scattering(config), cells, route)
 
 
-def ring_site_marginals(config: PartitionedCCAConfig, state: P.ProcState, sites: int) -> np.ndarray:
-    """Per-site occupation: one minus the weight of the local all-zero state.
+def ring_site_marginals(config: PartitionedCCAConfig, diag: np.ndarray, sites: int) -> np.ndarray:
+    """Per-site occupation from the diagonal of a ring state (the
+    probability vector, classically): one minus the weight of the local
+    all-zero state.
 
     One pass over the diagonal sums the factors out from the last one down,
     as partial traces one factor at a time would; each site reads its
     all-zero entry off the pass with the later sites summed out, and sums
     out the earlier ones in the same order."""
     c, m = config.cell_dim, config.cell_factors
-    diag = np.real(np.diagonal(state.data)) if config.backend == P.QUANTUM else state.data
-    tails = [diag.reshape((c,) * (m * sites))]
+    tails = [np.asarray(diag).reshape((c,) * (m * sites))]
     for _ in range(m * (sites - 1)):
         tails.append(tails[-1].sum(axis=-1))
     out = np.zeros(sites)

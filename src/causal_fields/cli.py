@@ -448,23 +448,24 @@ def _cmd_run(args) -> int:
             raise BadParams("density mode is limited to small rings")
         step = ring_step_morphism(config, sites)
         state = _initial_density(args, config, obj)
-        drift = 0.0
-        norm0 = state.norm
+        drift = norm0 = 0.0
         for k in range(args.steps + 1):
-            marg = ring_site_marginals(config, state, sites)
-            drift = max(drift, abs(state.norm - norm0))
+            diag = state.diagonal()
+            norm = float(np.sum(diag))
+            norm0 = norm if k == 0 else norm0
+            drift = max(drift, abs(norm - norm0))
             rec = {
                 "t": k,
                 "slice": {"t": k, "sites": sites},
-                "norm": state.norm,
-                "marginals": [float(p) for p in marg],
+                "norm": norm,
+                "marginals": [float(p) for p in ring_site_marginals(config, diag, sites)],
             }
             if args.dump_states:
-                rec["state"] = P.matrix_to_json(np.asarray(state.data))
-                rec["factors"] = list(state.obj.factors)
+                rec["state"] = P.matrix_to_json(state.state().data)
+                rec["factors"] = list(obj.factors)
             records.append(rec)
             if k < args.steps:
-                state = P.apply(step, state)
+                state = state.step(step)
     out = {
         "config": cca_config_to_json(config),
         "steps": args.steps,
@@ -479,22 +480,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _initial_density(args, config, obj) -> P.ProcState:
+def _initial_density(args, config, obj) -> P.FactorPair:
+    """The initial state of a density run.  The default start is one
+    excitation in the first factor of site 0, a ket (quantum).  A dense
+    ``--initial`` must be a state to within VALIDITY_TOL: Hermitian, trace 1
+    and no diagonal entry below -tol (quantum), or no entry below -tol and
+    sum 1 (classical)."""
+    tol = P.VALIDITY_TOL
     if args.initial:
-        blob = _load_json(args.initial)
-        m = P.matrix_from_json(blob)
+        m = P.matrix_from_json(_load_json(args.initial))
         if config.backend == P.CLASSICAL:
             if np.any(m.imag != 0):
                 raise BadParams("a classical initial state has a nonzero imaginary part")
-            return P.state(obj, m.real.reshape(-1))
-        return P.state(obj, m)
+            rho = P.state(obj, m.real.reshape(-1))
+            rule = "entries >= -1e-10 summing to 1"
+            ok = -np.min(rho.data) <= tol and abs(rho.norm - 1.0) <= tol
+        else:
+            rho = P.state(obj, m)
+            rule = "rho = rho^dag, trace 1 and a diagonal >= -1e-10"
+            ok = (np.max(np.abs(rho.data - rho.data.conj().T)) <= tol
+                  and abs(np.trace(rho.data) - 1.0) <= tol
+                  and -np.min(np.real(np.diagonal(rho.data))) <= tol)
+        if not ok:
+            raise BadParams(f"a {config.backend} initial state needs {rule}, within 1e-10")
+        return P.FactorPair.from_state(rho)
+    start = np.zeros(obj.dim)
+    start[1 << (len(obj.factors) - 1)] = 1.0  # excitation at site 0, first factor
     if config.backend == P.CLASSICAL:
-        p = np.zeros(obj.dim)
-        p[1 << (len(obj.factors) - 1)] = 1.0  # excitation at site 0, first factor
-        return P.state(obj, p)
-    vec = np.zeros(obj.dim, dtype=complex)
-    vec[1 << (len(obj.factors) - 1)] = 1.0
-    return P.state(obj, np.outer(vec, vec.conj()))
+        return P.FactorPair.from_state(P.state(obj, start))
+    return P.FactorPair.from_ket(obj, start)
 
 
 def _write_marginal_csv(run_blob: dict, path: str) -> None:

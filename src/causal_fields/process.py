@@ -13,9 +13,14 @@ domain wires (``ops``), the domain wires it discards in discard order
 Every interpreter reads that form, and composites are built from it.
 ``apply`` contracts each op onto the axes its wires hold in the working
 state and traces each discarded wire right after the last op on it, so
-the state never holds a wire longer than the step list does; compiling
-runs the same contraction on the identity batch to give the Kraus /
-matrix form of the program.  Equality checking evaluates both programs
+the state never holds a wire longer than the step list does.  The
+one-sided evaluator ``_evolve`` runs the form on a batch of columns with
+a leading branch axis: a Kraus step branches the batch, and the
+discarded wires join the branch axis (quantum) or are summed out
+(classical).  Compiling runs it on the identity, giving the Kraus /
+matrix form of the program; a ``FactorPair`` runs it on both factors of
+rho = sum_b A_b B_b^dag and so steps a state without forming rho, from a
+ket in one batch of width 1.  Equality checking evaluates both programs
 via that compiled form on the full operator basis (quantum) or the
 standard basis (classical), entrywise.  Against a tolerance, a
 comparison accepts on one rule, a bound from the joint causal cone of the
@@ -349,6 +354,35 @@ def _apply_on_axes(t: np.ndarray, m: np.ndarray, axes: Sequence[int]) -> np.ndar
     return np.moveaxis(out, range(k), axes)
 
 
+def _evolve(f: ProcMorphism, t: np.ndarray) -> np.ndarray:
+    """Run the resolved ops of ``f`` on a batch ``t`` of shape
+    ``(branches, dom.dim, width)``, returning ``(branches', cod.dim,
+    width)``: the one-sided evaluator behind compilation and
+    ``FactorPair``.
+
+    The batch is viewed as ``(branches,) + dom.factors + (width,)`` and
+    each op is contracted onto the axes of its domain wires; a Kraus step
+    branches the batch, Kraus operator outer, existing branch inner.  The
+    discarded wires then join the branch axis in discard order (quantum) or
+    are summed out (classical), and the kept wires are read in ``out``
+    order."""
+    n, width = len(f.dom.factors), t.shape[-1]
+    quantum = f.backend == QUANTUM
+    dtype = complex if quantum else float
+    t = t.reshape((len(t),) + f.dom.factors + (width,))
+    for kind, m, wires in f.ops:
+        axes = [1 + w for w in wires]
+        if kind == "matrix":
+            t = _apply_on_axes(t, m.astype(dtype, copy=False), axes)
+        else:
+            t = np.concatenate([_apply_on_axes(t, k, axes) for k in m])
+    if quantum:
+        t = t.transpose((0,) + tuple(1 + w for w in f.gone + f.out) + (n + 1,))
+        return np.ascontiguousarray(t.reshape(-1, f.cod.dim, width))
+    t = t[0].transpose(f.out + f.gone + (n,))
+    return t.reshape(f.cod.dim, -1, width).sum(axis=1)[None]
+
+
 def apply(f: ProcMorphism, rho: ProcState) -> ProcState:
     """Evaluate the kernel program on a state, op by op on the axes of the
     live wires.  Each discarded wire is traced out (summed, classically)
@@ -390,18 +424,60 @@ def apply(f: ProcMorphism, rho: ProcState) -> ProcState:
     return ProcState(f.cod, t.reshape((d, d) if quantum else (d,)))
 
 
+class FactorPair:
+    """A state held as a factor pair, rho = sum_b A_b B_b^dag, with A and B
+    batches of shape ``(branches, dim, width)``; rho is formed only by
+    ``state``.  A step runs each factor through ``_evolve``, so
+    ``step(f).state()`` is ``apply(f, state())``.  A ket starts with
+    A = B = psi of width 1 and keeps B = A, so it is evolved once per step;
+    a density operator starts from A = rho, B = I; a probability vector is
+    A = p of width 1, with no B."""
+
+    def __init__(self, obj: ProcObject, a: np.ndarray, b: np.ndarray | None = None):
+        self.obj, self._a, self._b = obj, a, b  # b None: B = A, or no B (classical)
+
+    @classmethod
+    def from_ket(cls, obj: ProcObject, psi) -> "FactorPair":
+        if obj.backend != QUANTUM:
+            raise BackendMismatch("a ket needs a quantum object")
+        psi = require_finite(np.asarray(psi, dtype=complex), "ket")
+        if psi.shape != (obj.dim,):
+            raise ShapeMismatch(f"ket {psi.shape}, expected {(obj.dim,)}")
+        return cls(obj, psi.reshape(1, obj.dim, 1))
+
+    @classmethod
+    def from_state(cls, rho: ProcState) -> "FactorPair":
+        d = rho.obj.dim
+        if rho.obj.backend == CLASSICAL:
+            return cls(rho.obj, rho.data.reshape(1, d, 1))
+        return cls(rho.obj, rho.data[None], np.eye(d, dtype=complex)[None])
+
+    def step(self, f: ProcMorphism) -> "FactorPair":
+        if self.obj != f.dom:
+            raise ShapeMismatch(f"state on {self.obj}, morphism from {f.dom}")
+        return FactorPair(f.cod, _evolve(f, self._a), None if self._b is None else _evolve(f, self._b))
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of rho (the probability vector, classically)."""
+        if self.obj.backend == CLASSICAL:
+            return self._a[0, :, 0]
+        b = self._a if self._b is None else self._b
+        return np.real(np.sum(self._a * b.conj(), axis=(0, 2)))
+
+    def state(self) -> ProcState:
+        if self.obj.backend == CLASSICAL:
+            return ProcState(self.obj, self._a[0, :, 0])
+        b = self._a if self._b is None else self._b
+        return ProcState(self.obj, np.tensordot(self._a, b.conj(), axes=([0, 2], [0, 2])))
+
+
 # ---------------------------------------------------------------------------
 # compiled form: the program applied to the identity batch
 #
 # Compiling is evaluating the program on every basis vector at once: the
-# identity batch eye(d), shaped dom.factors + (d,), with one leading axis of
-# Kraus branches.  Each op of the resolved form is contracted onto the axes
-# of its domain wires (``_apply_on_axes``, as in ``apply``); a Kraus step
-# branches the batch, Kraus operator outer, existing branch inner.  The
-# discarded axes join the branch index in discard order (quantum) or are
-# summed (classical) at the end, and the kept axes are read in ``out``
-# order.  The compiled form of a quantum program is the Kraus family of the
-# channel; of a classical program, its matrix.
+# identity batch eye(d) with one branch, run through ``_evolve``.  The
+# compiled form of a quantum program is the Kraus family of the channel; of
+# a classical program, its matrix.
 # ---------------------------------------------------------------------------
 
 def compile_kernel(f: ProcMorphism) -> np.ndarray:
@@ -417,24 +493,9 @@ def compile_kernel(f: ProcMorphism) -> np.ndarray:
     d = f.dom.dim
     if d > _MAX_COMPILE_DIM:
         raise ShapeMismatch(f"refusing to compile a program on dimension {d}")
-    dims = f.dom.factors
-    n = len(dims)
-    quantum = f.backend == QUANTUM
-    dtype = complex if quantum else float
-    t = np.eye(d, dtype=dtype).reshape((1,) + dims + (d,))
-    for kind, m, wires in f.ops:
-        axes = [1 + w for w in wires]
-        if kind == "matrix":
-            t = _apply_on_axes(t, m.astype(dtype, copy=False), axes)
-        else:
-            t = np.concatenate([_apply_on_axes(t, k, axes) for k in m])
-    k_dim = prod(dims[w] for w in f.out)
-    if quantum:
-        t = t.transpose((0,) + tuple(1 + w for w in f.gone + f.out) + (n + 1,))
-        out = np.ascontiguousarray(t.reshape(-1, k_dim, d))
-    else:
-        t = t[0].transpose(f.out + f.gone + (n,))
-        out = t.reshape(k_dim, -1, d).sum(axis=1)
+    out = _evolve(f, np.eye(d, dtype=complex if f.backend == QUANTUM else float)[None])
+    if f.backend == CLASSICAL:
+        out = out[0]
     f._cache["kernel"] = out
     return out
 

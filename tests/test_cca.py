@@ -586,8 +586,7 @@ def test_ring_marginals():
     obj = ring_object(c, sites)
     vec = np.zeros(obj.dim, dtype=complex)
     vec[1 << (2 * sites - 1 - 2)] = 1.0  # excitation at site 1, slot -1
-    rho = P.state(obj, np.outer(vec, vec.conj()))
-    marg = ring_site_marginals(c, rho, sites)
+    marg = ring_site_marginals(c, np.abs(vec) ** 2, sites)
     assert np.allclose(marg, [0, 1, 0, 0], atol=1e-12)
 
 
@@ -610,7 +609,8 @@ def test_ring_site_marginals_match_per_site_partial_traces(backend, sites):
         drop = [j for j in range(m * sites) if not i * m <= j < (i + 1) * m]
         local = P.apply(P.discard(obj, drop), rho).data.reshape(-1)
         want.append(1.0 - float(np.real(local[0])))
-    assert np.array_equal(ring_site_marginals(c, rho, sites), want)
+    diag = np.real(np.diagonal(rho.data)) if backend == P.QUANTUM else rho.data
+    assert np.array_equal(ring_site_marginals(c, diag, sites), want)
 
 
 def test_dirac_convergence_second_order():

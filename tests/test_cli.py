@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from causal_fields import cli, process as P
-from causal_fields.cca import cca_config_to_json, dirac_config, PartitionedCCAConfig, window_morphisms
+from causal_fields.cca import (
+    PartitionedCCAConfig,
+    cca_config_to_json,
+    dirac_config,
+    ring_object,
+    ring_site_marginals,
+    ring_step_morphism,
+    window_morphisms,
+)
 from causal_fields.cli import main
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
@@ -503,6 +511,156 @@ def test_run_classical_density(tmp_path):
     code = main(["run", "--cca", str(path), "--steps", "1", "--sites", "4",
                  "--mode", "density", "--initial", str(initial)])
     assert code == 2
+
+
+STOCHASTIC = np.array([[0.5, 0.1, 0.2, 0.0], [0.2, 0.6, 0.1, 0.3],
+                       [0.2, 0.1, 0.4, 0.3], [0.1, 0.2, 0.3, 0.4]])
+
+
+def _config_file(tmp_path, backend):
+    config = dirac_config(0.4, 0.7) if backend == P.QUANTUM else PartitionedCCAConfig(
+        d=1, cell_dim=2, scattering=STOCHASTIC, backend=P.CLASSICAL)
+    path = tmp_path / f"{backend}.json"
+    path.write_text(json.dumps(cca_config_to_json(config)))
+    return config, str(path)
+
+
+def _oracle_run(config, sites, steps, data):
+    """The states of a density run by the two-sided ``apply``, an
+    evaluator independent of the run's factor pair."""
+    step = ring_step_morphism(config, sites)
+    states = [P.state(ring_object(config, sites), data)]
+    for _ in range(steps):
+        states.append(P.apply(step, states[-1]))
+    return states
+
+
+def _assert_run_matches_oracle(blob, config, sites, states):
+    assert len(blob["per_step"]) == len(states)
+    for rec, st in zip(blob["per_step"], states):
+        assert abs(rec["norm"] - st.norm) <= P.ORACLE_TOL
+        diag = np.real(np.diagonal(st.data)) if config.backend == P.QUANTUM else st.data
+        want = ring_site_marginals(config, diag, sites)
+        assert np.max(np.abs(np.array(rec["marginals"]) - want)) <= P.ORACLE_TOL
+
+
+@pytest.mark.parametrize("backend", [P.QUANTUM, P.CLASSICAL])
+def test_run_density_dump_states_match_oracle(tmp_path, backend):
+    # the dumped rho (p, classically) of every step is the oracle loop's
+    # state from the same default start, a state, on the ring's factors
+    config, path = _config_file(tmp_path, backend)
+    sites, steps = 2, 3
+    out = tmp_path / "run.json"
+    assert main(["run", "--cca", path, "--sites", str(sites), "--steps", str(steps),
+                 "--mode", "density", "--dump-states", "--out", str(out)]) == 0
+    blob = read(out)
+    obj = ring_object(config, sites)
+    start = np.zeros(obj.dim)
+    start[1 << (len(obj.factors) - 1)] = 1.0
+    states = _oracle_run(config, sites, steps, np.diag(start) if backend == P.QUANTUM else start)
+    _assert_run_matches_oracle(blob, config, sites, states)
+    for rec, st in zip(blob["per_step"], states):
+        got = P.matrix_from_json(rec["state"])
+        assert rec["factors"] == list(obj.factors) == [2] * (2 * sites)
+        assert got.shape == st.data.shape
+        assert np.max(np.abs(got - st.data)) <= P.ORACLE_TOL
+        if backend == P.QUANTUM:
+            assert np.max(np.abs(got - got.conj().T)) <= P.ORACLE_TOL
+            assert abs(np.trace(got) - 1.0) <= P.ORACLE_TOL
+        else:
+            assert abs(np.sum(got) - 1.0) <= P.ORACLE_TOL
+
+
+@pytest.mark.parametrize("backend", [P.QUANTUM, P.CLASSICAL])
+def test_run_density_initial_matches_oracle(tmp_path, backend):
+    # a mixed rank-2 rho (a spread p, classically) as --initial: the run's
+    # norms and marginals are the oracle loop's
+    config, path = _config_file(tmp_path, backend)
+    sites, steps = 4, 2
+    rng = np.random.default_rng(11)
+    d = ring_object(config, sites).dim
+    if backend == P.QUANTUM:
+        v = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+        v /= np.linalg.norm(v, axis=0)
+        data = v @ np.diag([0.7, 0.3]) @ v.conj().T
+        assert np.linalg.matrix_rank(data) == 2
+    else:
+        data = rng.random(d)
+        data /= data.sum()
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(P.matrix_to_json(data)))
+    out = tmp_path / "run.json"
+    assert main(["run", "--cca", path, "--sites", str(sites), "--steps", str(steps),
+                 "--mode", "density", "--initial", str(initial), "--out", str(out)]) == 0
+    _assert_run_matches_oracle(read(out), config, sites, _oracle_run(config, sites, steps, data))
+
+
+def test_run_density_zero_steps(dirac_file, tmp_path):
+    out = tmp_path / "run.json"
+    assert main(["run", "--cca", dirac_file, "--sites", "4", "--steps", "0",
+                 "--mode", "density", "--out", str(out)]) == 0
+    blob = read(out)
+    assert len(blob["per_step"]) == 1 and blob["trace_drift"] == 0.0
+    assert blob["per_step"][0]["norm"] == 1.0
+    assert blob["per_step"][0]["marginals"] == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("sites", [4, 6])
+def test_run_density_default_start_matches_single_particle(dirac_file, tmp_path, sites):
+    # the default start is one excitation in the first factor of site 0:
+    # component 0 at site 0 of the single-particle picture
+    comps = [[[0.0, 0.0]] * sites for _ in range(2)]
+    comps[0] = [[1.0, 0.0]] + [[0.0, 0.0]] * (sites - 1)
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps({"components": comps}))
+    dens, ref = tmp_path / "density.json", tmp_path / "reference.json"
+    common = ["run", "--cca", dirac_file, "--sites", str(sites), "--steps", "3"]
+    assert main([*common, "--initial", str(initial), "--out", str(ref)]) == 0
+    assert main([*common, "--mode", "density", "--out", str(dens)]) == 0
+    got, want = read(dens), read(ref)
+    assert got["trace_drift"] <= 1e-10
+    for r, s in zip(got["per_step"], want["per_step"], strict=True):
+        assert np.max(np.abs(np.array(r["marginals"]) - s["marginals"])) <= 1e-10
+
+
+def _not_states(d: int) -> dict:
+    eye = np.eye(d)
+    skew = eye / d
+    skew[0, 1] = 0.1  # upper triangular: not Hermitian
+    negative_diagonal = np.diag([1.5, -0.5] + [0.0] * (d - 2))
+    p_negative = np.full(d, 1.0 / (d - 2))
+    p_negative[:2] = [-0.5, 0.5]
+    return {
+        P.QUANTUM: {"triangular": skew, "minus_identity": -eye / d, "twice_identity": 2 * eye / d,
+                    "negative_diagonal": negative_diagonal},
+        P.CLASSICAL: {"negative_entry": p_negative, "sum_two": np.full(d, 2.0 / d)},
+    }
+
+
+NOT_STATES = _not_states(16)  # dimension 16: a ring of 2 sites
+
+
+@pytest.mark.parametrize("backend,name", [(b, n) for b, cases in NOT_STATES.items() for n in cases])
+def test_run_density_refuses_initial_that_is_not_a_state(tmp_path, backend, name, capsys):
+    # Hermitian, trace 1 and no diagonal entry below -1e-10 (quantum); no
+    # entry below -1e-10 and sum 1 (classical); each within 1e-10
+    _, path = _config_file(tmp_path, backend)
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(P.matrix_to_json(NOT_STATES[backend][name])))
+    assert main(["run", "--cca", path, "--sites", "2", "--steps", "1", "--mode", "density",
+                 "--initial", str(initial), "--out", str(tmp_path / "run.json")]) == 2
+    assert "initial state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", [P.QUANTUM, P.CLASSICAL])
+def test_run_density_initial_within_tolerance_is_a_state(tmp_path, backend):
+    _, path = _config_file(tmp_path, backend)
+    data = np.eye(16) / 16 if backend == P.QUANTUM else np.full(16, 1 / 16)
+    data[(0, 0) if backend == P.QUANTUM else 0] -= 5e-11
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(P.matrix_to_json(data)))
+    assert main(["run", "--cca", path, "--sites", "2", "--steps", "1", "--mode", "density",
+                 "--initial", str(initial), "--out", str(tmp_path / "run.json")]) == 0
 
 
 @pytest.mark.parametrize("extra", [

@@ -188,6 +188,15 @@ def test_apply_agrees_with_dense_superoperator():
     d = f.dom.dim
     s_cols = s_kraus.reshape(f.cod.dim ** 2, d, d).reshape(s.shape[0], d * d)
     assert np.max(np.abs(s - s_cols)) < 1e-12
+    _assert_apply_is_superoperator(f, s)
+
+
+def _assert_apply_is_superoperator(f, s):
+    # apply on a non-Hermitian operator is the superoperator on its entries
+    d, c = f.dom.dim, f.cod.dim
+    x = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
+    got = P.apply(f, P.ProcState(f.dom, x)).data
+    assert np.max(np.abs(got - (s @ x.reshape(-1)).reshape(c, c))) < 1e-12
 
 
 def test_apply_agrees_with_dense_superoperator_dim16():
@@ -202,6 +211,7 @@ def test_apply_agrees_with_dense_superoperator_dim16():
     d = f.dom.dim
     s_kraus = np.einsum("rai,rbj->abij", ms, ms.conj()).reshape(f.cod.dim ** 2, d * d)
     assert np.max(np.abs(s - s_kraus)) < 1e-12
+    _assert_apply_is_superoperator(f, s)
 
 
 def test_composition_of_normalised_is_normalised():
@@ -469,6 +479,93 @@ def test_prop_apply_matches_full_space_oracle(f, seed):
         want = k @ rho.data
     got = P.apply(f, rho).data
     assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
+
+
+def _unit_or_operator(obj, data):
+    """A matrix unit E_ij (basis vector e_i, classically) or a random
+    non-Hermitian operator (signed vector) of unit Frobenius norm."""
+    d = obj.dim
+    quantum = obj.backend == P.QUANTUM
+    if data.draw(st.booleans()):
+        x = np.zeros((d, d) if quantum else d)
+        idx = tuple(data.draw(st.integers(0, d - 1)) for _ in range(2 if quantum else 1))
+        x[idx] = 1.0
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.normal(size=(d, d) if quantum else d)
+        if quantum:
+            x = x + 1j * rng.normal(size=(d, d))
+        x /= np.linalg.norm(x)
+    return P.state(obj, x)
+
+
+def _factor_pair_apply(f, x):
+    return P.FactorPair.from_state(x).step(f).state()
+
+
+@given(kernel_programs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_prop_factor_pair_matches_apply(f, data):
+    # the one-sided batch evaluator on both factors of X = X I^dag, summed
+    # over branches, agrees with the two-sided apply on any operator, not
+    # only on states; a ket steps as the single factor psi
+    x = _unit_or_operator(f.dom, data)
+    got, want = _factor_pair_apply(f, x).data, P.apply(f, x).data
+    assert got.shape == want.shape
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
+    if f.backend == P.QUANTUM:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        psi = rng.normal(size=f.dom.dim) + 1j * rng.normal(size=f.dom.dim)
+        pair = P.FactorPair.from_ket(f.dom, psi).step(f)
+        want = P.apply(f, P.state(f.dom, np.outer(psi, psi.conj()))).data
+        assert np.max(np.abs(pair.state().data - want), initial=0.0) <= P.ORACLE_TOL
+        assert np.max(np.abs(pair.diagonal() - np.real(np.diagonal(want))), initial=0.0) <= P.ORACLE_TOL
+
+
+def test_apply_above_the_compile_cap_is_not_refused(monkeypatch):
+    # neither apply nor a factor pair compiles the program
+    monkeypatch.setattr(P, "_MAX_COMPILE_DIM", 4)
+    a = qobj(2, 2, 2)
+    f = P.compose_all(P.unitary_channel(a, random_unitary(RNG, 4), [0, 2]), P.discard(a, [1]))
+    rho = P.state(a, random_density(RNG, 8))
+    with pytest.raises(ShapeMismatch):
+        P.compile_kernel(f)
+    assert np.max(np.abs(P.apply(f, rho).data - _factor_pair_apply(f, rho).data)) <= P.ORACLE_TOL
+    assert "kernel" not in f._cache
+
+
+@pytest.mark.parametrize("backend", [P.QUANTUM, P.CLASSICAL])
+def test_factor_pair_matches_apply_on_every_step_kind(backend):
+    # a Kraus step (quantum), a permute between ops and a discard before the
+    # last op, on every matrix unit and on a random operator
+    rng = np.random.default_rng(3)
+    quantum = backend == P.QUANTUM
+    a = P.ProcObject(backend, (2, 3, 2))
+
+    def op(m):
+        return random_unitary(rng, m) if quantum else rng.random((m, m))
+
+    steps = (("matrix", op(6), (0, 1)), ("permute", (2, 0, 1)), ("discard", (1,)),
+             ("matrix", op(6), (1, 0)))
+    if quantum:
+        steps = steps[:1] + (("kraus", (0.6 * op(2), 0.8 * op(2)), (2,)),) + steps[1:]
+    f = P.ProcMorphism(a, P.ProcObject(backend, (2, 3)), steps)
+    d = a.dim
+    inputs = [np.eye(d * d)[k].reshape(d, d) for k in range(d * d)] if quantum else list(np.eye(d))
+    inputs.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) if quantum else rng.normal(size=d))
+    for x in inputs:
+        x = P.state(a, x)
+        assert np.max(np.abs(_factor_pair_apply(f, x).data - P.apply(f, x).data)) <= P.ORACLE_TOL
+
+
+def test_factor_pair_refuses_a_mismatched_step():
+    pair = P.FactorPair.from_ket(qobj(2), [1.0, 0.0])
+    with pytest.raises(ShapeMismatch):
+        pair.step(P.identity(qobj(3)))
+    with pytest.raises(BackendMismatch):
+        P.FactorPair.from_ket(P.ProcObject(P.CLASSICAL, (2,)), [1.0, 0.0])
+    with pytest.raises(ShapeMismatch):
+        P.FactorPair.from_ket(qobj(2), [1.0, 0.0, 0.0])
 
 
 @given(kernel_programs())
