@@ -43,7 +43,7 @@ from .errors import (
     NotUnitary,
     WrongPredecessorSet,
 )
-from .field_theory import FieldTheory
+from .field_theory import FieldTheory, _deviations
 from .order import (
     DiamondLattice,
     iterated_neighbourhood,
@@ -291,18 +291,24 @@ def slice_object(config: PartitionedCCAConfig, sites: Sites) -> P.ProcObject:
     return P.ProcObject(config.backend, (config.cell_dim,) * (config.cell_factors * len(sites)))
 
 
-def _scatter_and_route(config: PartitionedCCAConfig, sites: Sites, mat, cells, route: dict) -> P.ProcMorphism:
-    """The one kernel builder: ``mat`` on every slot group of ``cells`` (in
-    the given order), a discard of the slots ``route`` leaves out, and each
-    kept slot at its target label, targets in canonical slice order.  The
-    cell matrix is checked once, by the backend's own constructor on a
-    single cell."""
+def _cell_matrix(config: PartitionedCCAConfig, mat) -> np.ndarray:
+    """``mat`` checked as the automaton's cell matrix, by the backend's own
+    constructor on a single cell; the array that constructor keeps."""
     cell = P.ProcObject(config.backend, (config.cell_dim,) * config.cell_factors)
     make = P.unitary_channel if config.backend == P.QUANTUM else P.stochastic_map
-    mat = make(cell, mat).ops[0][1]
+    return make(cell, mat).ops[0][1]
+
+
+def _scatter_and_route(
+    config: PartitionedCCAConfig, sites: Sites, cell: np.ndarray, cells, route: dict
+) -> P.ProcMorphism:
+    """The one kernel builder: the checked cell matrix ``cell`` on every
+    slot group of ``cells`` (in the given order), a discard of the slots
+    ``route`` leaves out, and each kept slot at its target label, targets
+    in canonical slice order."""
     slots = slice_slots(config, sites)
     pos = {s: i for i, s in enumerate(slots)}
-    ops = [("matrix", mat, tuple(pos[s] for s in group)) for group in cells]
+    ops = [("matrix", cell, tuple(pos[s] for s in group)) for group in cells]
     gone = [i for i, s in enumerate(slots) if s not in route]
     out = [pos[s] for s in sorted(route, key=route.get)]
     cod = P.ProcObject(config.backend, (config.cell_dim,) * len(out))
@@ -319,33 +325,42 @@ def restriction_kernel(config: PartitionedCCAConfig, xs: Sites, ys: Sites) -> P.
     return P.discard(slice_object(config, xs), drop)
 
 
-def one_step_kernel(config: PartitionedCCAConfig, ys: Sites, xs: Sites) -> P.ProcMorphism:
+def one_step_kernel(
+    config: PartitionedCCAConfig, ys: Sites, xs: Sites, *, cell: np.ndarray | None = None
+) -> P.ProcMorphism:
     """One synchronous step: scatter at every source event, discard the
     outputs not aimed at the target slice, and re-index the kept factors
-    by their destination events."""
+    by their destination events.  ``cell`` is the checked effective
+    scattering (``_cell_matrix``) that a theory computes once; without it
+    the effective scattering is computed and checked here."""
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact predecessor set of the target")
     dirs = config.directions
     cells = [[(y, dlt) for dlt in dirs] for y in sorted(ys)]
     route = {(y, dlt): (_sub(y, dlt), dlt) for y in ys for dlt in dirs if _sub(y, dlt) in xs}
-    return _scatter_and_route(config, ys, effective_scattering(config), cells, route)
+    if cell is None:
+        cell = _cell_matrix(config, effective_scattering(config))
+    return _scatter_and_route(config, ys, cell, cells, route)
 
 
 def reverse_one_step_kernel(
-    config: PartitionedCCAConfig, v_inv: np.ndarray, ys: Sites, xs: Sites
+    config: PartitionedCCAConfig, v_inv: np.ndarray, ys: Sites, xs: Sites, *, checked: bool = False
 ) -> P.ProcMorphism:
     """One reverse step: for each reconstructed event, apply the inverse of
     the effective scattering to the factors that its forward scattering
     produced (the incoming-from-``dlt`` factors of the events ``x - dlt``),
-    and discard the rest."""
+    and discard the rest.  ``checked`` says that ``v_inv`` already is a
+    checked cell matrix (``_cell_matrix``), as a reversal theory's is;
+    otherwise it is checked here."""
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact reverse predecessor set")
     dirs = config.directions
     cells = [[(_sub(x, dlt), dlt) for dlt in dirs] for x in sorted(xs)]
     route = {(_sub(x, dlt), dlt): (x, dlt) for x in xs for dlt in dirs}
-    return _scatter_and_route(config, ys, v_inv, cells, route)
+    cell = v_inv if checked else _cell_matrix(config, v_inv)
+    return _scatter_and_route(config, ys, cell, cells, route)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +393,25 @@ def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: in
     return steps
 
 
-def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, label: str) -> FieldTheory:
+def _lattice_theory(config: PartitionedCCAConfig, direction: int, mat, label: str) -> FieldTheory:
     """A field theory on the constant-time foliation (reversed when
     ``direction`` is -1): slice objects and slots of the automaton, and
-    morphisms as the factorisation's restriction followed by
-    ``step_kernel(source, target)`` per time step."""
+    morphisms as the factorisation's restriction followed by one step
+    kernel per time step, ``one_step_kernel`` forward and
+    ``reverse_one_step_kernel`` backward.  The cell matrix ``mat`` (the
+    effective scattering, or its inverse backward) is checked here, once,
+    and every step kernel holds that one checked array."""
     cat = foliation_category_of_lattice(config.d, reversed_=direction < 0)
+    cell = _cell_matrix(config, mat)
 
     def sites_of(sigma) -> Sites:
         s = LatticeSlice.from_events(sigma)
         return s.sites if s else frozenset()
+
+    def step_kernel(src, tgt) -> P.ProcMorphism:
+        if direction > 0:
+            return one_step_kernel(config, src, tgt, cell=cell)
+        return reverse_one_step_kernel(config, cell, src, tgt, checked=True)
 
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
         kernels = [
@@ -409,9 +433,7 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
 def build_cca(config: PartitionedCCAConfig) -> FieldTheory:
     """The partitioned automaton as a field theory on the constant-time
     foliation category of the diamond lattice."""
-    return _lattice_theory(
-        config, 1, lambda src, tgt: one_step_kernel(config, src, tgt), "partitioned-cca"
-    )
+    return _lattice_theory(config, 1, effective_scattering(config), "partitioned-cca")
 
 
 def scattering_inverse(config: PartitionedCCAConfig, tol: float = P.VALIDITY_TOL) -> np.ndarray:
@@ -437,11 +459,9 @@ def scattering_inverse(config: PartitionedCCAConfig, tol: float = P.VALIDITY_TOL
 
 def reversal_theory(config: PartitionedCCAConfig, v_inv: np.ndarray) -> FieldTheory:
     """The reverse-time field theory built from a given inverse of the
-    *effective* scattering (no validation: see build_reversal)."""
-    return _lattice_theory(
-        config, -1, lambda src, tgt: reverse_one_step_kernel(config, v_inv, src, tgt),
-        "partitioned-cca-reversal",
-    )
+    *effective* scattering.  ``v_inv`` is checked as a cell matrix
+    (unitary / stochastic) but not as an inverse: see build_reversal."""
+    return _lattice_theory(config, -1, v_inv, "partitioned-cca-reversal")
 
 
 def build_reversal(config: PartitionedCCAConfig) -> FieldTheory:
@@ -565,6 +585,7 @@ def check_invariance(
     """Naturality squares of the invariance data, plus the composition rule
     for the natural isomorphisms on sampled word pairs."""
     report = Report("invariance")
+    deviation = _deviations()
     for word in words:
         for s, g in morphism_samples:
             report.count()
@@ -572,7 +593,7 @@ def check_invariance(
             gs, gg = action.act(word, s), action.act(word, g)
             lhs = P.compose(alpha(word, g), theory.mor(s, g))
             rhs = P.compose(theory.mor(gs, gg), alpha(word, s))
-            dev = P.deviation(lhs, rhs, tol)
+            dev = deviation(lhs, rhs, tol)
             if not (dev <= tol):
                 report.record({"word": word, "pair": (s, g), "law": "naturality"}, dev)
     for h, g in word_pairs or []:
@@ -581,7 +602,7 @@ def check_invariance(
             s = frozenset(s)
             lhs = alpha(tuple(g) + tuple(h), s)
             rhs = P.compose(alpha(h, action.act(g, s)), alpha(g, s))
-            dev = P.deviation(lhs, rhs, tol)
+            dev = deviation(lhs, rhs, tol)
             if not (dev <= tol):
                 report.record({"words": (h, g), "slice": s, "law": "cocycle"}, dev)
     return report
@@ -856,7 +877,7 @@ def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphi
     cells = [[((x,), dlt) for dlt in dirs] for x in range(sites)]
     route = {((x,), dlt): (((x - dlt[0]) % sites,), dlt) for x in range(sites) for dlt in dirs}
     ring = frozenset((x,) for x in range(sites))
-    return _scatter_and_route(config, ring, effective_scattering(config), cells, route)
+    return _scatter_and_route(config, ring, _cell_matrix(config, effective_scattering(config)), cells, route)
 
 
 def ring_site_marginals(config: PartitionedCCAConfig, diag: np.ndarray, sites: int) -> np.ndarray:

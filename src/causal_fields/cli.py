@@ -395,6 +395,10 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _initial_single_particle(args, sites: int) -> np.ndarray:
+    """The initial amplitudes of a single-particle run.  The default start
+    is one excitation in component 0 at the middle site.  An ``--initial``
+    must be a state: sum |psi|^2 = 1 within VALIDITY_TOL, the density
+    ``--initial`` rule."""
     if args.initial:
         comps = _load_json(args.initial).get("components")
         if not (isinstance(comps, list) and len(comps) == 2 and all(
@@ -405,7 +409,12 @@ def _initial_single_particle(args, sites: int) -> np.ndarray:
             for row in comps
         )):
             raise BadParams(f'initial "components" must be 2x{sites} [re, im] pairs')
-        return np.array([[complex(re, im) for re, im in row] for row in comps])
+        psi = np.array([[complex(re, im) for re, im in row] for row in comps])
+        with np.errstate(over="ignore"):  # an overflow reads inf and is refused
+            norm = float(np.sum(np.abs(psi) ** 2))
+        if not (abs(norm - 1.0) <= P.VALIDITY_TOL):
+            raise BadParams(f'initial "components" must have sum |psi|^2 = 1 within 1e-10, not {norm!r}')
+        return psi
     psi = np.zeros((2, sites), dtype=complex)
     psi[0, sites // 2] = 1.0
     return psi

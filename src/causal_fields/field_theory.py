@@ -95,6 +95,35 @@ def merge_permutations(theory: FieldTheory, sigma: Slice, gamma: Slice):
 # functoriality and monoidality
 # ---------------------------------------------------------------------------
 
+def _deviations():
+    """``P.deviation`` for one law check, computed once per distinct
+    comparison.
+
+    A comparison is keyed by both programs' resolved forms and ``tol``: the
+    same ``dom``, ``cod``, ``gone`` and ``out``, and the same ops, each of
+    the same kind on the same wires and holding the same matrix object.
+    In a homogeneous theory translated samples give such programs, so one
+    check meets most comparisons several times.  Matrices are keyed by
+    ``id`` and held for as long as the memo lives, so that no id is
+    reused; the programs and their compiled kernels are not held.  A NaN
+    is stored as NaN and fails the check each time it is returned.
+    """
+    values: dict = {}
+    held: dict = {}
+
+    def form(f: P.ProcMorphism) -> tuple:
+        return f.dom, f.cod, f.gone, f.out, tuple((kind, id(m), wires) for kind, m, wires in f.ops)
+
+    def deviation(f: P.ProcMorphism, g: P.ProcMorphism, tol: float) -> float:
+        key = form(f), form(g), tol
+        if key not in values:
+            held.update((id(m), m) for h in (f, g) for _, m, _ in h.ops)
+            values[key] = P.deviation(f, g, tol)
+        return values[key]
+
+    return deviation
+
+
 def check_functoriality(
     theory: FieldTheory,
     triples: Sequence[tuple[Slice, Slice, Slice]],
@@ -102,12 +131,13 @@ def check_functoriality(
 ) -> Report:
     """Psi(id) = id and Psi(g . f) = Psi(g) . Psi(f) on the given chains."""
     report = Report("functoriality")
+    deviation = _deviations()
     seen = set()
     for chain in triples:
         sigma, gamma, delta = (frozenset(s) for s in chain)
         direct = theory.mor(sigma, delta)
         step = P.compose(theory.mor(gamma, delta), theory.mor(sigma, gamma))
-        dev = P.deviation(step, direct, tol)
+        dev = deviation(step, direct, tol)
         report.count()
         if not (dev <= tol):
             report.record({"chain": chain, "law": "composition"}, dev)
@@ -115,7 +145,7 @@ def check_functoriality(
             seen.add(frozenset(s))
     for s in seen:
         report.count()
-        dev = P.deviation(theory.mor(s, s), P.identity(theory.obj(s)), tol)
+        dev = deviation(theory.mor(s, s), P.identity(theory.obj(s)), tol)
         if not (dev <= tol):
             report.record({"slice": s, "law": "identity"}, dev)
     return report
@@ -132,6 +162,7 @@ def check_monoidality(
     gamma ->> gamma' and both products defined.
     """
     report = Report("monoidality")
+    deviation = _deviations()
     for quad in quads:
         sigma, sigma_p, gamma, gamma_p = (frozenset(s) for s in quad)
         f = theory.mor(sigma, sigma_p)
@@ -140,7 +171,7 @@ def check_monoidality(
         _, p_merge_out = merge_permutations(theory, sigma_p, gamma_p)
         wired = P.compose_all(p_split, P.tensor_mor(f, g), p_merge_out)
         union_mor = theory.mor(sigma | gamma, sigma_p | gamma_p)
-        dev = P.deviation(wired, union_mor, tol)
+        dev = deviation(wired, union_mor, tol)
         obj_ok = sorted(theory.slots(sigma | gamma)) == sorted(
             theory.slots(sigma) + theory.slots(gamma)
         ) and p_split.cod == P.tensor_obj(theory.obj(sigma), theory.obj(gamma))
@@ -161,10 +192,11 @@ def check_environment(
     """The no-signalling equations of the induced discard family:
     compatibility with evolution and with the partial products."""
     report = Report("no-signalling")
+    deviation = _deviations()
     for pair in morphisms:
         sigma, gamma = (frozenset(s) for s in pair)
         lhs = P.compose(theory.discard_effect(gamma), theory.mor(sigma, gamma))
-        dev = P.deviation(lhs, theory.discard_effect(sigma), tol)
+        dev = deviation(lhs, theory.discard_effect(sigma), tol)
         report.count()
         if not (dev <= tol):
             report.record({"pair": pair, "law": "discard after evolution"}, dev)
@@ -175,7 +207,7 @@ def check_environment(
             P.tensor_mor(theory.discard_effect(sigma), theory.discard_effect(gamma)),
             p_split,
         )
-        dev = P.deviation(tensored, theory.discard_effect(sigma | gamma), tol)
+        dev = deviation(tensored, theory.discard_effect(sigma | gamma), tol)
         report.count()
         if not (dev <= tol):
             report.record({"pair": pair, "law": "discard of product"}, dev)
@@ -314,6 +346,7 @@ def check_reversal(
     """Compare the composites of pairs of alternating chains with equal
     endpoints (sound but bounded: the caller fixes the chain lengths)."""
     report = Report("reversal")
+    deviation = _deviations()
     for a, b in chain_pairs:
         a = [frozenset(s) for s in a]
         b = [frozenset(s) for s in b]
@@ -323,7 +356,7 @@ def check_reversal(
             if theory.obj(s) != reversal.obj(s):
                 raise NotAReversal("reversal disagrees with the theory on objects")
         report.count()
-        dev = P.deviation(
+        dev = deviation(
             zigzag_composite(theory, reversal, a),
             zigzag_composite(theory, reversal, b),
             tol,

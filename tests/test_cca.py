@@ -44,7 +44,9 @@ from causal_fields.errors import (
     BadParams,
     CausalFieldsError,
     NegativeTimeGap,
+    NotFinite,
     NotInvertible,
+    NotStochastic,
     NotSubset,
     NotUnitary,
     WrongPredecessorSet,
@@ -394,6 +396,32 @@ def test_reversal_wrong_inverse_reports_violation():
     pairs = [p for p in sample_zigzag_chain_pairs(np.random.default_rng(4), 30) if len(p[0]) > 2 or len(p[1]) > 2]
     rep = check_reversal(theory, wrong, pairs)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("backend", ["quantum", "classical"])
+def test_theory_kernels_hold_one_checked_cell(backend):
+    # each theory checks its cell matrix once, and every step kernel it
+    # builds holds that array
+    c = cfg(u=SWAP.real if backend == "classical" else None, backend=backend)
+    slices = [s for t in range(3) for s in window_slices(t, -3, 3, 3)]
+    for theory in (build_cca(c), build_reversal(c)):
+        mors = [theory.mor(s, g) for s in slices for g in slices if g and theory.category.hom(s, g)]
+        assert len({id(m) for f in mors for _, m, _ in f.ops}) == 1
+
+
+@pytest.mark.parametrize("backend,bad", [
+    ("quantum", np.diag([1, 1, 1, 0.5])),
+    ("quantum", np.diag([1, 1, 1, np.nan])),
+    ("classical", SWAP.real - 0.5 * np.eye(4)),
+])
+def test_reversal_theory_refuses_a_bad_cell_when_built(backend, bad):
+    # a theory checks its cell matrix before it builds any kernel, and a
+    # kernel built directly still checks the matrix it is given
+    c = cfg(u=SWAP.real if backend == "classical" else None, backend=backend)
+    with pytest.raises((NotUnitary, NotStochastic, NotFinite)):
+        reversal_theory(c, bad)
+    with pytest.raises((NotUnitary, NotStochastic, NotFinite)):
+        reverse_one_step_kernel(c, bad, frozenset({(1,), (3,)}), frozenset({(2,)}))
 
 
 def test_reversal_not_invertible():

@@ -418,6 +418,41 @@ def test_run_rejects_malformed_initial(dirac_file, tmp_path, blob, capsys):
     assert "components" in capsys.readouterr().err
 
 
+def _one_amplitude(a: float, sites: int = 4) -> dict:
+    comps = [[[0.0, 0.0]] * sites for _ in range(2)]
+    comps[0] = [[a, 0.0]] + [[0.0, 0.0]] * (sites - 1)
+    return {"components": comps}
+
+
+@pytest.mark.parametrize("blob", [
+    _one_amplitude(2.0),  # sum |psi|^2 = 4
+    _one_amplitude(0.0),  # all zero
+    _one_amplitude(1e200),  # sum |psi|^2 overflows to inf
+    _one_amplitude((1 + 2e-10) ** 0.5),
+    _one_amplitude((1 - 2e-10) ** 0.5),
+])
+def test_run_single_particle_refuses_initial_that_is_not_a_state(dirac_file, tmp_path, blob, capsys):
+    # sum |psi|^2 must be 1 within 1e-10, the rule of the density --initial
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(blob))
+    out = tmp_path / "run.json"
+    code = main(["run", "--cca", dirac_file, "--steps", "1", "--sites", "4",
+                 "--initial", str(initial), "--out", str(out)])
+    assert code == 2
+    assert "sum |psi|^2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", [(1 + 5e-11) ** 0.5, (1 - 5e-11) ** 0.5])
+def test_run_single_particle_initial_within_tolerance_is_a_state(dirac_file, tmp_path, a):
+    initial = tmp_path / "initial.json"
+    initial.write_text(json.dumps(_one_amplitude(a)))
+    out = tmp_path / "run.json"
+    assert main(["run", "--cca", dirac_file, "--steps", "1", "--sites", "4",
+                 "--initial", str(initial), "--out", str(out)]) == 0
+    assert abs(read(out)["per_step"][0]["norm"] - 1.0) <= 1e-10
+
+
 def _strict_loads(text):
     def refuse(token):
         raise ValueError(f"bare {token} in output")

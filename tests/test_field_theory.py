@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -379,3 +381,91 @@ def test_report_json_shape(generic_theory):
     blob = rep.to_json()
     assert set(blob) == {"law", "samples", "violations"}
     assert isinstance(blob["violations"], list)
+
+
+# -- the comparison memo of a law check ---------------------------------------------------------
+
+def _position_dependent(theory, site, u):
+    """``theory`` with the matrix of every kernel whose slices touch
+    ``site`` replaced by ``u``: a theory that is not translation invariant."""
+    def mor_fn(sigma, gamma):
+        f = theory.mor(sigma, gamma)
+        if all(x != site for _, x in sigma | gamma):
+            return f
+        ops = [(kind, u if kind == "matrix" else m, wires) for kind, m, wires in f.ops]
+        return P.program(f.dom, f.cod, ops, f.gone, f.out)
+
+    return FieldTheory(theory.category, theory.backend, theory.obj_fn, mor_fn, theory.slots_fn,
+                       label="position-dependent")
+
+
+def _without_memo(monkeypatch):
+    # every comparison of a check calls P.deviation, as before the memo
+    from causal_fields import cca, field_theory
+
+    for mod in (cca, field_theory):
+        monkeypatch.setattr(mod, "_deviations", lambda: lambda f, g, tol: P.deviation(f, g, tol))
+
+
+@pytest.fixture()
+def dirac_path(tmp_path):
+    from causal_fields.cca import cca_config_to_json
+
+    path = tmp_path / "dirac.json"
+    path.write_text(json.dumps(cca_config_to_json(dirac_config(0.4, 0.1))))
+    return str(path)
+
+
+@pytest.mark.parametrize("target", ["invariance", "functoriality", "monoidality", "nosignalling"])
+def test_memo_hides_no_violation(monkeypatch, tmp_path, dirac_path, target):
+    # on a theory whose kernels differ at one site, each check gives the
+    # same report, violations and values included, with and without the memo
+    from causal_fields import cli
+
+    u = random_unitary(np.random.default_rng(8), 4)
+    monkeypatch.setattr(cli, "build_cca", lambda config: _position_dependent(build_cca(config), (0,), u))
+    argv = ["check", target, "--cca", dirac_path, "--samples", "24", "--seed", "4", "--out"]
+    memo, reference = tmp_path / "memo.json", tmp_path / "reference.json"
+    memo_code = cli.main([*argv, str(memo)])
+    _without_memo(monkeypatch)
+    assert cli.main([*argv, str(reference)]) == memo_code
+    assert memo.read_bytes() == reference.read_bytes()
+    if target == "invariance":
+        assert memo_code == 1 and json.loads(memo.read_text())["violations"]
+
+
+def test_memo_hides_no_functoriality_violation(monkeypatch):
+    # the CLI's functoriality samples are mostly restrictions; these chains
+    # of one-step morphisms through the site do break the law
+    u = random_unitary(np.random.default_rng(8), 4)
+    theory = _position_dependent(build_cca(dirac_config(0.4, 0.1)), (0,), u)
+    pairs = window_morphisms(0, 2, -3, 3, 3)
+    by_source: dict = {}
+    for s, g in pairs:
+        by_source.setdefault(s, []).append(g)
+    triples = [(s, g, d) for s, g in pairs for d in by_source.get(g, ()) if s != g != d and d]
+    memo = check_functoriality(theory, triples)
+    _without_memo(monkeypatch)
+    reference = check_functoriality(theory, triples)
+    assert not memo.ok
+    assert json.dumps(memo.to_json(), default=repr) == json.dumps(reference.to_json(), default=repr)
+
+
+def test_invariance_compares_each_distinct_pair_once(monkeypatch, tmp_path, dirac_path):
+    # the CLI's invariance samples are mostly translates of each other: the
+    # memo calls P.deviation once per distinct pair of programs
+    from causal_fields import cli
+
+    exact, calls = P.deviation, []
+    monkeypatch.setattr(P, "deviation", lambda f, g, tol=None: calls.append((f, g)) or exact(f, g, tol))
+    argv = ["check", "invariance", "--cca", dirac_path, "--samples", "6", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    memo_calls = len(calls)
+    calls.clear()
+    _without_memo(monkeypatch)
+    assert cli.main(argv) == 0
+    distinct = []
+    for f, g in calls:
+        if not any(P.kernels_identical(f, a) and P.kernels_identical(g, b) for a, b in distinct):
+            distinct.append((f, g))
+    assert memo_calls == len(distinct) < len(calls)

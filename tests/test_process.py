@@ -23,6 +23,7 @@ from causal_fields.errors import (
     NotUnitary,
     ShapeMismatch,
 )
+from causal_fields.field_theory import _deviations
 
 from helpers import compile_kernel_oracle, dense_superoperator, random_density, random_unitary
 
@@ -961,3 +962,66 @@ def test_prop_reduced_accept_is_sound(pair):
         assert _same_value(got, exact)
     if not abs(exact - tol) <= 1e-9:
         assert (got <= tol) == (exact <= tol)
+
+
+# -- the comparison memo of a law check ----------------------------------------------------
+
+def _one_change_variants(f, data) -> dict:
+    """Programs with f's domain and codomain whose resolved form differs
+    from f's in one place: one matrix entry, a NaN entry, the dtype of one
+    matrix, the wires of one op, or the discard order."""
+    def with_op(i, op):
+        return P.program(f.dom, f.cod, f.ops[:i] + (op,) + f.ops[i + 1:], f.gone, f.out)
+
+    out = {}
+    if f.ops:
+        i = data.draw(st.integers(0, len(f.ops) - 1))
+        kind, m, wires = f.ops[i]
+
+        def first_matrix(new):
+            return with_op(i, (kind, (new,) + m[1:] if kind == "kraus" else new, wires))
+
+        first = m[0] if kind == "kraus" else m
+        bumped, nan = first.copy(), first.copy()
+        bumped.flat[0] += 0.5
+        nan.flat[0] = np.nan
+        out["entry"] = first_matrix(bumped)
+        out["nan"] = first_matrix(nan)
+        out["dtype"] = first_matrix(first.astype(np.complex64 if f.backend == P.QUANTUM else np.float32))
+        dims = f.dom.factors
+        spare = [w for w in range(len(dims)) if wires and w not in wires and dims[w] == dims[wires[0]]]
+        if spare:
+            out["wire"] = with_op(i, (kind, m, (spare[0],) + wires[1:]))
+    if len(f.gone) >= 2:
+        out["discard order"] = P.program(f.dom, f.cod, f.ops, f.gone[::-1], f.out)
+    return out
+
+
+@given(kernel_programs(), st.sampled_from([0.0, 1e-10, 1.0]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_prop_comparison_memo_is_exact(f, tol, data):
+    # through a law check's memo, a run of comparisons gives P.deviation's
+    # values bit for bit (twice over); a pair with the same resolved forms
+    # is served without a call, and a pair that differs in one matrix
+    # entry, wire, discard order or dtype, or in tol, is computed afresh
+    variants = _one_change_variants(f, data)
+    same = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+    runs = [(f, f, tol, 1), (same, f, tol, 0), (f, same, tol, 0), (same, same, tol, 0), (f, f, tol + 1.0, 1)]
+    runs += [run for v in variants.values() for run in ((f, v, tol, 1), (v, f, tol, 1), (f, v, tol, 0))]
+    exact, calls = P.deviation, []
+    P.deviation = lambda *args: calls.append(args) or exact(*args)
+    try:
+        deviation = _deviations()
+        for again in (False, True):
+            for a, b, t, new in runs:
+                before = len(calls)
+                with np.errstate(all="ignore"):
+                    got, want = deviation(a, b, t), exact(a, b, t)
+                    assert np.isnan(got) == np.isnan(want)
+                    assert np.isnan(want) or np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert len(calls) - before == (0 if again else new)
+        if "nan" in variants:
+            with np.errstate(all="ignore"):
+                assert np.isnan(deviation(f, variants["nan"], tol))
+    finally:
+        P.deviation = exact
