@@ -43,7 +43,7 @@ from .errors import (
     NotUnitary,
     WrongPredecessorSet,
 )
-from .field_theory import FieldTheory, _deviations
+from .field_theory import FieldTheory
 from .order import (
     DiamondLattice,
     iterated_neighbourhood,
@@ -585,26 +585,22 @@ def check_invariance(
     """Naturality squares of the invariance data, plus the composition rule
     for the natural isomorphisms on sampled word pairs."""
     report = Report("invariance")
-    deviation = _deviations()
+    deviation = P.deviation_memo()
     for word in words:
         for s, g in morphism_samples:
-            report.count()
             s, g = frozenset(s), frozenset(g)
             gs, gg = action.act(word, s), action.act(word, g)
             lhs = P.compose(alpha(word, g), theory.mor(s, g))
             rhs = P.compose(theory.mor(gs, gg), alpha(word, s))
             dev = deviation(lhs, rhs, tol)
-            if not (dev <= tol):
-                report.record({"word": word, "pair": (s, g), "law": "naturality"}, dev)
+            report.compare({"word": word, "pair": (s, g), "law": "naturality"}, dev, tol)
     for h, g in word_pairs or []:
         for s in slice_samples or []:
-            report.count()
             s = frozenset(s)
             lhs = alpha(tuple(g) + tuple(h), s)
             rhs = P.compose(alpha(h, action.act(g, s)), alpha(g, s))
             dev = deviation(lhs, rhs, tol)
-            if not (dev <= tol):
-                report.record({"words": (h, g), "slice": s, "law": "cocycle"}, dev)
+            report.compare({"words": (h, g), "slice": s, "law": "cocycle"}, dev, tol)
     return report
 
 

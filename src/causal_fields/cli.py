@@ -51,6 +51,7 @@ from .field_theory import (
     check_functoriality,
     check_monoidality,
     check_reversal,
+    composable_triples,
 )
 from .order import (
     DiamondLattice,
@@ -298,11 +299,7 @@ def _check_cca(args) -> Report:
     theory = build_cca(config)
     target = args.target
     if target == "functoriality":
-        pairs = _sampled_morphisms(rng, max(args.samples, 8))
-        by_source: dict = {}
-        for s, g in pairs:
-            by_source.setdefault(s, []).append(g)
-        triples = [(s, g, d) for s, g in pairs for d in by_source.get(g, [])]
+        triples = composable_triples(_sampled_morphisms(rng, max(args.samples, 8)))
         if len(triples) > args.samples:
             keep = rng.choice(len(triples), size=args.samples, replace=False)
             triples = [triples[i] for i in keep]
@@ -319,8 +316,7 @@ def _check_cca(args) -> Report:
         try:
             reversal = build_reversal(config)
         except (NotInvertible, NotUnitary) as exc:
-            report.count()
-            report.record({"reason": f"no reversal: {exc}"}, float("inf"))
+            report.compare({"reason": f"no reversal: {exc}"}, float("inf"), args.tol)
             return report
         pairs = sample_zigzag_chain_pairs(rng, args.samples)
         return check_reversal(theory, reversal, pairs, tol=args.tol)
@@ -434,17 +430,13 @@ def _cmd_run(args) -> int:
         theta_coin = effective_one_particle_block(config)
         psi = _initial_single_particle(args, sites)
         states = run_single_particle(psi, theta_coin, args.steps)
-        norm0 = float(np.linalg.norm(states[0]) ** 2)
-        drift = 0.0
         for k, st in enumerate(states):
             probs = site_probabilities(st)
-            norm = float(np.linalg.norm(st) ** 2)
-            drift = max(drift, abs(norm - norm0))
             records.append(
                 {
                     "t": k,
                     "slice": {"t": k, "sites": sites},
-                    "norm": norm,
+                    "norm": float(np.linalg.norm(st) ** 2),
                     "marginals": [float(p) for p in probs],
                     "components": [
                         [[float(a.real), float(a.imag)] for a in row] for row in st
@@ -457,16 +449,12 @@ def _cmd_run(args) -> int:
             raise BadParams("density mode is limited to small rings")
         step = ring_step_morphism(config, sites)
         state = _initial_density(args, config, obj)
-        drift = norm0 = 0.0
         for k in range(args.steps + 1):
             diag = state.diagonal()
-            norm = float(np.sum(diag))
-            norm0 = norm if k == 0 else norm0
-            drift = max(drift, abs(norm - norm0))
             rec = {
                 "t": k,
                 "slice": {"t": k, "sites": sites},
-                "norm": norm,
+                "norm": float(np.sum(diag)),
                 "marginals": [float(p) for p in ring_site_marginals(config, diag, sites)],
             }
             if args.dump_states:
@@ -480,7 +468,7 @@ def _cmd_run(args) -> int:
         "steps": args.steps,
         "sites": sites,
         "mode": args.mode,
-        "trace_drift": drift,
+        "trace_drift": max(abs(rec["norm"] - records[0]["norm"]) for rec in records),
         "per_step": records,
     }
     _emit(out, args.out)

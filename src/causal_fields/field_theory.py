@@ -4,6 +4,9 @@ A field theory assigns a backend object to each slice of a slice category
 and a backend morphism to each slice ordering, and is supposed to be a
 (partially) monoidal functor.  Nothing here assumes it is one: the
 ``check_*`` functions evaluate the laws on samples and report violations.
+Each law sample compares two kernel programs through the check's
+``process.deviation_memo`` and passes the value to ``Report.compare``, the
+one accept rule (``dev <= tol``, so a NaN fails).
 
 Slot bookkeeping: each theory exposes ``slots(sigma)``, the list of labels
 of the tensor factors of the object assigned to ``sigma``.  The monoidal
@@ -95,35 +98,6 @@ def merge_permutations(theory: FieldTheory, sigma: Slice, gamma: Slice):
 # functoriality and monoidality
 # ---------------------------------------------------------------------------
 
-def _deviations():
-    """``P.deviation`` for one law check, computed once per distinct
-    comparison.
-
-    A comparison is keyed by both programs' resolved forms and ``tol``: the
-    same ``dom``, ``cod``, ``gone`` and ``out``, and the same ops, each of
-    the same kind on the same wires and holding the same matrix object.
-    In a homogeneous theory translated samples give such programs, so one
-    check meets most comparisons several times.  Matrices are keyed by
-    ``id`` and held for as long as the memo lives, so that no id is
-    reused; the programs and their compiled kernels are not held.  A NaN
-    is stored as NaN and fails the check each time it is returned.
-    """
-    values: dict = {}
-    held: dict = {}
-
-    def form(f: P.ProcMorphism) -> tuple:
-        return f.dom, f.cod, f.gone, f.out, tuple((kind, id(m), wires) for kind, m, wires in f.ops)
-
-    def deviation(f: P.ProcMorphism, g: P.ProcMorphism, tol: float) -> float:
-        key = form(f), form(g), tol
-        if key not in values:
-            held.update((id(m), m) for h in (f, g) for _, m, _ in h.ops)
-            values[key] = P.deviation(f, g, tol)
-        return values[key]
-
-    return deviation
-
-
 def check_functoriality(
     theory: FieldTheory,
     triples: Sequence[tuple[Slice, Slice, Slice]],
@@ -131,23 +105,19 @@ def check_functoriality(
 ) -> Report:
     """Psi(id) = id and Psi(g . f) = Psi(g) . Psi(f) on the given chains."""
     report = Report("functoriality")
-    deviation = _deviations()
+    deviation = P.deviation_memo()
     seen = set()
     for chain in triples:
         sigma, gamma, delta = (frozenset(s) for s in chain)
         direct = theory.mor(sigma, delta)
         step = P.compose(theory.mor(gamma, delta), theory.mor(sigma, gamma))
         dev = deviation(step, direct, tol)
-        report.count()
-        if not (dev <= tol):
-            report.record({"chain": chain, "law": "composition"}, dev)
+        report.compare({"chain": chain, "law": "composition"}, dev, tol)
         for s in chain:
             seen.add(frozenset(s))
     for s in seen:
-        report.count()
         dev = deviation(theory.mor(s, s), P.identity(theory.obj(s)), tol)
-        if not (dev <= tol):
-            report.record({"slice": s, "law": "identity"}, dev)
+        report.compare({"slice": s, "law": "identity"}, dev, tol)
     return report
 
 
@@ -162,7 +132,7 @@ def check_monoidality(
     gamma ->> gamma' and both products defined.
     """
     report = Report("monoidality")
-    deviation = _deviations()
+    deviation = P.deviation_memo()
     for quad in quads:
         sigma, sigma_p, gamma, gamma_p = (frozenset(s) for s in quad)
         f = theory.mor(sigma, sigma_p)
@@ -171,15 +141,13 @@ def check_monoidality(
         _, p_merge_out = merge_permutations(theory, sigma_p, gamma_p)
         wired = P.compose_all(p_split, P.tensor_mor(f, g), p_merge_out)
         union_mor = theory.mor(sigma | gamma, sigma_p | gamma_p)
-        dev = deviation(wired, union_mor, tol)
         obj_ok = sorted(theory.slots(sigma | gamma)) == sorted(
             theory.slots(sigma) + theory.slots(gamma)
         ) and p_split.cod == P.tensor_obj(theory.obj(sigma), theory.obj(gamma))
-        report.count()
         if not obj_ok:
             report.record({"quad": quad, "law": "object equation"}, float("nan"))
-        if not (dev <= tol):
-            report.record({"quad": quad, "law": "morphism factorisation"}, dev)
+        dev = deviation(wired, union_mor, tol)
+        report.compare({"quad": quad, "law": "morphism factorisation"}, dev, tol)
     return report
 
 
@@ -192,14 +160,12 @@ def check_environment(
     """The no-signalling equations of the induced discard family:
     compatibility with evolution and with the partial products."""
     report = Report("no-signalling")
-    deviation = _deviations()
+    deviation = P.deviation_memo()
     for pair in morphisms:
         sigma, gamma = (frozenset(s) for s in pair)
         lhs = P.compose(theory.discard_effect(gamma), theory.mor(sigma, gamma))
         dev = deviation(lhs, theory.discard_effect(sigma), tol)
-        report.count()
-        if not (dev <= tol):
-            report.record({"pair": pair, "law": "discard after evolution"}, dev)
+        report.compare({"pair": pair, "law": "discard after evolution"}, dev, tol)
     for pair in products:
         sigma, gamma = (frozenset(s) for s in pair)
         p_split, _ = merge_permutations(theory, sigma, gamma)
@@ -208,9 +174,7 @@ def check_environment(
             p_split,
         )
         dev = deviation(tensored, theory.discard_effect(sigma | gamma), tol)
-        report.count()
-        if not (dev <= tol):
-            report.record({"pair": pair, "law": "discard of product"}, dev)
+        report.compare({"pair": pair, "law": "discard of product"}, dev, tol)
     return report
 
 
@@ -346,7 +310,7 @@ def check_reversal(
     """Compare the composites of pairs of alternating chains with equal
     endpoints (sound but bounded: the caller fixes the chain lengths)."""
     report = Report("reversal")
-    deviation = _deviations()
+    deviation = P.deviation_memo()
     for a, b in chain_pairs:
         a = [frozenset(s) for s in a]
         b = [frozenset(s) for s in b]
@@ -355,14 +319,9 @@ def check_reversal(
         for s in itertools.chain(a, b):
             if theory.obj(s) != reversal.obj(s):
                 raise NotAReversal("reversal disagrees with the theory on objects")
-        report.count()
-        dev = deviation(
-            zigzag_composite(theory, reversal, a),
-            zigzag_composite(theory, reversal, b),
-            tol,
-        )
-        if not (dev <= tol):
-            report.record({"chains": (a, b)}, dev)
+        lhs, rhs = zigzag_composite(theory, reversal, a), zigzag_composite(theory, reversal, b)
+        dev = deviation(lhs, rhs, tol)
+        report.compare({"chains": (a, b)}, dev, tol)
     return report
 
 
@@ -432,9 +391,14 @@ def enumerate_hom_pairs(cat: SliceCategory) -> list:
     return [(s, g) for s, g in itertools.product(objs, repeat=2) if cat.hom(s, g)]
 
 
-def enumerate_hom_triples(cat: SliceCategory) -> list:
-    pairs = enumerate_hom_pairs(cat)
+def composable_triples(pairs: Sequence[tuple[Slice, Slice]]) -> list:
+    """Every chain (s, g, d) with (s, g) and (g, d) in ``pairs``, in the
+    order of ``pairs``: by the first pair, then by the second."""
     by_source: dict = {}
     for s, g in pairs:
         by_source.setdefault(s, []).append(g)
     return [(s, g, d) for s, g in pairs for d in by_source.get(g, ())]
+
+
+def enumerate_hom_triples(cat: SliceCategory) -> list:
+    return composable_triples(enumerate_hom_pairs(cat))

@@ -30,7 +30,9 @@ steps are dropped, and the bound grows with those steps' normalisation
 defects.  With nothing dropped the cone is the whole domain and the bound
 is the Frobenius norm of the Choi difference, from a QR of the stacked
 Kraus columns.  Otherwise the result is the exact max-entry deviation, so
-every reported violation comes from the full sweep.
+every reported violation comes from the full sweep.  A law check compares
+through ``deviation_memo``, which keys each comparison on both programs'
+resolved forms and computes each distinct one once per check.
 """
 
 from __future__ import annotations
@@ -676,6 +678,37 @@ def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> flo
     if f.backend == QUANTUM:
         return _choi_maxdiff(_kraus_columns(a, c), len(a))
     return float(np.max(np.abs(a - c)))
+
+
+def deviation_memo():
+    """``deviation`` for one law check, computed once per distinct
+    comparison.
+
+    A comparison is keyed by both programs' resolved forms and ``tol``: the
+    same ``dom``, ``cod``, ``gone`` and ``out``, and the same ops, each of
+    the same kind on the same wires and holding the same matrix object.
+    In a homogeneous theory translated samples give such programs, so one
+    check meets most comparisons several times.  Matrices are keyed by
+    ``id`` and held for as long as the memo lives, so that no id is
+    reused; the programs and their compiled kernels are not held.  A NaN
+    is stored as NaN and fails the check each time it is returned.
+    ``deviation`` is looked up when a comparison is computed, so a
+    rebinding of the module's ``deviation`` is seen.
+    """
+    values: dict = {}
+    held: dict = {}
+
+    def form(f: ProcMorphism) -> tuple:
+        return f.dom, f.cod, f.gone, f.out, tuple((kind, id(m), wires) for kind, m, wires in f.ops)
+
+    def memoised(f: ProcMorphism, g: ProcMorphism, tol: float) -> float:
+        key = form(f), form(g), tol
+        if key not in values:
+            held.update((id(m), m) for h in (f, g) for _, m, _ in h.ops)
+            values[key] = deviation(f, g, tol)
+        return values[key]
+
+    return memoised
 
 
 def morphisms_equal(f: ProcMorphism, g: ProcMorphism, tol: float = VALIDITY_TOL) -> bool:

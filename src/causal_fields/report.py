@@ -51,6 +51,13 @@ class Report:
     def record(self, witness, deviation: float = 0.0) -> None:
         self.violations.append({"witness": witness, "deviation": float(deviation)})
 
+    def compare(self, witness, dev: float, tol: float) -> None:
+        """The float gate of every law sample: count it, and record it
+        unless ``dev <= tol`` (so a NaN fails)."""
+        self.count()
+        if not (dev <= tol):
+            self.record(witness, dev)
+
     def worst(self) -> float:
         return max((v["deviation"] for v in self.violations), default=0.0)
 

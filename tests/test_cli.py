@@ -464,13 +464,18 @@ def test_report_with_nonfinite_deviation_is_strict_json(tmp_path):
     from causal_fields.cli import _emit
     from causal_fields.report import Report
 
+    # through the checkers' gate: NaN and values above tol are recorded,
+    # values below or at tol only counted
+    tol = 0.25
     report = Report("law")
-    for dev in (float("nan"), float("inf"), float("-inf"), 0.5):
-        report.record({"dev": str(dev)}, dev)
+    for dev in (float("nan"), float("inf"), 0.5, 0.125, tol):
+        report.compare({"dev": str(dev)}, dev, tol)
+    report.record({"dev": "-inf"}, float("-inf"))
     out = tmp_path / "r.json"
     _emit(report.to_json(), str(out))
     blob = _strict_loads(out.read_text())
-    assert [v["deviation"] for v in blob["violations"]] == ["NaN", "Infinity", "-Infinity", 0.5]
+    assert blob["samples"] == 5
+    assert [v["deviation"] for v in blob["violations"]] == ["NaN", "Infinity", 0.5, "-Infinity"]
 
 
 def test_check_reversal_without_inverse_is_strict_json(tmp_path):

@@ -22,6 +22,7 @@ from causal_fields.field_theory import (
     check_functoriality,
     check_monoidality,
     check_reversal,
+    composable_triples,
     discard_family,
     enumerate_hom_triples,
     global_state_from_cauchy,
@@ -65,11 +66,7 @@ def generic_theory_config():
 # -- functoriality ------------------------------------------------------------------
 
 def test_functoriality_window(generic_theory):
-    pairs = window_morphisms(0, 2, 0, 4, 2)
-    by_source = {}
-    for s, g in pairs:
-        by_source.setdefault(s, []).append(g)
-    triples = [(s, g, d) for s, g in pairs for d in by_source.get(g, [])][:200]
+    triples = composable_triples(window_morphisms(0, 2, 0, 4, 2))[:200]
     rep = check_functoriality(generic_theory, triples)
     assert rep.ok, rep.violations[:2]
 
@@ -401,10 +398,7 @@ def _position_dependent(theory, site, u):
 
 def _without_memo(monkeypatch):
     # every comparison of a check calls P.deviation, as before the memo
-    from causal_fields import cca, field_theory
-
-    for mod in (cca, field_theory):
-        monkeypatch.setattr(mod, "_deviations", lambda: lambda f, g, tol: P.deviation(f, g, tol))
+    monkeypatch.setattr(P, "deviation_memo", lambda: lambda f, g, tol: P.deviation(f, g, tol))
 
 
 @pytest.fixture()
@@ -439,11 +433,7 @@ def test_memo_hides_no_functoriality_violation(monkeypatch):
     # of one-step morphisms through the site do break the law
     u = random_unitary(np.random.default_rng(8), 4)
     theory = _position_dependent(build_cca(dirac_config(0.4, 0.1)), (0,), u)
-    pairs = window_morphisms(0, 2, -3, 3, 3)
-    by_source: dict = {}
-    for s, g in pairs:
-        by_source.setdefault(s, []).append(g)
-    triples = [(s, g, d) for s, g in pairs for d in by_source.get(g, ()) if s != g != d and d]
+    triples = [(s, g, d) for s, g, d in composable_triples(window_morphisms(0, 2, -3, 3, 3)) if s != g != d and d]
     memo = check_functoriality(theory, triples)
     _without_memo(monkeypatch)
     reference = check_functoriality(theory, triples)
@@ -469,3 +459,41 @@ def test_invariance_compares_each_distinct_pair_once(monkeypatch, tmp_path, dira
         if not any(P.kernels_identical(f, a) and P.kernels_identical(g, b) for a, b in distinct):
             distinct.append((f, g))
     assert memo_calls == len(distinct) < len(calls)
+
+
+# -- every float checker fails closed -----------------------------------------------------------
+
+def _float_checks(theory, reversal):
+    """The five float checkers, each on fixed samples that meet site 0."""
+    from causal_fields.cca import check_invariance, identity_invariance, translation_action
+
+    rng = np.random.default_rng(13)
+    pairs = window_morphisms(0, 2, -3, 3, 3)
+    triples = [(s, g, d) for s, g, d in composable_triples(pairs) if s != g != d and d]
+    pairs = pairs[::6]
+    quads = sample_separated_quads(rng, 12, lo=-2, hi=2)
+    words = [(("tau_p", 1),), (("tau_m", -1),)]
+    return {
+        "functoriality": check_functoriality(theory, triples),
+        "monoidality": check_monoidality(theory, quads),
+        "no-signalling": check_environment(theory, pairs, [(s, g) for s, _, g, _ in quads]),
+        "reversal": check_reversal(theory, reversal, sample_zigzag_chain_pairs(rng, 12)),
+        "invariance": check_invariance(
+            theory, translation_action(1), identity_invariance(theory), words, pairs,
+            word_pairs=[(words[0], words[1])], slice_samples=[sl(0, 0), sl(0, 0, 1)],
+        ),
+    }
+
+
+def test_float_checkers_fail_closed_on_nan():
+    # a NaN cell matrix at one site gives a NaN comparison in every float
+    # checker: each report fails on it and takes the clean theory's samples
+    config = dirac_config(0.4, 0.1)
+    clean, reversal = build_cca(config), build_reversal(config)
+    broken = _position_dependent(clean, (0,), np.full((4, 4), np.nan, dtype=complex))
+    reference = _float_checks(clean, reversal)
+    for law, report in _float_checks(broken, reversal).items():
+        assert reference[law].ok, law
+        assert not report.ok, law
+        assert "NaN" in [v["deviation"] for v in report.to_json()["violations"]], law
+        assert report.samples == reference[law].samples, law

@@ -23,7 +23,6 @@ from causal_fields.errors import (
     NotUnitary,
     ShapeMismatch,
 )
-from causal_fields.field_theory import _deviations
 
 from helpers import compile_kernel_oracle, dense_superoperator, random_density, random_unitary
 
@@ -353,6 +352,18 @@ def test_nan_kernel_fails_closed():
         assert np.isnan(P.deviation(f, ident, tol=1e-10))
         assert not P.morphisms_equal(f, ident)
         assert not P.morphisms_equal(f, f)
+
+
+def test_library_float_warning_fails_the_suite():
+    # pyproject.toml turns a numpy RuntimeWarning raised in library code
+    # into an error: here an overflow in states_equal's subtraction, which
+    # reads inf and so compares unequal, fails the test unless the site
+    # opts in with np.errstate
+    a, b = P.state(cobj(2), [1e308, 0.0]), P.state(cobj(2), [-1e308, 0.0])
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        P.states_equal(a, b)
+    with np.errstate(over="ignore"):
+        assert not P.states_equal(a, b)
 
 
 def test_compile_refuses_large_domain():
@@ -1011,7 +1022,7 @@ def test_prop_comparison_memo_is_exact(f, tol, data):
     exact, calls = P.deviation, []
     P.deviation = lambda *args: calls.append(args) or exact(*args)
     try:
-        deviation = _deviations()
+        deviation = P.deviation_memo()
         for again in (False, True):
             for a, b, t, new in runs:
                 before = len(calls)
