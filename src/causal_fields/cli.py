@@ -58,6 +58,7 @@ from .order import (
     Window,
     build_explicit,
     causal_paths,
+    covers_to_json,
     diamond,
     event_id,
     future,
@@ -70,6 +71,7 @@ from .order import (
     parse_lattice_event,
     past,
     past_domain,
+    window_covers,
 )
 from .report import Report
 from .slices import (
@@ -89,7 +91,10 @@ _RANGE = re.compile(r"^-?\d+(\.\.|:)-?\d+$")
 def _parse_range(text: str) -> tuple[int, int]:
     sep = ".." if ".." in text else ":"
     lo, _, hi = text.partition(sep)
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise BadParams(f"a range is 'lo..hi' or 'lo:hi' with integer ends, not {text!r}") from None
 
 
 def _rewrite_ranges(argv: list[str]) -> list[str]:
@@ -155,9 +160,10 @@ def _gen_diamond(args) -> int:
     t0, t1 = _parse_range(args.t)
     lo, hi = _parse_range(args.x)
     d = args.d
+    if d < 1:
+        raise BadParams(f"--d must be >= 1, not {d}")
     win = Window(t0, t1, (lo,) * d, (hi,) * d)
-    omega = materialize(lattice(d), win)
-    _emit(order_to_json(omega), args.out)
+    _emit(covers_to_json(*window_covers(lattice(d), win)), args.out)
     return 0
 
 
@@ -201,7 +207,9 @@ def _gen_file(args) -> int:
 def _load_order(args):
     omega = order_from_json(_load_json(args.order))
     if isinstance(omega, DiamondLattice) and getattr(args, "window", None):
-        t_rng, x_rng = args.window.split(",", 1)
+        t_rng, comma, x_rng = args.window.partition(",")
+        if not comma:
+            raise BadParams(f"--window is 't0..t1,lo..hi', not {args.window!r}")
         t0, t1 = _parse_range(t_rng)
         lo, hi = _parse_range(x_rng)
         return omega, Window(t0, t1, (lo,) * omega.d, (hi,) * omega.d)
@@ -247,10 +255,9 @@ def _cmd_query(args) -> int:
         _emit({"diamond": _event_list(box)}, args.out)
         return 0
     if what == "paths":
-        paths = [
-            [event_id(e) for e in p]
-            for p in causal_paths(omega, one_event(args.src), one_event(args.dst))
-        ]
+        src, dst = one_event(args.src), one_event(args.dst)
+        ids = {e: event_id(e) for e in diamond(omega, src, dst)}
+        paths = [list(map(ids.__getitem__, p)) for p in causal_paths(omega, src, dst)]
         _emit({"paths": sorted(paths)}, args.out)
         return 0
     if what == "slices":

@@ -9,6 +9,7 @@ integers satisfying the parity constraint ``xs[i] == t (mod 2)``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -334,28 +335,53 @@ class Window:
     hi: tuple[int, ...]
 
 
+def _level_ranges(d: int, window: Window, t: int) -> list[range]:
+    """Per coordinate, the window's values of the parity of time t."""
+    return [range(window.lo[i] + (window.lo[i] - t) % 2, window.hi[i] + 1, 2) for i in range(d)]
+
+
 def window_events(omega: DiamondLattice, window: Window) -> Iterator[Event]:
-    d = omega.d
     for t in range(window.t0, window.t1 + 1):
-        ranges = []
-        for i in range(d):
-            lo = window.lo[i] + ((window.lo[i] - t) % 2)
-            ranges.append(range(lo, window.hi[i] + 1, 2))
-        for xs in itertools.product(*ranges):
+        for xs in itertools.product(*_level_ranges(omega.d, window, t)):
             yield (t, xs)
+
+
+def window_covers(omega: DiamondLattice, window: Window) -> tuple[list, list[tuple[int, int]]]:
+    """The events of a lattice window, in ``window_events`` order, and its
+    covers as index pairs, in ``ExplicitOrder.hasse_edges`` order.
+
+    The covers are the in-window immediate steps.  Each spans one time
+    level, so none lies above another and the list is already the
+    transitive reduction: no closure is needed to write the window out.
+    A level's events are the product of its coordinate ranges, so a step
+    x -> x +- 1 in each coordinate is an index offset in the next level,
+    and the product of the offsets lists a cover's heads in index order.
+    """
+    levels = {t: _level_ranges(omega.d, window, t) for t in range(window.t0, window.t1 + 1)}
+    events, first = [], {}
+    for t, ranges in levels.items():
+        first[t] = len(events)
+        events.extend((t, xs) for xs in itertools.product(*ranges))
+    covers = []
+    for t, ranges in levels.items():
+        nxt = t + omega.arrow
+        if nxt not in levels:
+            continue
+        heads = levels[nxt]
+        strides = [math.prod(map(len, heads[i + 1:])) for i in range(omega.d)]
+        offsets = [
+            [[w * r1.index(y) for y in (x - 1, x + 1) if y in r1] for x in r0]
+            for r0, r1, w in zip(ranges, heads, strides)
+        ]
+        for i, per_coordinate in enumerate(itertools.product(*offsets), first[t]):
+            covers.extend((i, first[nxt] + sum(o)) for o in itertools.product(*per_coordinate))
+    return events, covers
 
 
 def materialize(omega: DiamondLattice, window: Window) -> ExplicitOrder:
     """The explicit finite order induced on a window of a lattice."""
-    events = list(window_events(omega, window))
-    have = set(events)
-    edges = [
-        (e, s)
-        for e in events
-        for s in omega.immediate_successors(e)
-        if s in have
-    ]
-    return ExplicitOrder(events, edges)
+    events, covers = window_covers(omega, window)
+    return ExplicitOrder(events, [(events[i], events[j]) for i, j in covers])
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +398,7 @@ def future(omega: CausalOrder, a: Iterable[Event], window: Window | None = None)
     a = frozenset(a)
     _require_all(omega, a)
     if omega.is_finite:
-        out: set = set()
-        for e in a:
-            out |= omega.up_set(e)
-        return frozenset(out)
+        return frozenset(omega._bits_to_events(omega._span(omega._mask(a), omega._up)))
     if window is None:
         raise UnboundedQuery("future on a lattice order needs a window")
     return frozenset(
@@ -384,6 +407,10 @@ def future(omega: CausalOrder, a: Iterable[Event], window: Window | None = None)
 
 
 def past(omega: CausalOrder, a: Iterable[Event], window: Window | None = None) -> frozenset:
+    """The down-closure of a set of events: the future in the reversed
+    order, read off the down-sets on finite orders."""
+    if omega.is_finite:
+        return frozenset(omega._bits_to_events(omega._span(omega._mask(a), omega._down)))
     return future(reverse(omega), a, window)
 
 
@@ -470,8 +497,14 @@ def causal_paths(omega: CausalOrder, x: Event, y: Event) -> Iterator[tuple]:
 
     A chain between fixed endpoints is maximal exactly when consecutive
     members are Hasse-adjacent, so paths are depth-first walks along
-    immediate successors inside the diamond from x to y.
+    immediate successors inside the diamond from x to y.  On finite orders
+    the walk runs on event indices, along ``_succ`` inside the diamond's
+    bitset ``up[x] & down[y]``, which is empty unless x <= y.
     """
+    if omega.is_finite:
+        xi, yi = omega.require_event(x), omega.require_event(y)
+        yield from _walks(omega._succ, xi, yi, omega._up[xi] & omega._down[yi], omega.events)
+        return
     omega.require_event(x)
     omega.require_event(y)
     if not omega.leq(x, y):
@@ -488,6 +521,37 @@ def causal_paths(omega: CausalOrder, x: Event, y: Event) -> Iterator[tuple]:
                 yield from walk(prefix + [s])
 
     yield from walk([x])
+
+
+def _walks(succ: Sequence[Sequence[int]], x: int, y: int, box: int, events: Sequence) -> Iterator[tuple]:
+    """The walks from x to y along ``succ`` that stay inside the bitset
+    ``box``, depth first with successors in ``succ`` order, as tuples of
+    ``events``.  With ``box = up[x] & down[y]`` every member lies on such a
+    walk, so the search meets no dead end."""
+    if not (box >> x) & 1:
+        return
+    if x == y:
+        yield (events[x],)
+        return
+    inside, bits = {}, box
+    while bits:
+        b = bits & -bits
+        i = b.bit_length() - 1
+        inside[i] = [(s, events[s]) for s in succ[i] if (box >> s) & 1]
+        bits ^= b
+    path, stack = [events[x]], [iter(inside[x])]
+    while stack:
+        for s, e in stack[-1]:
+            path.append(e)
+            if s == y:
+                yield tuple(path)
+                path.pop()
+            else:
+                stack.append(iter(inside[s]))
+            break
+        else:
+            stack.pop()
+            path.pop()
 
 
 def is_region(omega: CausalOrder, s: Iterable[Event]) -> bool:
@@ -628,20 +692,27 @@ def pullback_slice(f: OrderMorphism, sigma: Iterable[Event]) -> tuple[ExplicitOr
 def event_id(e: Event) -> str:
     """Serialise an event id: lattice events as "t,x1,...,xd"."""
     if isinstance(e, tuple) and len(e) == 2 and isinstance(e[1], tuple):
-        return ",".join(str(v) for v in (e[0], *e[1]))
+        return ",".join(map(str, (e[0], *e[1])))
     return str(e)
 
 
 def parse_lattice_event(s: str) -> Event:
-    parts = [int(p) for p in s.split(",")]
+    try:
+        parts = [int(p) for p in s.split(",")]
+    except ValueError:
+        raise BadParams(f"a lattice event id is 't,x1,...,xd' with integer entries, not {s!r}") from None
     return (parts[0], tuple(parts[1:]))
 
 
+def covers_to_json(events: Sequence[Event], covers: Iterable[tuple[int, int]]) -> dict:
+    """The ``order_to_json`` layout from events and covers given as index
+    pairs, formatting each event id once."""
+    ids = [event_id(e) for e in events]
+    return {"events": ids, "hasse": [[ids[i], ids[j]] for i, j in covers]}
+
+
 def order_to_json(omega: ExplicitOrder) -> dict:
-    return {
-        "events": [event_id(e) for e in omega.events],
-        "hasse": [[event_id(a), event_id(b)] for a, b in omega.hasse_edges()],
-    }
+    return covers_to_json(omega.events, ((x, y) for x, ys in enumerate(omega._succ) for y in ys))
 
 
 def order_from_json(obj: dict) -> CausalOrder:

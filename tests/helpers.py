@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from causal_fields.order import ExplicitOrder, build_explicit
+from causal_fields.order import ExplicitOrder, build_explicit, event_id, window_events
 
 
 def random_dag(rng, max_events: int = 10, p: float = 0.3) -> ExplicitOrder:
@@ -81,6 +81,57 @@ def reachable_oracle(omega, x, y, max_depth: int = 64) -> bool:
             break
         seen |= frontier
     return y in seen
+
+
+def shuffled_dag(rng, max_events: int = 10, p: float = 0.3) -> ExplicitOrder:
+    """A random order whose event list is not a linear extension, built
+    from edges that include redundant (transitive) ones."""
+    omega = random_dag(rng, max_events, p)
+    events = list(omega.events)
+    rng.shuffle(events)
+    edges = [(a, b) for a in events for b in events if a != b and omega.leq(a, b)]
+    return build_explicit(events, [edges[i] for i in rng.permutation(len(edges))])
+
+
+# (t0, t1, lo, hi) of lattice windows: a box, empty ones (time and
+# coordinate ranges reversed), one level, one column, and an offset box
+BOX_WINDOWS = [(0, 4, -3, 3), (3, 0, -3, 3), (0, 4, 3, -3), (2, 2, -3, 3), (0, 4, 1, 1), (-2, 1, -4, 2)]
+
+
+def window_order_oracle(omega, window) -> ExplicitOrder:
+    """The closure route to a lattice window: its in-window successor
+    edges through ``ExplicitOrder`` (toposort, closure and reduction)."""
+    events = list(window_events(omega, window))
+    have = set(events)
+    edges = [(e, s) for e in events for s in omega.immediate_successors(e) if s in have]
+    return ExplicitOrder(events, edges)
+
+
+def order_json_oracle(omega: ExplicitOrder) -> dict:
+    """The interchange layout written from the public accessors, one
+    ``event_id`` call per mention."""
+    return {
+        "events": [event_id(e) for e in omega.events],
+        "hasse": [[event_id(a), event_id(b)] for a, b in omega.hasse_edges()],
+    }
+
+
+def causal_paths_oracle(omega, x, y) -> list[tuple]:
+    """Depth-first walks from x to y along ``immediate_successors``, kept
+    inside the diamond {z : x <= z <= y} found by brute force."""
+    box = {z for z in omega.events if omega.leq(x, z) and omega.leq(z, y)}
+    if x not in box:
+        return []
+
+    def walk(prefix):
+        if prefix[-1] == y:
+            yield tuple(prefix)
+            return
+        for s in omega.immediate_successors(prefix[-1]):
+            if s in box:
+                yield from walk(prefix + [s])
+
+    return list(walk([x]))
 
 
 def all_subsets(items, max_size=None):

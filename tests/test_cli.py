@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from causal_fields import cli, process as P
+from causal_fields import cli, order, process as P
 from causal_fields.cca import (
     PartitionedCCAConfig,
     cca_config_to_json,
@@ -16,6 +16,9 @@ from causal_fields.cca import (
     window_morphisms,
 )
 from causal_fields.cli import main
+from causal_fields.order import Window, lattice
+
+from helpers import BOX_WINDOWS, order_json_oracle, window_order_oracle
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
@@ -49,6 +52,30 @@ def test_gen_diamond_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     assert main(["gen", "file", "--in", str(out), "--out", str(again)]) == 0
     assert read(again) == blob
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("t0, t1, lo, hi", BOX_WINDOWS)
+def test_gen_diamond_bytes_match_the_closure_route(tmp_path, d, t0, t1, lo, hi):
+    out = tmp_path / "order.json"
+    assert main(["gen", "diamond", "--d", str(d), "--t", f"{t0}..{t1}", "--x", f"{lo}..{hi}",
+                 "--out", str(out)]) == 0
+    want = order_json_oracle(window_order_oracle(lattice(d), Window(t0, t1, (lo,) * d, (hi,) * d)))
+    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+def test_gen_diamond_builds_no_closure(tmp_path, monkeypatch):
+    # the window is written from its covers: no ExplicitOrder, so no
+    # reachability closure or reduction, is built on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen diamond built an ExplicitOrder")
+
+    monkeypatch.setattr(order.ExplicitOrder, "__init__", refuse)
+    out = tmp_path / "order.json"
+    assert main(["gen", "diamond", "--d", "2", "--t", "0..4", "--x", "-3..3", "--out", str(out)]) == 0
+    assert len(read(out)["events"]) > 0
+    with pytest.raises(AssertionError, match="ExplicitOrder"):
+        order.materialize(lattice(1), Window(0, 1, (0,), (1,)))
 
 
 def test_gen_honeycomb_quotient(tmp_path):
@@ -157,6 +184,28 @@ def test_query_lattice_window(tmp_path, capsys):
                  "--window", "0:1,-2:2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"future": ["0,0", "1,-1", "1,1"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "diamond", "--d", "0", "--t", "0..2", "--x", "-2..2"],
+    ["gen", "diamond", "--d", "-1", "--t", "0..2", "--x", "-2..2"],
+    ["gen", "diamond", "--t", "5", "--x", "-2..2"],
+    ["gen", "diamond", "--t", "0..x", "--x", "-2..2"],
+    ["gen", "diamond", "--t", "0..2", "--x", "..2"],
+    ["gen", "honeycomb", "--t", "0..2", "--x", "-2"],
+    ["query", "future", "--order", "LATTICE", "--window", "0..2", "--events", "0,0"],
+    ["query", "future", "--order", "LATTICE", "--window", "0..2,-2..b", "--events", "0,0"],
+    ["query", "future", "--order", "LATTICE", "--window", "0..2,-2..2", "--events", "0,x"],
+    ["query", "paths", "--order", "LATTICE", "--from", "0,0", "--to", "2,"],
+    ["query", "dplus", "--order", "LATTICE", "--events", "a,b"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_cli_input_is_a_usage_error(tmp_path, argv, capsys):
+    lat = tmp_path / "lattice.json"
+    lat.write_text(json.dumps({"lattice": {"d": 1}}))
+    assert main([str(lat) if a == "LATTICE" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_query_unknown_event_exit(fork_file, capsys):

@@ -18,6 +18,7 @@ from causal_fields.order import (
     build_explicit,
     causal_paths,
     check_morphism,
+    covers_to_json,
     diamond,
     epi_mono_factor,
     event_id,
@@ -39,10 +40,22 @@ from causal_fields.order import (
     region_between,
     region_refinement_factor,
     reverse,
+    window_covers,
     window_events,
 )
 
-from helpers import all_subsets, future_domain_oracle, maximal_chains, random_dag, reachable_oracle
+from helpers import (
+    BOX_WINDOWS,
+    all_subsets,
+    causal_paths_oracle,
+    future_domain_oracle,
+    maximal_chains,
+    order_json_oracle,
+    random_dag,
+    reachable_oracle,
+    shuffled_dag,
+    window_order_oracle,
+)
 
 CHAIN = build_explicit(["a", "b", "c"], [("a", "b"), ("b", "c")])
 FORK = build_explicit(["a", "b", "c"], [("a", "c"), ("b", "c")])
@@ -471,6 +484,23 @@ def test_materialize_window():
     assert ev(1, 3) not in set(omega.events)
 
 
+@pytest.mark.parametrize("arrow", [1, -1])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("t0, t1, lo, hi", BOX_WINDOWS)
+def test_window_covers_are_the_closure_route(d, arrow, t0, t1, lo, hi):
+    omega = lattice(d) if arrow == 1 else reverse(lattice(d))
+    win = Window(t0, t1, (lo,) * d, (hi,) * d)
+    want = window_order_oracle(omega, win)
+    events, covers = window_covers(omega, win)
+    assert tuple(events) == want.events
+    assert [(events[i], events[j]) for i, j in covers] == want.hasse_edges()
+    got = materialize(omega, win)
+    assert got.events == want.events
+    assert got.hasse_edges() == want.hasse_edges()
+    assert got == want
+    assert covers_to_json(events, covers) == order_to_json(got) == order_json_oracle(want)
+
+
 def test_json_roundtrip():
     blob = order_to_json(CHAIN)
     again = order_from_json(blob)
@@ -647,3 +677,22 @@ def test_prop_domains_match_chain_oracle(omega, seed):
         a = frozenset(e for e in omega.events if rng.random() < 0.4)
         assert future_domain(omega, a) == future_domain_oracle(omega, a)
         assert past_domain(omega, a) == future_domain_oracle(rev, a)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_prop_causal_paths_match_the_diamond_walk(seed):
+    # every pair, so x == y and pairs with x not <= y are included
+    omega = shuffled_dag(np.random.default_rng(seed), max_events=8, p=0.5)
+    for x, y in itertools.product(omega.events, repeat=2):
+        assert list(causal_paths(omega, x, y)) == causal_paths_oracle(omega, x, y)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_prop_past_is_the_future_of_the_reverse(seed):
+    omega = shuffled_dag(np.random.default_rng(seed), max_events=8, p=0.4)
+    rev = reverse(omega)
+    for a in all_subsets(omega.events, max_size=3):
+        assert past(omega, a) == future(rev, a)
+        assert past(omega, a) == {x for x in omega.events if any(omega.leq(x, e) for e in a)}

@@ -366,6 +366,21 @@ def test_library_float_warning_fails_the_suite():
         assert not P.states_equal(a, b)
 
 
+def test_numpy_frame_float_warning_fails_the_suite():
+    # np.tensordot in _apply_on_axes warns from NumPy's own frame: a
+    # classical 1e300 step applied twice overflows in its dot.  The
+    # pyproject.toml filter must catch that too; the overflow reads inf,
+    # and the comparison fails closed
+    c = cobj(2)
+    m = np.array([[1e300, 0.0], [0.0, 1.0]])
+    f = P.ProcMorphism(c, c, (("matrix", m, (0,)), ("matrix", m, (0,))))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        P.compile_kernel(f)
+    with np.errstate(over="ignore"):
+        assert np.isinf(P.compile_kernel(f)[0, 0])
+        assert not P.morphisms_equal(f, P.identity(c))
+
+
 def test_compile_refuses_large_domain():
     f = P.identity(qobj(P._MAX_COMPILE_DIM + 1))
     with pytest.raises(ShapeMismatch):
