@@ -29,7 +29,7 @@ restriction followed by single steps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -189,13 +189,16 @@ def foliation_category_of_lattice(d: int, reversed_: bool = False) -> LatticeSli
 @dataclass(frozen=True, eq=False)
 class PartitionedCCAConfig:
     """Spatial dimension, cell dimension, and the scattering matrix acting
-    on the cell (one tensor factor per neighbourhood direction)."""
+    on the cell (one tensor factor per neighbourhood direction).  ``cell``,
+    not an argument, is the effective scattering checked once as the cell
+    matrix (``_cell_matrix``): every forward step kernel holds that array."""
 
     d: int
     cell_dim: int
     scattering: np.ndarray
     scattering_inv: np.ndarray | None = None
     backend: str = P.QUANTUM
+    cell: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1 or self.cell_dim < 1:
@@ -214,6 +217,7 @@ class PartitionedCCAConfig:
             raise BadParams(f"unknown backend {self.backend!r}")
         if self.scattering_inv is not None:
             P.require_finite(np.asarray(self.scattering_inv), "scattering inverse")
+        object.__setattr__(self, "cell", _cell_matrix(self, effective_scattering(self)))
 
     @property
     def directions(self) -> list[Coord]:
@@ -325,42 +329,36 @@ def restriction_kernel(config: PartitionedCCAConfig, xs: Sites, ys: Sites) -> P.
     return P.discard(slice_object(config, xs), drop)
 
 
-def one_step_kernel(
-    config: PartitionedCCAConfig, ys: Sites, xs: Sites, *, cell: np.ndarray | None = None
-) -> P.ProcMorphism:
+def one_step_kernel(config: PartitionedCCAConfig, ys: Sites, xs: Sites) -> P.ProcMorphism:
     """One synchronous step: scatter at every source event, discard the
     outputs not aimed at the target slice, and re-index the kept factors
-    by their destination events.  ``cell`` is the checked effective
-    scattering (``_cell_matrix``) that a theory computes once; without it
-    the effective scattering is computed and checked here."""
+    by their destination events.  Every cell holds ``config.cell``, the
+    effective scattering the configuration checked when it was built."""
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact predecessor set of the target")
     dirs = config.directions
     cells = [[(y, dlt) for dlt in dirs] for y in sorted(ys)]
     route = {(y, dlt): (_sub(y, dlt), dlt) for y in ys for dlt in dirs if _sub(y, dlt) in xs}
-    if cell is None:
-        cell = _cell_matrix(config, effective_scattering(config))
-    return _scatter_and_route(config, ys, cell, cells, route)
+    return _scatter_and_route(config, ys, config.cell, cells, route)
 
 
 def reverse_one_step_kernel(
-    config: PartitionedCCAConfig, v_inv: np.ndarray, ys: Sites, xs: Sites, *, checked: bool = False
+    config: PartitionedCCAConfig, v_inv: np.ndarray, ys: Sites, xs: Sites
 ) -> P.ProcMorphism:
     """One reverse step: for each reconstructed event, apply the inverse of
     the effective scattering to the factors that its forward scattering
     produced (the incoming-from-``dlt`` factors of the events ``x - dlt``),
-    and discard the rest.  ``checked`` says that ``v_inv`` already is a
-    checked cell matrix (``_cell_matrix``), as a reversal theory's is;
-    otherwise it is checked here."""
+    and discard the rest.  ``v_inv`` is checked here as the cell matrix
+    (``_cell_matrix``); a matrix that already passed keeps its identity, so
+    the kernels of one reversal theory all hold its one checked array."""
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact reverse predecessor set")
     dirs = config.directions
     cells = [[(_sub(x, dlt), dlt) for dlt in dirs] for x in sorted(xs)]
     route = {(_sub(x, dlt), dlt): (x, dlt) for x in xs for dlt in dirs}
-    cell = v_inv if checked else _cell_matrix(config, v_inv)
-    return _scatter_and_route(config, ys, cell, cells, route)
+    return _scatter_and_route(config, ys, _cell_matrix(config, v_inv), cells, route)
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +391,16 @@ def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: in
     return steps
 
 
-def _lattice_theory(config: PartitionedCCAConfig, direction: int, mat, label: str) -> FieldTheory:
+def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, label: str) -> FieldTheory:
     """A field theory on the constant-time foliation (reversed when
     ``direction`` is -1): slice objects and slots of the automaton, and
-    morphisms as the factorisation's restriction followed by one step
-    kernel per time step, ``one_step_kernel`` forward and
-    ``reverse_one_step_kernel`` backward.  The cell matrix ``mat`` (the
-    effective scattering, or its inverse backward) is checked here, once,
-    and every step kernel holds that one checked array."""
+    morphisms as the factorisation's restriction followed by one
+    ``step_kernel(src, tgt)`` per time step."""
     cat = foliation_category_of_lattice(config.d, reversed_=direction < 0)
-    cell = _cell_matrix(config, mat)
 
     def sites_of(sigma) -> Sites:
         s = LatticeSlice.from_events(sigma)
         return s.sites if s else frozenset()
-
-    def step_kernel(src, tgt) -> P.ProcMorphism:
-        if direction > 0:
-            return one_step_kernel(config, src, tgt, cell=cell)
-        return reverse_one_step_kernel(config, cell, src, tgt, checked=True)
 
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
         kernels = [
@@ -432,11 +421,12 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, mat, label: st
 
 def build_cca(config: PartitionedCCAConfig) -> FieldTheory:
     """The partitioned automaton as a field theory on the constant-time
-    foliation category of the diamond lattice."""
-    return _lattice_theory(config, 1, effective_scattering(config), "partitioned-cca")
+    foliation category of the diamond lattice; its steps are
+    ``one_step_kernel``, so every step kernel holds ``config.cell``."""
+    return _lattice_theory(config, 1, lambda src, tgt: one_step_kernel(config, src, tgt), "partitioned-cca")
 
 
-def scattering_inverse(config: PartitionedCCAConfig, tol: float = P.VALIDITY_TOL) -> np.ndarray:
+def scattering_inverse(config: PartitionedCCAConfig) -> np.ndarray:
     """The validated inverse of the scattering map; invertibility means
     invertibility as a backend morphism (unitary / permutation)."""
     u = np.asarray(config.scattering)
@@ -446,13 +436,13 @@ def scattering_inverse(config: PartitionedCCAConfig, tol: float = P.VALIDITY_TOL
         u_inv = u.conj().T if u_inv is None else np.asarray(u_inv)
     else:
         is_perm = np.all(np.isin(np.round(u, 12), (0.0, 1.0))) and np.all(
-            np.abs(u.sum(axis=1) - 1) <= tol
+            np.abs(u.sum(axis=1) - 1) <= P.VALIDITY_TOL
         )
         if not is_perm:
             raise NotInvertible("classical scattering is invertible only for permutations")
         u_inv = config.scattering_inv
         u_inv = u.T if u_inv is None else np.asarray(u_inv)
-    if not (np.max(np.abs(u @ u_inv - np.eye(m))) <= tol):
+    if not (np.max(np.abs(u @ u_inv - np.eye(m))) <= P.VALIDITY_TOL):
         raise NotInvertible("scattering inverse does not invert the scattering")
     return u_inv
 
@@ -460,8 +450,15 @@ def scattering_inverse(config: PartitionedCCAConfig, tol: float = P.VALIDITY_TOL
 def reversal_theory(config: PartitionedCCAConfig, v_inv: np.ndarray) -> FieldTheory:
     """The reverse-time field theory built from a given inverse of the
     *effective* scattering.  ``v_inv`` is checked as a cell matrix
-    (unitary / stochastic) but not as an inverse: see build_reversal."""
-    return _lattice_theory(config, -1, v_inv, "partitioned-cca-reversal")
+    (unitary / stochastic) here, when the theory is built, but not as an
+    inverse: see build_reversal.  Its steps are ``reverse_one_step_kernel``
+    of that checked array, which every step kernel then holds."""
+    cell = _cell_matrix(config, v_inv)
+
+    def step(src, tgt) -> P.ProcMorphism:
+        return reverse_one_step_kernel(config, cell, src, tgt)
+
+    return _lattice_theory(config, -1, step, "partitioned-cca-reversal")
 
 
 def build_reversal(config: PartitionedCCAConfig) -> FieldTheory:
@@ -631,17 +628,17 @@ def window_slices(d1_t: int, lo: int, hi: int, max_sites: int) -> list:
     return out
 
 
-def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int, d: int = 1) -> list:
+def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int) -> list:
     """Every slice morphism between windowed d=1 slices (including into
     the empty slice), in source-major, target-minor order.
 
-    Decides ``cat.hom`` for every pair with each slice parsed once and each
+    Decides the foliation category's ``hom`` for every pair (every window
+    slice is one of its objects) with each slice parsed once and each
     target's cone cast once per time gap."""
-    cat = foliation_category_of_lattice(d)
     all_slices = []
     for t in range(t0, t1 + 1):
         all_slices.extend(window_slices(t, lo, hi, max_sites))
-    members = [(s, LatticeSlice.from_events(s)) for s in all_slices if cat.contains(s)]
+    members = [(s, LatticeSlice.from_events(s)) for s in all_slices]
     cones: dict = {}
     pairs = []
     for s, ls in members:
@@ -654,7 +651,7 @@ def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int, d: int 
             k = lg.t - ls.t
             cone = cones.get((j, k))
             if cone is None:
-                cone = cones[(j, k)] = expand_sites(lg.sites, k, d)
+                cone = cones[(j, k)] = expand_sites(lg.sites, k, 1)
             if cone <= ls.sites:
                 pairs.append((s, g))
     return pairs
@@ -708,31 +705,50 @@ def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int =
     return out
 
 
-def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2, t0: int = 0) -> list:
-    """Pairs of alternating forward/reverse chains with equal endpoints.
+def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2) -> list:
+    """Pairs of alternating forward/reverse chains from time 0, with equal
+    endpoints.
 
-    Chains are built from nested site intervals so every cone condition
-    holds by construction; reverse steps of time-gap zero (restrictions in
-    the reversed category) keep the interval widths small.
+    Slices are site intervals around one centre, and a link of time gap
+    ``g`` (forward, then backward, in turn) goes from ``w + g`` sites to
+    ``w``.  The ``g``-step cone of the target is then exactly the source,
+    in either time direction, and narrowing the last slice keeps it inside:
+    every chain is valid by construction, so none is checked.  Reverse
+    links of gap zero (restrictions backwards) keep the widths small.
     """
+    budget = 3  # cap on nonzero time gaps, keeps dimensions small
 
     def interval(t, centre, n_sites):
         start = centre - (n_sites - 1)
         start = start + ((start - t) % 2)
         return frozenset((t, (start + 2 * i,)) for i in range(n_sites))
 
-    def build_chain(gaps, final_sites, centre):
-        # pattern: up g0 | down g1 | up g2 | ... (an odd number of segments)
-        sizes = [final_sites]
-        for g in reversed(gaps):
-            sizes.append(sizes[-1] + g)
-        sizes.reverse()  # sizes[i] = width before segment i
-        t = t0
-        chain = [interval(t, centre, sizes[0])]
+    def gaps_for(nz, net):
+        # pattern: up g0 | down g1 | up g2 | ... (an odd number of links)
+        segs = 2 * nz + 1
+        gaps = [0] * segs
+        ups = list(range(0, segs, 2))
+        downs = list(range(1, segs, 2))
+        # net time change = sum(up gaps) - sum(down gaps) must equal `net`
+        up_total = net
+        down_total = 0
+        extra = int(rng.integers(0, max(1, budget - net + 1)))
+        if downs and extra > 0:
+            up_total += extra
+            down_total += extra
+        for _ in range(up_total):
+            gaps[ups[int(rng.integers(len(ups)))]] += 1
+        for _ in range(down_total):
+            gaps[downs[int(rng.integers(len(downs)))]] += 1
+        return gaps
+
+    def chain(gaps, width, final, centre):
+        # link i starts from width - sum(gaps[:i]) sites
+        t, slices = 0, []
         for i, g in enumerate(gaps):
-            t = t + g if i % 2 == 0 else t - g
-            chain.append(interval(t, centre, sizes[i + 1]))
-        return chain
+            slices.append(interval(t, centre, width))
+            t, width = (t + g if i % 2 == 0 else t - g), width - g
+        return slices + [interval(t, centre, final)]
 
     out = []
     while len(out) < count:
@@ -740,59 +756,14 @@ def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2, t0: int = 0)
         m = int(rng.integers(0, max_zigzag + 1))
         final = int(rng.integers(1, 3))
         centre = int(rng.integers(-2, 3)) * 2
-        budget = 3  # cap on nonzero time gaps, keeps dimensions small
-
-        def gaps_for(nz, net):
-            segs = 2 * nz + 1
-            gaps = [0] * segs
-            ups = list(range(0, segs, 2))
-            downs = list(range(1, segs, 2))
-            # net time change = sum(up gaps) - sum(down gaps) must equal `net`
-            up_total = net
-            down_total = 0
-            extra = int(rng.integers(0, max(1, budget - net + 1)))
-            if downs and extra > 0:
-                up_total += extra
-                down_total += extra
-            for _ in range(up_total):
-                gaps[ups[int(rng.integers(len(ups)))]] += 1
-            for _ in range(down_total):
-                gaps[downs[int(rng.integers(len(downs)))]] += 1
-            return gaps
-
         net = int(rng.integers(0, 2))
         ga = gaps_for(n, net)
         gb = gaps_for(m, net)
-        if sum(ga) > 4 or sum(gb) > 4:
-            continue
-        wa = final + sum(ga)
-        wb = final + sum(gb)
-        width = max(wa, wb)
+        width = final + max(sum(ga), sum(gb))
         if width > 4:
             continue
-        chain_a = build_chain(ga, final + (width - wa), centre)
-        chain_b = build_chain(gb, final + (width - wb), centre)
-        # equal endpoints: rebuild with a common start width and final slice
-        start = interval(t0, centre, width)
-        chain_a[0] = start
-        chain_b[0] = start
-        end_t = t0 + net
-        end = interval(end_t, centre, final)
-        chain_a[-1] = end
-        chain_b[-1] = end
-        if _chain_valid(chain_a) and _chain_valid(chain_b):
-            out.append((chain_a, chain_b))
+        out.append((chain(ga, width, final, centre), chain(gb, width, final, centre)))
     return out
-
-
-def _chain_valid(chain, d: int = 1) -> bool:
-    fwd = foliation_category_of_lattice(d)
-    rev = foliation_category_of_lattice(d, reversed_=True)
-    for i, (a, b) in enumerate(itertools.pairwise(chain)):
-        cat = fwd if i % 2 == 0 else rev
-        if not cat.hom(a, b):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +844,7 @@ def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphi
     cells = [[((x,), dlt) for dlt in dirs] for x in range(sites)]
     route = {((x,), dlt): (((x - dlt[0]) % sites,), dlt) for x in range(sites) for dlt in dirs}
     ring = frozenset((x,) for x in range(sites))
-    return _scatter_and_route(config, ring, _cell_matrix(config, effective_scattering(config)), cells, route)
+    return _scatter_and_route(config, ring, config.cell, cells, route)
 
 
 def ring_site_marginals(config: PartitionedCCAConfig, diag: np.ndarray, sites: int) -> np.ndarray:

@@ -37,10 +37,8 @@ class ExplicitOrder:
     ``leq`` is O(1).  The stored edges are the transitive reduction of the
     supplied ones, so Hasse-adjacency queries (and hence causal paths and
     domains of dependence) are reliable even for redundant input.  The
-    build takes one big-integer OR per supplied edge and pass: up-sets in
-    reverse topological order, the reduction (an edge x -> y is a cover
-    unless y lies strictly above another successor of x), down-sets along
-    covers.
+    build takes two passes: up-sets and covers together in reverse
+    topological order, then down-sets along covers.
     """
 
     is_finite = True
@@ -60,14 +58,20 @@ class ExplicitOrder:
                 raise CycleDetected(f"self-loop at {a!r}")
             adj[self._index[a]].add(self._index[b])
         self._topo = self._toposort(adj)
-        self._up = self._closure(adj, reversed(self._topo))
-        self._succ, self._pred = [], [[] for _ in range(n)]
-        for x, outs in enumerate(adj):
-            above = 0
-            for b in outs:
-                above |= self._up[b] ^ (1 << b)
-            self._succ.append(tuple(y for y in sorted(outs) if not (above >> y) & 1))
-            for y in self._succ[x]:
+        # Up-sets and covers in one pass, each event after every event it
+        # reaches.  Successors are visited in topological order, so one above
+        # another is already in the accumulated up-set: it is not a cover.
+        rank = {x: i for i, x in enumerate(self._topo)}
+        self._up, self._succ, self._pred = [0] * n, [()] * n, [[] for _ in range(n)]
+        for x in reversed(self._topo):
+            acc, covers = 1 << x, []
+            for b in sorted(adj[x], key=rank.__getitem__):
+                if not (acc >> b) & 1:
+                    covers.append(b)
+                    acc |= self._up[b]
+            self._up[x], self._succ[x] = acc, tuple(sorted(covers))
+        for x, ys in enumerate(self._succ):
+            for y in ys:
                 self._pred[y].append(x)
         self._down = self._closure(self._pred, self._topo)
 
@@ -148,9 +152,6 @@ class ExplicitOrder:
             out.add(self.events[b.bit_length() - 1])
             bits ^= b
         return out
-
-    def up_set(self, x: Event) -> set:
-        return self._bits_to_events(self._up[self.require_event(x)])
 
     # -- event bitsets: bit i stands for ``events[i]`` ---------------------------
 
@@ -497,30 +498,22 @@ def causal_paths(omega: CausalOrder, x: Event, y: Event) -> Iterator[tuple]:
 
     A chain between fixed endpoints is maximal exactly when consecutive
     members are Hasse-adjacent, so paths are depth-first walks along
-    immediate successors inside the diamond from x to y.  On finite orders
-    the walk runs on event indices, along ``_succ`` inside the diamond's
-    bitset ``up[x] & down[y]``, which is empty unless x <= y.
+    immediate successors inside the diamond from x to y, run on event
+    indices by ``_walks``.  On finite orders the walk follows ``_succ``
+    inside the diamond's bitset ``up[x] & down[y]``, which is empty unless
+    x <= y; on lattices it follows ``immediate_successors`` inside the
+    indexed ``diamond``.
     """
     if omega.is_finite:
         xi, yi = omega.require_event(x), omega.require_event(y)
         yield from _walks(omega._succ, xi, yi, omega._up[xi] & omega._down[yi], omega.events)
         return
-    omega.require_event(x)
-    omega.require_event(y)
-    if not omega.leq(x, y):
+    events = list(diamond(omega, x, y))
+    if not events:
         return
-    box = diamond(omega, x, y)
-
-    def walk(prefix: list) -> Iterator[tuple]:
-        last = prefix[-1]
-        if last == y:
-            yield tuple(prefix)
-            return
-        for s in omega.immediate_successors(last):
-            if s in box:
-                yield from walk(prefix + [s])
-
-    yield from walk([x])
+    index = {e: i for i, e in enumerate(events)}
+    succ = [[index[s] for s in omega.immediate_successors(e) if s in index] for e in events]
+    yield from _walks(succ, index[x], index[y], (1 << len(events)) - 1, events)
 
 
 def _walks(succ: Sequence[Sequence[int]], x: int, y: int, box: int, events: Sequence) -> Iterator[tuple]:
@@ -733,10 +726,11 @@ def order_from_json(obj: dict) -> CausalOrder:
 
 def order_to_dot(omega: ExplicitOrder, name: str = "causal_order") -> str:
     """A DOT digraph of the Hasse diagram, nodes listed in a linear extension."""
+    quoted = {e: '"' + event_id(e).replace('"', '\\"') + '"' for e in omega.events}
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for e in omega.topological_order():
-        lines.append(f'  "{event_id(e)}";')
+        lines.append(f"  {quoted[e]};")
     for a, b in omega.hasse_edges():
-        lines.append(f'  "{event_id(a)}" -> "{event_id(b)}";')
+        lines.append(f"  {quoted[a]} -> {quoted[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -514,13 +514,13 @@ def transfer_matrix(f: ProcMorphism) -> np.ndarray:
     return compile_kernel(f)
 
 
-def _choi_maxdiff(x: np.ndarray, r: int, chunk: int = 512) -> float:
+def _choi_maxdiff(x: np.ndarray, r: int) -> float:
     """Max entry of |V V^dag - W W^dag| for stacked columns x = [V | W]
     with r columns in V: the max entrywise deviation between two Choi
     matrices.  NaN if any entry is NaN."""
     y = x.conj().T.copy()
-    y[r:] *= -1  # x @ y = V V^dag - W W^dag, one row block at a time
-    worst = [np.max(np.abs(x[r0:r0 + chunk] @ y)) for r0 in range(0, x.shape[0], chunk)]
+    y[r:] *= -1  # x @ y = V V^dag - W W^dag, 512 rows at a time
+    worst = [np.max(np.abs(x[r0:r0 + 512] @ y)) for r0 in range(0, x.shape[0], 512)]
     return float(np.max(worst))
 
 

@@ -116,10 +116,13 @@ def order_json_oracle(omega: ExplicitOrder) -> dict:
     }
 
 
-def causal_paths_oracle(omega, x, y) -> list[tuple]:
+def causal_paths_oracle(omega, x, y, universe=None) -> list[tuple]:
     """Depth-first walks from x to y along ``immediate_successors``, kept
-    inside the diamond {z : x <= z <= y} found by brute force."""
-    box = {z for z in omega.events if omega.leq(x, z) and omega.leq(z, y)}
+    inside the diamond {z : x <= z <= y} found by brute force over
+    ``universe`` (the order's events unless given; on a lattice, a set of
+    events holding the diamond)."""
+    universe = omega.events if universe is None else universe
+    box = {z for z in universe if omega.leq(x, z) and omega.leq(z, y)}
     if x not in box:
         return []
 

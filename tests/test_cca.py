@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -400,13 +402,20 @@ def test_reversal_wrong_inverse_reports_violation():
 
 @pytest.mark.parametrize("backend", ["quantum", "classical"])
 def test_theory_kernels_hold_one_checked_cell(backend):
-    # each theory checks its cell matrix once, and every step kernel it
-    # builds holds that array
+    # the configuration checks its cell matrix once: every forward step
+    # kernel and every ring step holds that very array, and the reverse
+    # kernels of one reversal theory all hold a single array
     c = cfg(u=SWAP.real if backend == "classical" else None, backend=backend)
     slices = [s for t in range(3) for s in window_slices(t, -3, 3, 3)]
-    for theory in (build_cca(c), build_reversal(c)):
+
+    def cells(theory) -> list:
         mors = [theory.mor(s, g) for s in slices for g in slices if g and theory.category.hom(s, g)]
-        assert len({id(m) for f in mors for _, m, _ in f.ops}) == 1
+        return [m for f in mors for _, m, _ in f.ops]
+
+    fwd = cells(build_cca(c)) + [m for _, m, _ in ring_step_morphism(c, 4).ops]
+    assert fwd and all(m is c.cell for m in fwd)
+    back = cells(build_reversal(c))
+    assert back and all(m is back[0] for m in back)
 
 
 @pytest.mark.parametrize("backend,bad", [
@@ -685,9 +694,13 @@ def test_sampled_quads_valid():
 
 
 def test_sampled_zigzag_chains_alternate():
-    from causal_fields.cca import _chain_valid
-
-    pairs = sample_zigzag_chain_pairs(np.random.default_rng(13), 15)
-    for a, b in pairs:
-        assert a[0] == b[0] and a[-1] == b[-1]
-        assert _chain_valid(a) and _chain_valid(b)
+    # the sampler checks no chain: each link must be a morphism of the
+    # forward category (even links) or of the reversed one (odd links)
+    cats = (foliation_category_of_lattice(1), foliation_category_of_lattice(1, reversed_=True))
+    for max_zigzag, seed in itertools.product(range(4), range(20)):
+        for a, b in sample_zigzag_chain_pairs(np.random.default_rng(seed), 8, max_zigzag=max_zigzag):
+            assert a[0] == b[0] and a[-1] == b[-1]
+            for chain in (a, b):
+                assert len(chain) % 2 == 0 and len(chain) <= 2 * max_zigzag + 2
+                for i, (src, tgt) in enumerate(itertools.pairwise(chain)):
+                    assert cats[i % 2].hom(src, tgt), (max_zigzag, seed, chain, i)

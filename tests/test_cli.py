@@ -177,6 +177,17 @@ def test_query_paths_singleton(fork_file, capsys):
     assert json.loads(capsys.readouterr().out) == {"paths": [["a"]]}
 
 
+def test_query_paths_on_a_long_lattice_diamond(tmp_path, capsys):
+    # a light-like diamond of 1,501 events has one path, walked without
+    # recursion
+    order = tmp_path / "lattice.json"
+    order.write_text(json.dumps({"lattice": {"d": 1}}))
+    argv = ["query", "paths", "--order", str(order), "--from", "0,0", "--to", "1500,1500"]
+    assert main(argv) == 0
+    (path,) = json.loads(capsys.readouterr().out)["paths"]
+    assert path == [f"{t},{t}" for t in range(1501)]
+
+
 def test_query_lattice_window(tmp_path, capsys):
     order = tmp_path / "lat.json"
     order.write_text(json.dumps({"lattice": {"d": 1}}))

@@ -200,6 +200,18 @@ def test_paths_lattice_two_routes():
     ]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("arrow", [1, -1])
+def test_lattice_paths_match_the_diamond_walk(d, arrow):
+    # every pair of a small window, x == y and unrelated pairs included;
+    # the oracle's universe is wide enough to hold every diamond
+    omega = lattice(d) if arrow > 0 else reverse(lattice(d))
+    events = list(window_events(lattice(d), Window(0, 3, (-2,) * d, (2,) * d)))
+    universe = list(window_events(lattice(d), Window(0, 3, (-5,) * d, (5,) * d)))
+    for x, y in itertools.product(events, repeat=2):
+        assert list(causal_paths(omega, x, y)) == causal_paths_oracle(omega, x, y, universe)
+
+
 def test_paths_empty_when_unrelated():
     assert list(causal_paths(FORK, "a", "b")) == []
 
@@ -522,6 +534,13 @@ def test_dot_export():
     dot = order_to_dot(CHAIN)
     assert dot.count("->") == 2
     assert '"a" -> "b"' in dot
+
+
+def test_dot_export_escapes_quotes():
+    # a '"' inside an id would end the DOT quoted id early
+    dot = order_to_dot(build_explicit(['a"b', "c"], [('a"b', "c")]))
+    assert '  "a\\"b";' in dot.splitlines()
+    assert '  "a\\"b" -> "c";' in dot.splitlines()
 
 
 # -- property tests --------------------------------------------------------------------------------
