@@ -28,6 +28,7 @@ restriction followed by single steps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -43,7 +44,14 @@ from .errors import (
     NotUnitary,
     WrongPredecessorSet,
 )
-from .field_theory import FieldTheory
+from .field_theory import (
+    FieldTheory,
+    check_environment,
+    check_functoriality,
+    check_monoidality,
+    check_reversal,
+    composable_triples,
+)
 from .order import (
     DiamondLattice,
     iterated_neighbourhood,
@@ -577,7 +585,7 @@ def check_invariance(
     morphism_samples,
     word_pairs=None,
     slice_samples=None,
-    tol: float = 1e-10,
+    tol: float = P.VALIDITY_TOL,
 ) -> Report:
     """Naturality squares of the invariance data, plus the composition rule
     for the natural isomorphisms on sampled word pairs."""
@@ -621,11 +629,8 @@ def window_leaf_sites(t: int, lo: int, hi: int) -> list:
 def window_slices(d1_t: int, lo: int, hi: int, max_sites: int) -> list:
     """All d=1 constant-time slices in a site box, as event sets."""
     sites = window_leaf_sites(d1_t, lo, hi)
-    out = []
-    for k in range(0, max_sites + 1):
-        for combo in itertools.combinations(sites, k):
-            out.append(frozenset((d1_t, x) for x in combo))
-    return out
+    return [frozenset((d1_t, x) for x in combo)
+            for k in range(max_sites + 1) for combo in itertools.combinations(sites, k)]
 
 
 def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int) -> list:
@@ -635,10 +640,8 @@ def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int) -> list
     Decides the foliation category's ``hom`` for every pair (every window
     slice is one of its objects) with each slice parsed once and each
     target's cone cast once per time gap."""
-    all_slices = []
-    for t in range(t0, t1 + 1):
-        all_slices.extend(window_slices(t, lo, hi, max_sites))
-    members = [(s, LatticeSlice.from_events(s)) for s in all_slices]
+    members = [(s, LatticeSlice.from_events(s))
+               for t in range(t0, t1 + 1) for s in window_slices(t, lo, hi, max_sites)]
     cones: dict = {}
     pairs = []
     for s, ls in members:
@@ -661,8 +664,13 @@ def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int =
     """Random (sigma, sigma', gamma, gamma') with both products defined and
     both morphisms present (d=1).  Mixes same-time restrictions with
     one-step evolutions, keeping the union slices at desk scale."""
-    out = []
     sites = [x for (x,) in window_leaf_sites(t0, lo, hi)]
+    anchors = [x for x in sites if x + 2 in sites]
+
+    def leaf(t, xs):
+        return frozenset((t, (x,)) for x in xs)
+
+    out = []
     while len(out) < count:
         kind = int(rng.integers(0, 3))
         if kind == 0:
@@ -670,14 +678,11 @@ def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int =
             u = int(rng.integers(2, 5))
             picks = sorted(int(x) for x in rng.choice(sites, size=min(u, len(sites)), replace=False))
             split = int(rng.integers(1, len(picks)))
-            left, right = picks[:split], picks[split:]
-            sig = frozenset((t0, (x,)) for x in left)
-            gam = frozenset((t0, (x,)) for x in right)
+            sig, gam = leaf(t0, picks[:split]), leaf(t0, picks[split:])
             sig_p = frozenset(e for e in sig if rng.random() < 0.7)
             gam_p = frozenset(e for e in gam if rng.random() < 0.7)
         elif kind == 1:
             # one-step evolution on one side, a discard on the other
-            anchors = [x for x in sites if x + 2 in sites]
             if not anchors:
                 continue
             a = int(rng.choice(anchors))
@@ -685,22 +690,18 @@ def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int =
             if not others:
                 continue
             b = int(rng.choice(others))
-            sig = frozenset({(t0, (a,)), (t0, (a + 2,))})
-            gam = frozenset({(t0, (b,))})
-            sig_p = frozenset({(t0 + 1, (a + 1,))})
-            gam_p = frozenset()
+            sig, gam = leaf(t0, (a, a + 2)), leaf(t0, (b,))
+            sig_p, gam_p = leaf(t0 + 1, (a + 1,)), frozenset()
         else:
             # one-step evolutions on both sides
-            anchors = [x for x in sites if x + 2 in sites]
             if len(anchors) < 2:
                 continue
             a, b = sorted(int(x) for x in rng.choice(anchors, size=2, replace=False))
             if b - a < 4:
                 continue
-            sig = frozenset({(t0, (a,)), (t0, (a + 2,))})
-            gam = frozenset({(t0, (b,)), (t0, (b + 2,))})
-            sig_p = frozenset({(t0 + 1, (a + 1,))}) if rng.random() < 0.8 else frozenset()
-            gam_p = frozenset({(t0 + 1, (b + 1,))}) if rng.random() < 0.8 else frozenset()
+            sig, gam = leaf(t0, (a, a + 2)), leaf(t0, (b, b + 2))
+            sig_p = leaf(t0 + 1, (a + 1,)) if rng.random() < 0.8 else frozenset()
+            gam_p = leaf(t0 + 1, (b + 1,)) if rng.random() < 0.8 else frozenset()
         out.append((sig, sig_p, gam, gam_p))
     return out
 
@@ -764,6 +765,69 @@ def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2) -> list:
             continue
         out.append((chain(ga, width, final, centre), chain(gb, width, final, centre)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the law-check suites: one sampling policy
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _check_window() -> tuple:
+    """Every slice morphism of the law-check window (1,220), built once per process."""
+    return tuple(window_morphisms(0, 3, -4, 6, 3))
+
+
+@functools.cache
+def _check_triples() -> tuple:
+    """Every composable triple of the check window (13,069), built once per process."""
+    return tuple(composable_triples(_check_window()))
+
+
+def _draw(rng, population, n: int) -> list:
+    """``n`` distinct members of ``population``; more than it holds is BadParams."""
+    if n > len(population):
+        raise BadParams(f"{n} samples asked for, but this suite draws from {len(population)}")
+    return [population[i] for i in rng.choice(len(population), size=n, replace=False)]
+
+
+# The CCA law-check suites, in the order the command line lists them.
+CHECK_SUITES = ("functoriality", "monoidality", "nosignalling", "reversal", "symmetry", "invariance")
+
+
+def check_suite(target: str, theory: FieldTheory, reversal: FieldTheory | None, rng,
+                samples: int, tol: float) -> Report:
+    """The law-check suite ``target`` on a d=1 theory, checking exactly the
+    ``samples`` samples it draws with ``rng`` (README, "The command line").
+    Window draws are without replacement: fewer than one sample, or more
+    than the window holds, is BadParams."""
+    if samples < 1:
+        raise BadParams("a law check needs at least one sample")
+    if target == "functoriality":
+        return check_functoriality(theory, _draw(rng, _check_triples(), samples), tol)
+    if target == "monoidality":
+        return check_monoidality(theory, sample_separated_quads(rng, samples), tol)
+    if target == "nosignalling":
+        morphisms = _draw(rng, _check_window(), samples)
+        products = [(s, g) for s, _, g, _ in sample_separated_quads(rng, samples)]
+        return check_environment(theory, morphisms, products, tol)
+    if target == "reversal":
+        if reversal is None:
+            raise BadParams("the reversal suite needs a reversal theory")
+        return check_reversal(theory, reversal, sample_zigzag_chain_pairs(rng, samples), tol)
+    action, cat = translation_action(1), theory.category
+    if target == "symmetry":
+        slices = _draw(rng, window_slices(0, -4, 6, 3) + window_slices(1, -4, 6, 3), 16)
+        morphisms = _draw(rng, _check_window(), samples)
+        pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (3, (1,)))]
+        words = sample_words(action, rng, 6)
+        return check_symmetry_action(action, cat.order, cat, slices, morphisms, pairs, words)
+    if target == "invariance":
+        words = sample_words(action, rng, 4)
+        morphisms = _draw(rng, _check_window(), samples)
+        slices = [lattice_slice(0, [0]), lattice_slice(0, [0, 2])]
+        return check_invariance(theory, action, identity_invariance(theory), words, morphisms,
+                                word_pairs=[(words[0], words[-1])], slice_samples=slices, tol=tol)
+    raise BadParams(f"unknown check target {target!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import re
 import sys
@@ -20,39 +19,24 @@ import numpy as np
 
 from . import process as P
 from .cca import (
+    CHECK_SUITES,
     PartitionedCCAConfig,
     build_cca,
     build_reversal,
     cca_config_from_json,
     cca_config_to_json,
-    check_invariance,
-    check_symmetry_action,
+    check_suite,
     cone_pair_witness,
     dirac_scattering,
     effective_one_particle_block,
     foliation_category_of_lattice,
-    identity_invariance,
-    lattice_slice,
     ring_object,
     ring_site_marginals,
     ring_step_morphism,
     run_single_particle,
-    sample_separated_quads,
-    sample_words,
-    sample_zigzag_chain_pairs,
     site_probabilities,
-    translation_action,
-    window_morphisms,
-    window_slices,
 )
 from .errors import BadParams, CausalFieldsError, NotInvertible, NotUnitary
-from .field_theory import (
-    check_environment,
-    check_functoriality,
-    check_monoidality,
-    check_reversal,
-    composable_triples,
-)
 from .order import (
     DiamondLattice,
     Window,
@@ -115,13 +99,16 @@ def _rewrite_ranges(argv: list[str]) -> list[str]:
     return out
 
 
-def _emit(obj, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+def _write(text: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit(obj, path: str | None) -> None:
+    _write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def _reject_constant(token: str):
@@ -282,18 +269,6 @@ def _load_cca(args) -> PartitionedCCAConfig:
     return cca_config_from_json(blob)
 
 
-@functools.cache
-def _check_window() -> tuple:
-    """Every slice morphism of the law-check window, built once per process."""
-    return tuple(window_morphisms(0, 3, -4, 6, 3))
-
-
-def _sampled_morphisms(rng, count):
-    pairs = _check_window()
-    idx = rng.choice(len(pairs), size=min(count, len(pairs)), replace=False)
-    return [pairs[i] for i in idx]
-
-
 def _check_cca(args) -> Report:
     if args.samples < 1:
         raise BadParams("--samples must be at least 1")
@@ -302,54 +277,16 @@ def _check_cca(args) -> Report:
     config = _load_cca(args)
     if config.d != 1:
         raise BadParams("the check suites run on d=1 configurations")
-    rng = np.random.default_rng(args.seed)
     theory = build_cca(config)
-    target = args.target
-    if target == "functoriality":
-        triples = composable_triples(_sampled_morphisms(rng, max(args.samples, 8)))
-        if len(triples) > args.samples:
-            keep = rng.choice(len(triples), size=args.samples, replace=False)
-            triples = [triples[i] for i in keep]
-        return check_functoriality(theory, triples, tol=args.tol)
-    if target == "monoidality":
-        quads = sample_separated_quads(rng, args.samples)
-        return check_monoidality(theory, quads, tol=args.tol)
-    if target == "nosignalling":
-        pairs = _sampled_morphisms(rng, args.samples)
-        products = [(s, g) for s, _, g, _ in sample_separated_quads(rng, max(args.samples // 2, 4))]
-        return check_environment(theory, pairs, products, tol=args.tol)
-    if target == "reversal":
-        report = Report("reversal")
+    reversal = None
+    if args.target == "reversal":
         try:
             reversal = build_reversal(config)
         except (NotInvertible, NotUnitary) as exc:
+            report = Report("reversal")
             report.compare({"reason": f"no reversal: {exc}"}, float("inf"), args.tol)
             return report
-        pairs = sample_zigzag_chain_pairs(rng, args.samples)
-        return check_reversal(theory, reversal, pairs, tol=args.tol)
-    if target == "symmetry":
-        action = translation_action(config.d)
-        slices = window_slices(0, -4, 6, 3) + window_slices(1, -4, 6, 3)
-        idx = rng.choice(len(slices), size=min(16, len(slices)), replace=False)
-        morphisms = _sampled_morphisms(rng, min(args.samples, 32))
-        pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (3, (1,)))]
-        words = sample_words(action, rng, 6, max_len=3)
-        return check_symmetry_action(
-            action, theory.category.order, theory.category,
-            [slices[i] for i in idx], morphisms, pairs, words,
-        )
-    if target == "invariance":
-        action = translation_action(config.d)
-        alpha = identity_invariance(theory)
-        words = sample_words(action, rng, 4, max_len=3)
-        morphisms = _sampled_morphisms(rng, min(args.samples, 24))
-        word_pairs = [(words[0], words[-1])]
-        slices = [lattice_slice(0, [0]), lattice_slice(0, [0, 2])]
-        return check_invariance(
-            theory, action, alpha, words, morphisms,
-            word_pairs=word_pairs, slice_samples=slices, tol=args.tol,
-        )
-    raise BadParams(f"unknown check target {args.target!r}")
+    return check_suite(args.target, theory, reversal, np.random.default_rng(args.seed), args.samples, args.tol)
 
 
 def _parse_leaves(text: str | None) -> list[frozenset]:
@@ -533,12 +470,7 @@ def _cmd_export(args) -> int:
         omega = order_from_json(_load_json(args.order))
         if isinstance(omega, DiamondLattice):
             raise BadParams("export dot needs a finite order (materialise a window first)")
-        text = order_to_dot(omega)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(order_to_dot(omega), args.out)
         return 0
     if args.format == "csv":
         _write_marginal_csv(_load_json(args.run), args.out or "/dev/stdout")
@@ -590,16 +522,13 @@ def _build_parser() -> argparse.ArgumentParser:
     query.set_defaults(fn=_cmd_query)
 
     check = sub.add_parser("check", help="run a law-check suite")
-    check.add_argument("target", choices=[
-        "functoriality", "monoidality", "nosignalling", "reversal",
-        "symmetry", "invariance", "foliation", "category",
-    ])
+    check.add_argument("target", choices=[*CHECK_SUITES, "foliation", "category"])
     check.add_argument("--cca")
     check.add_argument("--order")
     check.add_argument("--leaves")
     check.add_argument("--samples", type=int, default=50)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--tol", type=float, default=1e-10)
+    check.add_argument("--tol", type=float, default=P.VALIDITY_TOL)
     check.add_argument("--m", type=float)
     check.add_argument("--eps", type=float)
     check.add_argument("--out")

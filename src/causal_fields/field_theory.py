@@ -26,8 +26,6 @@ from .order import region_between
 from .report import Report
 from .slices import Slice, SliceCategory
 
-DEFAULT_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # field theories
@@ -101,7 +99,7 @@ def merge_permutations(theory: FieldTheory, sigma: Slice, gamma: Slice):
 def check_functoriality(
     theory: FieldTheory,
     triples: Sequence[tuple[Slice, Slice, Slice]],
-    tol: float = DEFAULT_TOL,
+    tol: float = P.VALIDITY_TOL,
 ) -> Report:
     """Psi(id) = id and Psi(g . f) = Psi(g) . Psi(f) on the given chains."""
     report = Report("functoriality")
@@ -124,7 +122,7 @@ def check_functoriality(
 def check_monoidality(
     theory: FieldTheory,
     quads: Sequence[tuple[Slice, Slice, Slice, Slice]],
-    tol: float = DEFAULT_TOL,
+    tol: float = P.VALIDITY_TOL,
 ) -> Report:
     """Objects and morphisms factorise over separated products.
 
@@ -155,7 +153,7 @@ def check_environment(
     theory: FieldTheory,
     morphisms: Sequence[tuple[Slice, Slice]],
     products: Sequence[tuple[Slice, Slice]],
-    tol: float = DEFAULT_TOL,
+    tol: float = P.VALIDITY_TOL,
 ) -> Report:
     """The no-signalling equations of the induced discard family:
     compatibility with evolution and with the partial products."""
@@ -253,7 +251,7 @@ def push_forward_family(
 def is_stable_family(
     theory: FieldTheory,
     family: StateFamily,
-    tol: float = DEFAULT_TOL,
+    tol: float = P.VALIDITY_TOL,
 ) -> bool:
     """Whether the family is stable under the action of the theory on all
     slice orderings inside its region."""
@@ -305,7 +303,7 @@ def check_reversal(
     theory: FieldTheory,
     reversal: FieldTheory,
     chain_pairs: Sequence[tuple[Sequence[Slice], Sequence[Slice]]],
-    tol: float = DEFAULT_TOL,
+    tol: float = P.VALIDITY_TOL,
 ) -> Report:
     """Compare the composites of pairs of alternating chains with equal
     endpoints (sound but bounded: the caller fixes the chain lengths)."""

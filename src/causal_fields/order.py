@@ -725,7 +725,11 @@ def order_from_json(obj: dict) -> CausalOrder:
 
 
 def order_to_dot(omega: ExplicitOrder, name: str = "causal_order") -> str:
-    """A DOT digraph of the Hasse diagram, nodes listed in a linear extension."""
+    """A DOT digraph of the Hasse diagram, nodes listed in a linear extension.
+    A DOT quoted id cannot end in a backslash, so such an event id is BadParams."""
+    for text in map(event_id, omega.events):
+        if text.endswith("\\"):
+            raise BadParams(f"event id {text!r} ends in a backslash, which a DOT quoted id cannot hold")
     quoted = {e: '"' + event_id(e).replace('"', '\\"') + '"' for e in omega.events}
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for e in omega.topological_order():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causal_fields import process as P
+from causal_fields import cca, process as P
 from causal_fields.cca import (
     LatticeSlice,
     PartitionedCCAConfig,
@@ -676,6 +676,20 @@ def test_window_morphisms_match_brute_force(window):
     slices = [s for t in range(t0, t1 + 1) for s in window_slices(t, lo, hi, max_sites)]
     want = [(s, g) for s in slices for g in slices if not (not s and g) and cat.hom(s, g)]
     assert window_morphisms(*window) == want
+
+
+def test_check_window_is_built_once_per_process(monkeypatch):
+    # the law-check suites sample from one window; it is built on the first
+    # call only, and every seed still draws the same morphisms from it
+    calls = []
+    monkeypatch.setattr(cca, "window_morphisms", lambda *a: calls.append(a) or window_morphisms(*a))
+    cca._check_window.cache_clear()
+    want = window_morphisms(0, 3, -4, 6, 3)
+    for seed in (0, 7):
+        got = [cca._draw(np.random.default_rng(seed), cca._check_window(), 12) for _ in range(2)]
+        idx = np.random.default_rng(seed).choice(len(want), size=12, replace=False)
+        assert got[0] == got[1] == [want[i] for i in idx]
+    assert calls == [(0, 3, -4, 6, 3)]
 
 
 def test_window_slices_count():

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from causal_fields import cli, order, process as P
+from causal_fields import cca, cli, order, process as P
 from causal_fields.cca import (
     PartitionedCCAConfig,
     cca_config_to_json,
@@ -13,7 +13,6 @@ from causal_fields.cca import (
     ring_object,
     ring_site_marginals,
     ring_step_morphism,
-    window_morphisms,
 )
 from causal_fields.cli import main
 from causal_fields.order import Window, lattice
@@ -136,20 +135,6 @@ def test_lattice_category_check_with_witnesses(tmp_path):
     out = tmp_path / "report.json"
     assert main(["check", "category", "--order", str(order), "--out", str(out)]) == 0
     assert read(out)["violations"] == []
-
-
-def test_check_window_is_built_once_per_process(monkeypatch):
-    # the law-check suites sample from one window; it is built on the first
-    # call only, and every seed still draws the same morphisms from it
-    calls = []
-    monkeypatch.setattr(cli, "window_morphisms", lambda *a: calls.append(a) or window_morphisms(*a))
-    cli._check_window.cache_clear()
-    want = window_morphisms(0, 3, -4, 6, 3)
-    for seed in (0, 7):
-        got = [cli._sampled_morphisms(np.random.default_rng(seed), 12) for _ in range(2)]
-        idx = np.random.default_rng(seed).choice(len(want), size=12, replace=False)
-        assert got[0] == got[1] == [want[i] for i in idx]
-    assert calls == [(0, 3, -4, 6, 3)]
 
 
 def test_gen_bad_usage_exit_code():
@@ -335,6 +320,56 @@ def test_check_seeded_determinism(dirac_file, tmp_path):
 def test_check_rejects_bad_ranges(dirac_file, target, extra, capsys):
     assert main(["check", target, "--cca", dirac_file, *extra]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# The argument positions of each checker that hold a suite's drawn samples.
+_DRAWN = {
+    "functoriality": ("check_functoriality", 1),
+    "monoidality": ("check_monoidality", 1),
+    "nosignalling": ("check_environment", 1, 2),
+    "reversal": ("check_reversal", 2),
+    "symmetry": ("check_symmetry_action", 4),
+    "invariance": ("check_invariance", 4),
+}
+
+
+@pytest.mark.parametrize("samples", [1, 5, 12, 50])
+@pytest.mark.parametrize("target", cca.CHECK_SUITES)
+def test_every_suite_checks_exactly_the_samples_it_drew(monkeypatch, dirac_file, tmp_path, target, samples):
+    # --samples n hands the suite's checker n samples (of each kind, for
+    # nosignalling) on every seed, and the report counts them all:
+    # functoriality adds the identity law on each slice its triples touch,
+    # invariance checks each morphism under its 4 words plus 2 cocycle
+    # samples, and symmetry each morphism under its 6 words
+    name, *positions = _DRAWN[target]
+    checker, drawn = getattr(cca, name), []
+    monkeypatch.setattr(cca, name, lambda *a, **kw: drawn.append([a[i] for i in positions]) or checker(*a, **kw))
+    for seed in range(4):
+        out = tmp_path / f"{seed}.json"
+        argv = ["check", target, "--cca", dirac_file, "--samples", str(samples), "--seed", str(seed)]
+        assert main([*argv, "--out", str(out)]) == 0
+        (kinds,) = drawn
+        assert [len(k) for k in kinds] == [samples] * len(positions)
+        touched = {frozenset(s) for chain in kinds[0] for s in chain}
+        want = {
+            "functoriality": samples + len(touched),
+            "nosignalling": 2 * samples,
+            "invariance": 4 * samples + 2,
+        }.get(target, samples)
+        got = read(out)["samples"]
+        assert got >= 6 * samples if target == "symmetry" else got == want
+        drawn.clear()
+
+
+@pytest.mark.parametrize("target, population", [
+    ("functoriality", 13069), ("nosignalling", 1220), ("symmetry", 1220), ("invariance", 1220),
+])
+def test_check_refuses_more_samples_than_the_window_holds(dirac_file, tmp_path, target, population, capsys):
+    # window draws are without replacement: one over the population is a
+    # usage error, and the message names the population
+    argv = ["check", target, "--cca", dirac_file, "--out", str(tmp_path / "r.json")]
+    assert main([*argv, "--samples", str(population + 1)]) == 2
+    assert f"draws from {population}" in capsys.readouterr().err
 
 
 def _garbage_config_texts():
@@ -815,6 +850,16 @@ def test_export_csv_from_run(dirac_file, tmp_path):
     with open(csv_out) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 3 * 4
+
+
+def test_export_dot_refuses_an_id_ending_in_a_backslash(tmp_path, capsys):
+    # a DOT quoted id has no escape for a final backslash
+    order = tmp_path / "order.json"
+    order.write_text(json.dumps({"events": ["a\\", "c"], "hasse": [["a\\", "c"]]}))
+    out = tmp_path / "order.dot"
+    assert main(["export", "dot", "--order", str(order), "--out", str(out)]) == 2
+    assert "ends in a backslash" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_exit_code():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_fields.errors import (
+    BadParams,
     CycleDetected,
     DuplicateEvent,
     InvalidMorphism,
@@ -541,6 +542,15 @@ def test_dot_export_escapes_quotes():
     dot = order_to_dot(build_explicit(['a"b', "c"], [('a"b', "c")]))
     assert '  "a\\"b";' in dot.splitlines()
     assert '  "a\\"b" -> "c";' in dot.splitlines()
+
+
+def test_dot_export_refuses_an_id_ending_in_a_backslash():
+    # "a\" would never close: DOT reads its final \" as an escaped quote,
+    # and has no escape for a backslash
+    with pytest.raises(BadParams, match="ends in a backslash"):
+        order_to_dot(build_explicit(["a\\", "c"], [("a\\", "c")]))
+    dot = order_to_dot(build_explicit(["a\\b", "c"], [("a\\b", "c")]))
+    assert '  "a\\b" -> "c";' in dot.splitlines()
 
 
 # -- property tests --------------------------------------------------------------------------------
