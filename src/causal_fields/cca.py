@@ -609,14 +609,6 @@ def check_invariance(
     return report
 
 
-def translated_kernels_identical(theory: FieldTheory, action: SymmetryAction, word, sigma, gamma) -> bool:
-    """Exact structural equality of the kernels assigned to a morphism and
-    to its translate (homogeneity as kernel-level equality)."""
-    f = theory.mor(sigma, gamma)
-    g = theory.mor(action.act(word, sigma), action.act(word, gamma))
-    return P.kernels_identical(f, g)
-
-
 # ---------------------------------------------------------------------------
 # samplers over finite windows (for the law-check suites)
 # ---------------------------------------------------------------------------

@@ -218,7 +218,10 @@ def _cmd_query(args) -> int:
     omega, win = _load_order(args)
 
     def one_event(text):
-        return next(iter(_parse_events(omega, text)))
+        events = _parse_events(omega, text)
+        if len(events) != 1:
+            raise BadParams(f"--from and --to each name one event, not {text!r}")
+        return next(iter(events))
 
     what = args.what
     if what in ("future", "past", "dplus", "dminus", "cauchy"):
@@ -453,10 +456,17 @@ def _initial_density(args, config, obj) -> P.FactorPair:
 
 
 def _write_marginal_csv(run_blob: dict, path: str) -> None:
+    records = run_blob.get("per_step")
+    if not (isinstance(records, list) and all(
+        isinstance(rec, dict) and "t" in rec and isinstance(rec.get("marginals"), list)
+        and all(type(p) in (int, float) for p in rec["marginals"])
+        for rec in records
+    )):
+        raise BadParams('a run file holds "per_step": a list of records with "t" and numeric "marginals"')
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "site", "probability"])
-        for rec in run_blob["per_step"]:
+        for rec in records:
             for site, p in enumerate(rec["marginals"]):
                 writer.writerow([rec["t"], site, f"{p:.12g}"])
 

@@ -20,7 +20,10 @@ discarded wires join the branch axis (quantum) or are summed out
 (classical).  Compiling runs it on the identity, giving the Kraus /
 matrix form of the program; a ``FactorPair`` runs it on both factors of
 rho = sum_b A_b B_b^dag and so steps a state without forming rho, from a
-ket in one batch of width 1.  Equality checking evaluates both programs
+ket in one batch of width 1.  Two programs with one resolved form
+(``program_form``, the library's one test of structural identity) and
+finite matrices are one morphism, so their deviation is exactly 0 and
+neither is compiled.  Otherwise equality checking evaluates both programs
 via that compiled form on the full operator basis (quantum) or the
 standard basis (classical), entrywise.  Against a tolerance, a
 comparison accepts on one rule, a bound from the joint causal cone of the
@@ -502,18 +505,6 @@ def compile_kernel(f: ProcMorphism) -> np.ndarray:
     return out
 
 
-def kraus_family(f: ProcMorphism) -> np.ndarray:
-    if f.backend != QUANTUM:
-        raise BackendMismatch("kraus_family needs a quantum morphism")
-    return compile_kernel(f)
-
-
-def transfer_matrix(f: ProcMorphism) -> np.ndarray:
-    if f.backend != CLASSICAL:
-        raise BackendMismatch("transfer_matrix needs a classical morphism")
-    return compile_kernel(f)
-
-
 def _choi_maxdiff(x: np.ndarray, r: int) -> float:
     """Max entry of |V V^dag - W W^dag| for stacked columns x = [V | W]
     with r columns in V: the max entrywise deviation between two Choi
@@ -630,12 +621,27 @@ def _cone_bound(f: ProcMorphism, g: ProcMorphism) -> float:
     return b * (1 + e_f) + m_g * (e_f + e_g)
 
 
+def program_form(f: ProcMorphism) -> tuple:
+    """The resolved form of ``f`` as a key: its ``dom``, ``cod``, ``gone``
+    and ``out``, and each op's kind, matrix object (by ``id``) and wires.
+
+    Two programs with one form run the same matrices on the same wires, so
+    they are one morphism.  An ``id`` names a matrix only while it lives:
+    a caller that keeps forms must keep their matrices too."""
+    return f.dom, f.cod, f.gone, f.out, tuple((kind, id(m), wires) for kind, m, wires in f.ops)
+
+
 def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> float:
     """Max entrywise deviation of the two programs over a basis sweep.
 
     Quantum morphisms are evaluated on the full operator basis E_ij of the
     input space (the sweep outputs are exactly the entries of the Choi
     matrices); classical morphisms on the standard basis.
+
+    Two programs with one ``program_form`` whose matrices are all finite
+    are one morphism: the result is exactly 0.0, with or without ``tol``,
+    and nothing is compiled.  With a NaN or infinite matrix the pair is
+    compared as below, so it never passes.
 
     Given ``tol``, the comparison first tries to accept on the joint causal
     cone.  Every domain factor is a wire; the wires of each matrix or Kraus
@@ -670,6 +676,8 @@ def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> flo
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("morphisms must share dom and cod")
+    if program_form(f) == program_form(g) and all(np.isfinite(m).all() for _, m, _ in f.ops):
+        return 0.0
     if tol is not None:
         bound = _cone_bound(f, g)
         if bound <= tol:
@@ -684,12 +692,10 @@ def deviation_memo():
     """``deviation`` for one law check, computed once per distinct
     comparison.
 
-    A comparison is keyed by both programs' resolved forms and ``tol``: the
-    same ``dom``, ``cod``, ``gone`` and ``out``, and the same ops, each of
-    the same kind on the same wires and holding the same matrix object.
-    In a homogeneous theory translated samples give such programs, so one
-    check meets most comparisons several times.  Matrices are keyed by
-    ``id`` and held for as long as the memo lives, so that no id is
+    A comparison is keyed by both programs' ``program_form`` and ``tol``.
+    In a homogeneous theory translated samples give programs of one form,
+    so one check meets most comparisons several times.  The matrices of
+    every key are held for as long as the memo lives, so that no id is
     reused; the programs and their compiled kernels are not held.  A NaN
     is stored as NaN and fails the check each time it is returned.
     ``deviation`` is looked up when a comparison is computed, so a
@@ -698,52 +704,14 @@ def deviation_memo():
     values: dict = {}
     held: dict = {}
 
-    def form(f: ProcMorphism) -> tuple:
-        return f.dom, f.cod, f.gone, f.out, tuple((kind, id(m), wires) for kind, m, wires in f.ops)
-
     def memoised(f: ProcMorphism, g: ProcMorphism, tol: float) -> float:
-        key = form(f), form(g), tol
+        key = program_form(f), program_form(g), tol
         if key not in values:
             held.update((id(m), m) for h in (f, g) for _, m, _ in h.ops)
             values[key] = deviation(f, g, tol)
         return values[key]
 
     return memoised
-
-
-def morphisms_equal(f: ProcMorphism, g: ProcMorphism, tol: float = VALIDITY_TOL) -> bool:
-    return deviation(f, g, tol) <= tol
-
-
-def kernels_identical(f: ProcMorphism, g: ProcMorphism) -> bool:
-    """Exact structural equality of two kernel programs (no tolerance): the
-    same ops on the same wires, discards and codomain wires."""
-    if (f.dom, f.cod, f.gone, f.out) != (g.dom, g.cod, g.gone, g.out) or len(f.ops) != len(g.ops):
-        return False
-    for (kind, m, wires), (kind2, m2, wires2) in zip(f.ops, g.ops):
-        if (kind, wires) != (kind2, wires2):
-            return False
-        if kind == "matrix":
-            if not np.array_equal(m, m2):
-                return False
-        elif len(m) != len(m2) or any(not np.array_equal(a, b) for a, b in zip(m, m2)):
-            return False
-    return True
-
-
-def is_normalised(f: ProcMorphism, tol: float = VALIDITY_TOL) -> bool:
-    """Whether discard-after equals discard-before.
-
-    Evaluated on the operator basis of the input space (quantum: the
-    condition reads sum_e M_e^dag M_e = I on the compiled family) or on all
-    basis vectors (classical: unit column sums).
-    """
-    if f.backend == QUANTUM:
-        ms = kraus_family(f)
-        s = np.einsum("rki,rkj->ij", ms.conj(), ms)
-        return float(np.max(np.abs(s - np.eye(f.dom.dim)))) <= tol
-    t = transfer_matrix(f)
-    return float(np.max(np.abs(t.sum(axis=0) - 1.0))) <= tol
 
 
 def is_normalised_state(rho: ProcState, tol: float = VALIDITY_TOL) -> bool:
@@ -754,30 +722,6 @@ def states_equal(a: ProcState, b: ProcState, tol: float = VALIDITY_TOL) -> bool:
     if a.obj != b.obj:
         return False
     return float(np.max(np.abs(a.data - b.data))) <= tol
-
-
-# ---------------------------------------------------------------------------
-# Choi cross-validation (small dimensions only)
-# ---------------------------------------------------------------------------
-
-def choi_matrix(f: ProcMorphism) -> np.ndarray:
-    """The Choi matrix of a quantum program, for cross-validation.
-
-    Only sensible at small total dimension; entries are indexed
-    Choi[(a, i), (b, j)] = <a| f(|i><j|) |b>.
-    """
-    ms = kraus_family(f)
-    v = ms.reshape(ms.shape[0], -1)
-    return v.T @ v.conj()
-
-
-def is_completely_positive(f: ProcMorphism, tol: float = VALIDITY_TOL) -> bool:
-    """Positivity of the Choi matrix; holds by construction for programs
-    built from the generators in this module."""
-    if f.dom.dim * f.cod.dim > 256:
-        raise ShapeMismatch("Choi cross-validation is limited to small dimensions")
-    eigs = np.linalg.eigvalsh(choi_matrix(f))
-    return float(eigs.min()) >= -tol
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,33 @@ def random_density(rng, d: int) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def choi_matrix(f) -> np.ndarray:
+    """The Choi matrix of a quantum program from its compiled Kraus family,
+    indexed Choi[(a, i), (b, j)] = <a| f(|i><j|) |b>: the cross-validation
+    reference for the library's basis sweep, at small dimensions only."""
+    from causal_fields import process as P
+
+    ms = P.compile_kernel(f)
+    v = ms.reshape(ms.shape[0], -1)
+    return v.T @ v.conj()
+
+
+def is_completely_positive(f, tol: float = 1e-10) -> bool:
+    """Positivity of the Choi matrix; holds by construction for programs
+    built from the library's generators."""
+    assert f.dom.dim * f.cod.dim <= 256, "Choi cross-validation is limited to small dimensions"
+    return float(np.linalg.eigvalsh(choi_matrix(f)).min()) >= -tol
+
+
+def normalisation_defect(f) -> float:
+    """The exact deviation of discard-after from discard-before: the max
+    entry of |sum_e M_e^dag M_e - I| (quantum) or of the column sums' gap
+    to 1 (classical)."""
+    from causal_fields import process as P
+
+    return P.deviation(P.compose(P.discard(f.cod), f), P.discard(f.dom))
+
+
 def dense_superoperator(f) -> np.ndarray:
     """Column-stacked superoperator built by evaluating a morphism on every
     matrix unit (or basis vector) via the step interpreter."""

@@ -37,7 +37,6 @@ from causal_fields.cca import (
     scattering_inverse,
     single_particle_step,
     site_probabilities,
-    translated_kernels_identical,
     translation_action,
     window_morphisms,
     window_slices,
@@ -56,9 +55,10 @@ from causal_fields.errors import (
 from causal_fields.field_theory import check_reversal, zigzag_composite
 from causal_fields.order import Window, future_domain, lattice, materialize
 
-from helpers import dirac_convergence_deviations, random_density, random_unitary
+from helpers import dirac_convergence_deviations, normalisation_defect, random_density, random_unitary
 
 RNG = np.random.default_rng(2024)
+TOL = P.VALIDITY_TOL
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
 
@@ -145,13 +145,13 @@ def test_factorize_invalid():
 
 def test_restriction_kernel_identity():
     f = restriction_kernel(cfg(), frozenset({(0,)}), frozenset({(0,)}))
-    assert P.morphisms_equal(f, P.identity(f.dom))
+    assert P.deviation(f, P.identity(f.dom), TOL) <= TOL
 
 
 def test_restriction_kernel_discard_all():
     f = restriction_kernel(cfg(), frozenset({(0,), (2,)}), frozenset())
     assert f.cod.is_unit
-    assert P.is_normalised(f)
+    assert normalisation_defect(f) <= TOL
 
 
 def test_restriction_kernel_partial_trace_oracle():
@@ -179,7 +179,7 @@ def test_one_step_discard_pattern():
     c = cfg()
     f = one_step_kernel(c, frozenset({(0,), (2,)}), frozenset({(1,)}))
     assert f.dom.dim == 16 and f.cod.dim == 4
-    assert P.is_normalised(f)
+    assert normalisation_defect(f) <= TOL
 
 
 def test_one_step_identity_scattering_routes_factors():
@@ -204,7 +204,7 @@ def test_one_step_trace_preservation():
     c = cfg()
     f = one_step_kernel(c, frozenset({(0,), (2,), (4,)}), frozenset({(1,), (3,)}))
     lhs = P.compose(P.discard(f.cod), f)
-    assert P.morphisms_equal(lhs, P.discard(f.dom))
+    assert P.deviation(lhs, P.discard(f.dom), TOL) <= TOL
 
 
 def test_reverse_one_step_wrong_predecessors():
@@ -264,7 +264,7 @@ def test_compose_all_is_linear(monkeypatch):
     assert len(calls) <= 2 * n + 4
     monkeypatch.setattr(P, "_step_out_factors", check)
     steps = tuple(step for m in ms for step in m.steps)
-    assert P.kernels_identical(f, P.ProcMorphism(obj, obj, steps))
+    assert P.program_form(f) == P.program_form(P.ProcMorphism(obj, obj, steps))
 
 
 # -- the spec picture: swap scattering is exact transport ------------------------------
@@ -295,13 +295,13 @@ def test_build_cca_objects():
 def test_build_cca_discard_is_backend_discard():
     theory = build_cca(cfg())
     f = theory.mor(sl(0, 0, 2), frozenset())
-    assert P.morphisms_equal(f, P.discard(theory.obj(sl(0, 0, 2))))
+    assert P.deviation(f, P.discard(theory.obj(sl(0, 0, 2))), TOL) <= TOL
 
 
 def test_build_cca_identity():
     theory = build_cca(cfg())
     s = sl(0, 0, 2)
-    assert P.morphisms_equal(theory.mor(s, s), P.identity(theory.obj(s)))
+    assert P.deviation(theory.mor(s, s), P.identity(theory.obj(s)), TOL) <= TOL
 
 
 def test_build_cca_composition_spec_example():
@@ -310,14 +310,14 @@ def test_build_cca_composition_spec_example():
     s1 = sl(1, 1)
     empty = frozenset()
     step = P.compose(theory.mor(s1, empty), theory.mor(s0, s1))
-    assert P.morphisms_equal(step, theory.mor(s0, empty))
+    assert P.deviation(step, theory.mor(s0, empty), TOL) <= TOL
 
 
 def test_build_cca_restriction_chain():
     theory = build_cca(cfg())
     a, b, c = sl(0, 0, 2, 4), sl(0, 0, 2), sl(0, 0)
     two = P.compose(theory.mor(b, c), theory.mor(a, b))
-    assert P.morphisms_equal(two, theory.mor(a, c))
+    assert P.deviation(two, theory.mor(a, c), TOL) <= TOL
 
 
 def test_config_json_roundtrip():
@@ -379,7 +379,7 @@ def test_reversal_zigzag_law_random_unitary():
     d1 = sl(1, 1, 3)
     d2 = sl(0, 2)
     comp = zigzag_composite(theory, rev, [s0, d1, d2])
-    assert P.morphisms_equal(comp, theory.mor(s0, d2))
+    assert P.deviation(comp, theory.mor(s0, d2), TOL) <= TOL
 
 
 def test_reversal_check_on_sampled_chains():
@@ -453,7 +453,7 @@ def test_reversal_swap_scattering_is_swap_again():
     back = rev.mor(d1, sl(0, ))  # restriction to the empty slice
     assert back.cod.is_unit
     comp = zigzag_composite(theory, rev, [s0, d1, frozenset()])
-    assert P.morphisms_equal(comp, theory.mor(s0, frozenset()))
+    assert P.deviation(comp, theory.mor(s0, frozenset()), TOL) <= TOL
 
 
 def test_classical_permutation_cca_reversal():
@@ -507,11 +507,14 @@ def test_reflection_on_asymmetric_order_fails():
 
 
 def test_translation_homogeneity_exact_kernels():
+    # a morphism and its translate are one program: the same matrix
+    # objects on the same wires
     theory = build_cca(cfg())
     act = translation_action(1)
     for word in sample_words(act, np.random.default_rng(2), 8, max_len=3):
-        assert translated_kernels_identical(theory, act, word, sl(0, 0, 2), sl(1, 1))
-        assert translated_kernels_identical(theory, act, word, sl(0, 0, 2, 4), sl(0, 0, 4))
+        for s, g in [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2, 4), sl(0, 0, 4))]:
+            f = theory.mor(s, g)
+            assert P.program_form(f) == P.program_form(theory.mor(act.act(word, s), act.act(word, g)))
 
 
 def test_invariance_identity_witness():

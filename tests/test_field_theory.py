@@ -37,6 +37,7 @@ from causal_fields.order import region_between
 from helpers import random_density, random_unitary
 
 RNG = np.random.default_rng(77)
+TOL = P.VALIDITY_TOL
 
 
 def sl(t, *xs):
@@ -144,7 +145,7 @@ def test_singleton_factorisation(generic_theory):
 def test_merge_permutations_interleaved(generic_theory):
     sigma, gamma = sl(0, 0, 4), sl(0, 2)
     p_split, p_merge = merge_permutations(generic_theory, sigma, gamma)
-    assert P.morphisms_equal(P.compose(p_merge, p_split), P.identity(p_split.dom))
+    assert P.deviation(P.compose(p_merge, p_split), P.identity(p_split.dom), TOL) <= TOL
 
 
 # -- environment / no-signalling ----------------------------------------------------------
@@ -188,15 +189,13 @@ def test_discard_family_empty_is_one(generic_theory):
     fam = discard_family(generic_theory, [frozenset(), sl(0, 0)])
     eff = fam[frozenset()]
     assert eff.dom.is_unit and eff.cod.is_unit
-    assert P.morphisms_equal(eff, P.identity(P.unit(P.QUANTUM)))
+    assert P.deviation(eff, P.identity(P.unit(P.QUANTUM)), TOL) <= TOL
 
 
 def test_environment_matches_backend_discard(generic_theory):
     sigma = sl(0, 0, 2)
-    assert P.morphisms_equal(
-        generic_theory.discard_effect(sigma),
-        P.discard(generic_theory.obj(sigma)),
-    )
+    effect, discard = generic_theory.discard_effect(sigma), P.discard(generic_theory.obj(sigma))
+    assert P.deviation(effect, discard, TOL) <= TOL
 
 
 # -- state families and the presheaf ----------------------------------------------------------
@@ -454,10 +453,7 @@ def test_invariance_compares_each_distinct_pair_once(monkeypatch, tmp_path, dira
     calls.clear()
     _without_memo(monkeypatch)
     assert cli.main(argv) == 0
-    distinct = []
-    for f, g in calls:
-        if not any(P.kernels_identical(f, a) and P.kernels_identical(g, b) for a, b in distinct):
-            distinct.append((f, g))
+    distinct = {(P.program_form(f), P.program_form(g)) for f, g in calls}
     assert memo_calls == len(distinct) < len(calls)
 
 

@@ -24,9 +24,18 @@ from causal_fields.errors import (
     ShapeMismatch,
 )
 
-from helpers import compile_kernel_oracle, dense_superoperator, random_density, random_unitary
+from helpers import (
+    choi_matrix,
+    compile_kernel_oracle,
+    dense_superoperator,
+    is_completely_positive,
+    normalisation_defect,
+    random_density,
+    random_unitary,
+)
 
 RNG = np.random.default_rng(42)
+TOL = P.VALIDITY_TOL
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -63,15 +72,15 @@ def test_identity_unit_for_compose():
     a = qobj(2, 2)
     u = random_unitary(RNG, 4)
     f = P.unitary_channel(a, u)
-    assert P.morphisms_equal(P.compose(P.identity(a), f), f)
-    assert P.morphisms_equal(P.compose(f, P.identity(a)), f)
+    assert P.deviation(P.compose(P.identity(a), f), f, TOL) <= TOL
+    assert P.deviation(P.compose(f, P.identity(a)), f, TOL) <= TOL
 
 
 def test_discard_all_after_unitary_is_discard_all():
     a = qobj(2, 2)
     u = random_unitary(RNG, 4)
     lhs = P.compose(P.discard(a), P.unitary_channel(a, u))
-    assert P.morphisms_equal(lhs, P.discard(a))
+    assert P.deviation(lhs, P.discard(a), TOL) <= TOL
 
 
 def test_permutations_compose():
@@ -80,7 +89,7 @@ def test_permutations_compose():
     p2 = P.permute_factors(p1.cod, (2, 0, 1))
     comp = P.compose(p2, p1)
     assert comp.cod == a
-    assert P.morphisms_equal(comp, P.identity(a))
+    assert P.deviation(comp, P.identity(a), TOL) <= TOL
 
 
 def test_compose_shape_mismatch():
@@ -123,7 +132,7 @@ def test_discard_respects_tensor():
     a, b = qobj(2), qobj(3)
     lhs = P.discard(P.tensor_obj(a, b))
     rhs = P.tensor_mor(P.discard(a), P.discard(b))
-    assert P.morphisms_equal(lhs, rhs)
+    assert P.deviation(lhs, rhs, TOL) <= TOL
 
 
 def test_bad_factor_index():
@@ -136,7 +145,7 @@ def test_bad_factor_index():
 def test_identity_matrix_is_identity_channel():
     a = qobj(2, 2)
     f = P.unitary_channel(a, np.eye(4))
-    assert P.morphisms_equal(f, P.identity(a))
+    assert P.deviation(f, P.identity(a), TOL) <= TOL
 
 
 def test_pauli_x_flips_basis_state():
@@ -182,7 +191,7 @@ def test_apply_agrees_with_dense_superoperator():
         P.discard(a, [1]),
     )
     s = dense_superoperator(f)
-    ms = P.kraus_family(f)
+    ms = P.compile_kernel(f)
     s_kraus = np.einsum("rai,rbj->abij", ms, ms.conj()).reshape(s.shape[0], -1)
     # dense_superoperator columns are indexed (i, j); match layouts
     d = f.dom.dim
@@ -207,7 +216,7 @@ def test_apply_agrees_with_dense_superoperator_dim16():
         P.unitary_channel(a.__class__(a.backend, (2, 2, 2)), random_unitary(RNG, 2), [2]),
     )
     s = dense_superoperator(f)
-    ms = P.kraus_family(f)
+    ms = P.compile_kernel(f)
     d = f.dom.dim
     s_kraus = np.einsum("rai,rbj->abij", ms, ms.conj()).reshape(f.cod.dim ** 2, d * d)
     assert np.max(np.abs(s - s_kraus)) < 1e-12
@@ -220,8 +229,8 @@ def test_composition_of_normalised_is_normalised():
     g = P.discard(a, [1])
     h = P.unitary_channel(g.cod, random_unitary(RNG, 2))
     comp = P.compose_all(f, g, h)
-    assert P.is_normalised(f) and P.is_normalised(g) and P.is_normalised(h)
-    assert P.is_normalised(comp)
+    assert all(normalisation_defect(k) <= TOL for k in (f, g, h))
+    assert normalisation_defect(comp) <= TOL
 
 
 def test_interchange_law():
@@ -232,7 +241,7 @@ def test_interchange_law():
     g2 = P.unitary_channel(f2.cod, random_unitary(RNG, 2))
     lhs = P.compose(P.tensor_mor(g1, g2), P.tensor_mor(f1, f2))
     rhs = P.tensor_mor(P.compose(g1, f1), P.compose(g2, f2))
-    assert P.morphisms_equal(lhs, rhs, tol=1e-12)
+    assert P.deviation(lhs, rhs, 1e-12) <= 1e-12
 
 
 def test_tensor_on_product_states_is_componentwise():
@@ -249,24 +258,24 @@ def test_tensor_on_product_states_is_componentwise():
 # -- normalisation and equality ----------------------------------------------------------
 
 def test_unitary_channel_is_normalised():
-    assert P.is_normalised(P.unitary_channel(qobj(2, 2), random_unitary(RNG, 4)))
+    assert normalisation_defect(P.unitary_channel(qobj(2, 2), random_unitary(RNG, 4))) <= TOL
 
 
 def test_discard_is_normalised():
-    assert P.is_normalised(P.discard(qobj(2, 3)))
+    assert normalisation_defect(P.discard(qobj(2, 3))) <= TOL
 
 
 def test_scaled_kernel_not_normalised():
     a = qobj(2)
     f = P.kraus_channel(a, [np.sqrt(0.5) * np.eye(2)])
-    assert not P.is_normalised(f)
+    assert not (normalisation_defect(f) <= TOL)
 
 
 def test_morphisms_equal_self_and_distinct():
     a = qobj(2)
     f = P.unitary_channel(a, SX)
-    assert P.morphisms_equal(f, f)
-    assert not P.morphisms_equal(f, P.identity(a))
+    assert P.deviation(f, f, TOL) <= TOL
+    assert not (P.deviation(f, P.identity(a), TOL) <= TOL)
 
 
 def test_equal_programs_different_steps():
@@ -274,7 +283,7 @@ def test_equal_programs_different_steps():
     # swapping via a permutation step vs via the SWAP unitary
     p = P.permute_factors(a, (1, 0))
     u = P.unitary_channel(a, SWAP)
-    assert P.morphisms_equal(p, u, tol=1e-12)
+    assert P.deviation(p, u, 1e-12) <= 1e-12
 
 
 def _qubit_channel(rng, n_in: int, n_out: int) -> P.ProcMorphism:
@@ -292,7 +301,7 @@ def test_deviation_accepts_equal_large_channels():
         f = _qubit_channel(rng, 8, 6)
         v = random_unitary(rng, 64)
         h = P.compose_all(f, P.unitary_channel(f.cod, v), P.unitary_channel(f.cod, v.conj().T))
-        assert P.morphisms_equal(f, h)
+        assert P.deviation(f, h, TOL) <= TOL
         assert P.deviation(f, h, tol=1e-10) <= 1e-12
 
 
@@ -304,11 +313,11 @@ def test_deviation_above_tol_is_exact():
     f = P.compose(P.discard(a, [1]), P.unitary_channel(a, u))
     phases = np.exp(1e-7j * np.arange(4))
     g = P.compose(P.discard(a, [1]), P.unitary_channel(a, u * phases))
-    exact = float(np.max(np.abs(P.choi_matrix(f) - P.choi_matrix(g))))
+    exact = float(np.max(np.abs(choi_matrix(f) - choi_matrix(g))))
     tol = exact * (1 - 1e-3)
     assert P.deviation(f, g, tol) == pytest.approx(exact, rel=1e-6)
     assert P.deviation(f, g, tol=np.inf) > 1.5 * exact  # the Frobenius bound
-    assert not P.morphisms_equal(f, g, tol)
+    assert not (P.deviation(f, g, tol) <= tol)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -325,7 +334,7 @@ def test_deviation_bound_dominates_max_entry(seed):
         return P.compose(P.discard(a, range(keep, len(a.factors))), P.kraus_channel(a, ks))
 
     f, g = channel(), channel()
-    diff = P.choi_matrix(f) - P.choi_matrix(g)
+    diff = choi_matrix(f) - choi_matrix(g)
     bound, exact = P.deviation(f, g, tol=np.inf), P.deviation(f, g)
     assert bound == pytest.approx(np.linalg.norm(diff), rel=1e-10)
     assert exact == pytest.approx(np.max(np.abs(diff)), rel=1e-12)
@@ -350,8 +359,8 @@ def test_nan_kernel_fails_closed():
         ident = P.identity(f.dom)
         assert np.isnan(P.deviation(f, ident))
         assert np.isnan(P.deviation(f, ident, tol=1e-10))
-        assert not P.morphisms_equal(f, ident)
-        assert not P.morphisms_equal(f, f)
+        assert not (P.deviation(f, ident, TOL) <= TOL)
+        assert not (P.deviation(f, f, TOL) <= TOL)
 
 
 def test_library_float_warning_fails_the_suite():
@@ -378,15 +387,20 @@ def test_numpy_frame_float_warning_fails_the_suite():
         P.compile_kernel(f)
     with np.errstate(over="ignore"):
         assert np.isinf(P.compile_kernel(f)[0, 0])
-        assert not P.morphisms_equal(f, P.identity(c))
+        assert not (P.deviation(f, P.identity(c), TOL) <= TOL)
 
 
 def test_compile_refuses_large_domain():
-    f = P.identity(qobj(P._MAX_COMPILE_DIM + 1))
+    # two different programs above the cap are refused, with or without
+    # tol; one program against itself needs no compiling
+    a = qobj(2, P._MAX_COMPILE_DIM // 2 + 1)
+    f, g = P.unitary_channel(a, SX, [0]), P.identity(a)
     with pytest.raises(ShapeMismatch):
         P.compile_kernel(f)
-    with pytest.raises(ShapeMismatch):
-        P.morphisms_equal(f, f)
+    for tol in (None, TOL):
+        with pytest.raises(ShapeMismatch):
+            P.deviation(f, g, tol)
+    assert P.deviation(f, f) == 0.0
 
 
 def test_compile_refuses_classical_kraus_step():
@@ -474,7 +488,7 @@ def test_prop_compose_is_step_concatenation(fgh):
         (P.compose(g, f), P.ProcMorphism(f.dom, g.cod, f.steps + g.steps)),
         (P.compose_all(f, g, h), P.ProcMorphism(f.dom, h.cod, f.steps + g.steps + h.steps)),
     ]:
-        assert P.kernels_identical(got, want)
+        assert P.program_form(got) == P.program_form(want)
         assert np.array_equal(P.compile_kernel(got), P.compile_kernel(want))
 
 
@@ -602,8 +616,20 @@ def test_prop_program_writes_back_the_resolved_form(f):
     # ops, and the constructor reads the same form back, discard order kept
     g = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
     assert (g.ops, g.gone, g.out) == (f.ops, f.gone, f.out)
-    assert P.kernels_identical(f, g)
+    assert P.program_form(f) == P.program_form(g)
     assert len(g.steps) <= len(f.ops) + 2
+
+
+def _poisoned(f, data):
+    """f with one entry of one matrix or Kraus operator set to NaN or
+    +-inf, on a copy of that op's payload."""
+    i = data.draw(st.integers(0, len(f.ops) - 1))
+    kind, m, wires = f.ops[i]
+    mats = [k.copy() for k in (m if kind == "kraus" else (m,))]
+    j = data.draw(st.integers(0, len(mats) - 1))
+    mats[j].flat[data.draw(st.integers(0, mats[j].size - 1))] = data.draw(st.sampled_from(GARBAGE))
+    op = (kind, tuple(mats) if kind == "kraus" else mats[0], wires)
+    return P.program(f.dom, f.cod, f.ops[:i] + (op,) + f.ops[i + 1:], f.gone, f.out)
 
 
 @given(kernel_programs(), st.data())
@@ -611,16 +637,8 @@ def test_prop_program_writes_back_the_resolved_form(f):
 def test_prop_non_finite_step_fails_closed(f, data):
     # one NaN or infinite entry in a matrix or Kraus step reaches the
     # result, and apply refuses it rather than return a state
-    acting = [i for i, step in enumerate(f.steps) if step[0] in ("matrix", "kraus")]
-    assume(acting)
-    i = data.draw(st.sampled_from(acting))
-    kind, payload, idx = f.steps[i]
-    mats = [m.copy() for m in (payload if kind == "kraus" else (payload,))]
-    j = data.draw(st.integers(0, len(mats) - 1))
-    mats[j].flat[data.draw(st.integers(0, mats[j].size - 1))] = data.draw(
-        st.sampled_from([np.nan, np.inf, -np.inf]))
-    step = (kind, tuple(mats) if kind == "kraus" else mats[0], idx)
-    g = P.ProcMorphism(f.dom, f.cod, f.steps[:i] + (step,) + f.steps[i + 1:])
+    assume(f.ops)
+    g = _poisoned(f, data)
     rho = _random_state(f.dom, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
     with np.errstate(all="ignore"), pytest.raises(NotFinite):
         P.apply(g, rho)
@@ -659,7 +677,7 @@ def test_apply_never_holds_a_wire_longer_than_the_steps(monkeypatch):
 
 def test_morphisms_equal_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        P.morphisms_equal(P.identity(qobj(2)), P.identity(qobj(3)))
+        P.deviation(P.identity(qobj(2)), P.identity(qobj(3)))
 
 
 # -- kraus channels -------------------------------------------------------------------------
@@ -675,7 +693,7 @@ def test_kraus_channel_matches_dense():
     big1 = np.kron(np.eye(2), k1)
     want = big0 @ rho.data @ big0.conj().T + big1 @ rho.data @ big1.conj().T
     assert np.max(np.abs(out.data - want)) < 1e-12
-    assert P.is_normalised(f)
+    assert normalisation_defect(f) <= TOL
     # every operator of the family is checked, and the family is not empty
     for ks in ([np.eye(2), np.eye(3)], []):
         with pytest.raises(ShapeMismatch):
@@ -685,8 +703,8 @@ def test_kraus_channel_matches_dense():
 def test_choi_cross_validation():
     a = qobj(2, 2)
     f = P.compose(P.discard(a, [0]), P.unitary_channel(a, random_unitary(RNG, 4)))
-    assert P.is_completely_positive(f)
-    choi = P.choi_matrix(f)
+    assert is_completely_positive(f)
+    choi = choi_matrix(f)
     # trace of the Choi matrix equals the input dimension for a channel
     assert abs(np.trace(choi) - a.dim) < 1e-10
 
@@ -726,14 +744,14 @@ def test_classical_transfer_matrix_agrees_with_dense():
     s = RNG.random((6, 6))
     s /= s.sum(axis=0, keepdims=True)
     f = P.compose(P.discard(a, [1]), P.stochastic_map(a, s))
-    assert np.max(np.abs(P.transfer_matrix(f) - dense_superoperator(f))) < 1e-12
+    assert np.max(np.abs(P.compile_kernel(f) - dense_superoperator(f))) < 1e-12
 
 
 def test_classical_normalised():
     a = cobj(2, 2)
     s = RNG.random((4, 4))
     s /= s.sum(axis=0, keepdims=True)
-    assert P.is_normalised(P.stochastic_map(a, s))
+    assert normalisation_defect(P.stochastic_map(a, s)) <= TOL
 
 
 # -- environment equations ----------------------------------------------------------------------
@@ -746,13 +764,13 @@ def test_discard_tensor_equations_random_shapes():
         b = qobj(*(int(RNG.integers(2, 4)) for _ in range(nf_b)))
         lhs = P.discard(P.tensor_obj(a, b))
         rhs = P.tensor_mor(P.discard(a), P.discard(b))
-        assert P.morphisms_equal(lhs, rhs, tol=1e-12)
+        assert P.deviation(lhs, rhs, 1e-12) <= 1e-12
 
 
 def test_discard_of_unit_is_one():
     f = P.discard(P.unit(P.QUANTUM))
     assert f.dom.is_unit and f.cod.is_unit
-    assert P.morphisms_equal(f, P.identity(P.unit(P.QUANTUM)))
+    assert P.deviation(f, P.identity(P.unit(P.QUANTUM)), TOL) <= TOL
 
 
 # -- matrix json ------------------------------------------------------------------------------------
@@ -806,11 +824,11 @@ def test_prop_nonfinite_input_is_rejected(kind, where, garbage, imaginary):
 def _full_path(f, g, tol):
     """``deviation(f, g, tol)`` on the whole programs, without the cone accept."""
     if f.backend == P.QUANTUM:
-        ms, ns = P.kraus_family(f), P.kraus_family(g)
+        ms, ns = P.compile_kernel(f), P.compile_kernel(g)
         x = P._kraus_columns(ms, ns)
         bound = P._choi_qr_bound(x, len(ms))
         return bound if bound <= tol else P._choi_maxdiff(x, len(ms))
-    return float(np.max(np.abs(P.transfer_matrix(f) - P.transfer_matrix(g))))
+    return float(np.max(np.abs(P.compile_kernel(f) - P.compile_kernel(g))))
 
 
 def _same_value(a, b):
@@ -860,7 +878,6 @@ def test_cone_keeps_a_bad_dead_step(case):
         want = _full_path(f, g, tol)
         got = P.deviation(f, g, tol)
         assert (got <= tol) == (want <= tol)
-        assert P.morphisms_equal(f, g, tol) == (want <= tol)
         if not (want <= tol):
             assert _same_value(got, want), (tol, got, want)
     # at tol=1e-12 every case is a violation, reported from the full sweep
@@ -877,7 +894,7 @@ def test_cone_accept_with_exact_dropped_steps_beats_the_full_bound():
     cod = qobj(2)
     f = P.ProcMorphism(a, cod, (("matrix", u, (0,)),) + dead)
     g = P.ProcMorphism(a, cod, (("matrix", u * np.exp(1e-12j * np.arange(2)), (0,)),) + dead)
-    diff = P.choi_matrix(f) - P.choi_matrix(g)
+    diff = choi_matrix(f) - choi_matrix(g)
     got = P.deviation(f, g, P.VALIDITY_TOL)
     assert np.max(np.abs(diff)) <= got < np.linalg.norm(diff)
     assert got < _full_path(f, g, P.VALIDITY_TOL)
@@ -970,6 +987,14 @@ def program_pairs(draw):
     return f, g, tol
 
 
+def _dense_deviation(f, g):
+    """The max-entry difference of the dense Choi (quantum) or transfer
+    (classical) matrices: the compiled sweep, by the reference route."""
+    if f.backend == P.QUANTUM:
+        return float(np.max(np.abs(choi_matrix(f) - choi_matrix(g))))
+    return float(np.max(np.abs(P.compile_kernel(f) - P.compile_kernel(g))))
+
+
 @given(program_pairs())
 @settings(max_examples=300, deadline=None)
 def test_prop_reduced_accept_is_sound(pair):
@@ -977,17 +1002,67 @@ def test_prop_reduced_accept_is_sound(pair):
     # above tol is the exact one, bit for bit; and the decision is the
     # exact one away from tol
     f, g, tol = pair
-    got, exact = P.deviation(f, g, tol), P.deviation(f, g)
-    if f.backend == P.QUANTUM:
-        dense = float(np.max(np.abs(P.choi_matrix(f) - P.choi_matrix(g))))
-    else:
-        dense = float(np.max(np.abs(P.transfer_matrix(f) - P.transfer_matrix(g))))
+    got, exact, dense = P.deviation(f, g, tol), P.deviation(f, g), _dense_deviation(f, g)
     if got <= tol:
         assert dense <= got + 1e-12
     else:
         assert _same_value(got, exact)
     if not abs(exact - tol) <= 1e-9:
         assert (got <= tol) == (exact <= tol)
+
+
+# -- one resolved form -----------------------------------------------------------------------
+
+@given(
+    st.sampled_from([P.QUANTUM, P.CLASSICAL]),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda fs: prod(fs) <= 24),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_prop_one_form_is_exactly_equal(backend, facs, data):
+    # two programs with one resolved form give exactly 0.0 with or without
+    # tol when every matrix is finite; with a NaN or infinite entry they
+    # give NaN, as the compiled sweep does
+    f = data.draw(kernel_programs(P.ProcObject(backend, tuple(facs))))
+    if f.ops and data.draw(st.booleans()):
+        f = _poisoned(f, data)
+    g = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+    assert P.program_form(f) == P.program_form(g)
+    finite = all(np.isfinite(m).all() for _, m, _ in f.ops)
+    with np.errstate(all="ignore"):
+        dense = _dense_deviation(f, g)
+        for tol in (None, 0.0, 1e-12, TOL, 1.0):
+            got = P.deviation(f, g, tol)
+            if finite:
+                assert got == 0.0 and dense <= P.ORACLE_TOL
+            else:
+                assert np.isnan(got) and np.isnan(dense)
+
+
+def test_one_form_is_not_compiled(monkeypatch):
+    # a finite pair of one form is answered without compiling or bounding;
+    # the same pair holding a NaN is compared by the sweep and fails its
+    # report
+    from causal_fields.report import Report
+
+    compiled, bounded = [], []
+    compile_kernel, cone_bound = P.compile_kernel, P._cone_bound
+    monkeypatch.setattr(P, "compile_kernel", lambda f: compiled.append(f) or compile_kernel(f))
+    monkeypatch.setattr(P, "_cone_bound", lambda f, g: bounded.append(f) or cone_bound(f, g))
+    a = qobj(2, 2)
+    kraus = P.kraus_channel(a, [np.sqrt(0.5) * SX, np.sqrt(0.5) * np.eye(2)], [1])
+    f = P.compose_all(P.unitary_channel(a, random_unitary(RNG, 4)), kraus, P.discard(a, [0]))
+    g = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+    for tol in (None, TOL):
+        assert P.deviation(f, g, tol) == 0.0
+    assert compiled == [] and bounded == []
+    nan = np.eye(4, dtype=complex)
+    nan[2, 1] = np.nan
+    h = P.program(f.dom, f.cod, (("matrix", nan, (0, 1)),) + f.ops[1:], f.gone, f.out)
+    report = Report("one form")
+    report.compare({"pair": "h, h"}, P.deviation(h, h, TOL), TOL)
+    assert compiled and not report.ok
+    assert np.isnan(report.violations[0]["deviation"])
 
 
 # -- the comparison memo of a law check ----------------------------------------------------
