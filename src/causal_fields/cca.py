@@ -324,7 +324,7 @@ def _scatter_and_route(
     gone = [i for i, s in enumerate(slots) if s not in route]
     out = [pos[s] for s in sorted(route, key=route.get)]
     cod = P.ProcObject(config.backend, (config.cell_dim,) * len(out))
-    return P.program(slice_object(config, sites), cod, ops, gone, out)
+    return P.ProcMorphism(slice_object(config, sites), cod, ops, gone, out)
 
 
 def restriction_kernel(config: PartitionedCCAConfig, xs: Sites, ys: Sites) -> P.ProcMorphism:
@@ -524,7 +524,6 @@ def sample_words(action: SymmetryAction, rng, count: int, max_len: int = 3) -> l
 
 def check_symmetry_action(
     action: SymmetryAction,
-    omega,
     cat: SliceCategory,
     slice_samples,
     morphism_samples,
@@ -533,8 +532,10 @@ def check_symmetry_action(
 ) -> Report:
     """Automorphism property plus the three slice-category conditions of a
     symmetry, on samples; for lattice translations also checks that the
-    generators shift whole foliation leaves forward."""
+    generators shift whole foliation leaves forward.  The order is
+    ``cat.order``."""
     report = Report("symmetry-action")
+    omega = cat.order
     words = words or [((name, 1),) for name in sorted(action.generators)]
     for word in words:
         for x, y in event_pairs:
@@ -812,7 +813,7 @@ def check_suite(target: str, theory: FieldTheory, reversal: FieldTheory | None, 
         morphisms = _draw(rng, _check_window(), samples)
         pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (3, (1,)))]
         words = sample_words(action, rng, 6)
-        return check_symmetry_action(action, cat.order, cat, slices, morphisms, pairs, words)
+        return check_symmetry_action(action, cat, slices, morphisms, pairs, words)
     if target == "invariance":
         words = sample_words(action, rng, 4)
         morphisms = _draw(rng, _check_window(), samples)

@@ -115,18 +115,23 @@ def _reject_constant(token: str):
     raise BadParams(f"JSON input holds the non-finite number {token}")
 
 
-def _finite_float(text: str) -> float:
+def _finite_number(text: str) -> float | int:
+    """A JSON number that a float can hold, an int if ``text`` is an
+    integer; one that overflows to infinity is BadParams.  An integer is
+    measured as a float first, so no integer too long to hold is read."""
     value = float(text)
     if not np.isfinite(value):
         _reject_constant(text)
-    return value
+    return value if any(c in text for c in ".eE") else int(text)
 
 
 def _parse_json(text: str):
     """Strict JSON: malformed text, the ``NaN``/``Infinity`` tokens and
-    numbers that overflow to infinity are rejected with BadParams."""
+    numbers (integers included) that overflow to infinity are rejected with
+    BadParams."""
     try:
-        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_number,
+                          parse_int=_finite_number)
     except json.JSONDecodeError as exc:
         raise BadParams(f"malformed JSON input: {exc}") from None
 

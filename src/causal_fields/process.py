@@ -5,22 +5,21 @@ Two concrete backends share one morphism representation:
 * ``quantum``  -- finite-dimensional channels acting on density operators;
 * ``classical`` -- stochastic maps acting on probability vectors.
 
-Morphisms are lazy kernel programs (sequences of elementary steps), never
-dense superoperators.  No step creates a wire, so every program has one
-resolved form, recorded when it is built: its matrix and Kraus steps on
-domain wires (``ops``), the domain wires it discards in discard order
-(``gone``), and the domain wire at each codomain position (``out``).
-Every interpreter reads that form, and composites are built from it.
+Morphisms are lazy kernel programs, never dense superoperators.  No step
+creates a wire, so a program is held in its resolved form, checked once
+when it is built: its matrix and Kraus steps on domain wires (``ops``),
+the domain wires it discards in discard order (``gone``), and the domain
+wire at each codomain position (``out``).  Every interpreter reads that
+form, and every builder, composites included, writes one directly.
 ``apply`` contracts each op onto the axes its wires hold in the working
 state and traces each discarded wire right after the last op on it, so
-the state never holds a wire longer than the step list does.  The
-one-sided evaluator ``_evolve`` runs the form on a batch of columns with
-a leading branch axis: a Kraus step branches the batch, and the
-discarded wires join the branch axis (quantum) or are summed out
-(classical).  Compiling runs it on the identity, giving the Kraus /
-matrix form of the program; a ``FactorPair`` runs it on both factors of
-rho = sum_b A_b B_b^dag and so steps a state without forming rho, from a
-ket in one batch of width 1.  Two programs with one resolved form
+the state holds no wire longer than that.  The one-sided evaluator
+``_evolve`` runs the form on a batch of columns with a leading branch
+axis: a Kraus step branches the batch, and the discarded wires join the
+branch axis (quantum) or are summed out (classical).  Compiling runs it
+on the identity, giving the Kraus / matrix form of the program; a
+``FactorPair`` runs it on both factors of rho = sum_b A_b B_b^dag and so
+steps a state without forming rho, from a ket in one batch of width 1.  Two programs with one resolved form
 (``program_form``, the library's one test of structural identity) and
 finite matrices are one morphism, so their deviation is exactly 0 and
 neither is compiled.  Otherwise equality checking evaluates both programs
@@ -105,9 +104,10 @@ def tensor_obj(a: ProcObject, b: ProcObject) -> ProcObject:
     return ProcObject(a.backend, a.factors + b.factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcState:
-    """A state on a ProcObject: density operator or probability vector."""
+    """A state on a ProcObject: density operator or probability vector.
+    Equality is identity; ``states_equal`` compares values."""
 
     obj: ProcObject
     data: np.ndarray
@@ -151,84 +151,61 @@ def basis_state(obj: ProcObject, index: int) -> ProcState:
 
 
 # ---------------------------------------------------------------------------
-# kernel steps
+# kernel programs
 #
-# A step is a tuple, interpreted against the current factor list:
-#   ("matrix", M, idx)   apply M (unitary / stochastic) in place on factors idx
-#   ("kraus", Ms, idx)   apply the Kraus family in place on factors idx
-#   ("discard", idx)     partial trace / marginal sum over factors idx
-#   ("permute", perm)    reorder all factors: new[i] = old[perm[i]]
-#
-# Steps are the input format.  The constructor resolves them once against
-# the domain wires: ``ops`` holds the matrix and Kraus steps with their
-# factor indices replaced by domain wires, ``gone`` the discarded wires in
-# discard order, ``out`` the domain wire at each codomain position.
-# ``program`` writes a resolved form back as steps.
+# A program is its resolved form on the domain wires (the domain factors,
+# numbered in order).  No step creates a wire, so every program is:
+#   ops   its ("matrix", M, wires) and ("kraus", Ms, wires) steps, in order,
+#         each applying M (unitary / stochastic) or the Kraus family in
+#         place on the domain wires it names;
+#   gone  the domain wires it discards (partial trace / marginal sum), in
+#         discard order;
+#   out   the domain wire at each codomain position.
 # ---------------------------------------------------------------------------
 
-def _step_out_factors(factors: tuple[int, ...], step) -> tuple[int, ...]:
-    kind = step[0]
-    n = len(factors)
-    if kind in ("matrix", "kraus"):
-        idx = step[2]
-        if len(set(idx)) != len(idx) or any(not 0 <= i < n for i in idx):
-            raise BadFactorIndex(f"bad factor indices {idx} for {n} factors")
-        m = prod(factors[i] for i in idx)
-        shapes = {mat.shape for mat in ((step[1],) if kind == "matrix" else step[1])}
-        if shapes != {(m, m)}:
-            raise ShapeMismatch(f"{kind} step of shapes {sorted(shapes)} on factors of total dim {m}")
-        return factors
-    if kind == "discard":
-        idx = step[1]
-        if len(set(idx)) != len(idx) or any(not 0 <= i < n for i in idx):
-            raise BadFactorIndex(f"bad factor indices {idx} for {n} factors")
-        drop = set(idx)
-        return tuple(d for i, d in enumerate(factors) if i not in drop)
-    if kind == "permute":
-        perm = step[1]
-        if sorted(perm) != list(range(n)):
-            raise BadFactorIndex(f"{perm} is not a permutation of {n} factors")
-        return tuple(factors[p] for p in perm)
-    raise ShapeMismatch(f"unknown step kind {kind!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcMorphism:
-    """A morphism as a kernel program from ``dom`` to ``cod``; ``ops``,
-    ``gone`` and ``out`` hold its resolved form."""
+    """A morphism from ``dom`` to ``cod`` as a kernel program in resolved
+    form (``ops``, ``gone``, ``out``), checked once when built.  Equality
+    is identity; ``program_form`` is the structural comparison."""
 
     dom: ProcObject
     cod: ProcObject
-    steps: tuple = ()
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
-    ops: tuple = field(init=False, compare=False, repr=False)
-    gone: tuple = field(init=False, compare=False, repr=False)
-    out: tuple = field(init=False, compare=False, repr=False)
+    ops: tuple
+    gone: tuple
+    out: tuple
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if self.dom.backend != self.cod.backend:
+            raise BackendMismatch(f"{self.dom.backend} domain, {self.cod.backend} codomain")
         facs = self.dom.factors
-        alive = list(range(len(facs)))  # the domain wire at each position
-        ops, gone = [], []
-        for step in self.steps:
-            kind = step[0]
+        n = len(facs)
+        ops = []
+        for op in self.ops:
+            kind = op[0]
+            if kind not in ("matrix", "kraus"):
+                raise ShapeMismatch(f"unknown step kind {kind!r}")
             if kind == "kraus" and self.backend != QUANTUM:
                 raise ShapeMismatch("classical programs cannot contain kraus steps")
-            facs = _step_out_factors(facs, step)
-            if kind == "discard":
-                idx = set(step[1])
-                gone.extend(alive[i] for i in sorted(idx))
-                alive = [w for i, w in enumerate(alive) if i not in idx]
-            elif kind == "permute":
-                alive = [alive[p] for p in step[1]]
-            else:
-                ops.append((kind, step[1], tuple(alive[i] for i in step[2])))
-        if facs != self.cod.factors:
-            raise ShapeMismatch(
-                f"program produces factors {facs}, declared cod {self.cod.factors}"
-            )
+            _, m, wires = op
+            wires = tuple(wires)
+            if len(set(wires)) != len(wires) or any(not 0 <= w < n for w in wires):
+                raise BadFactorIndex(f"bad factor indices {wires} for {n} factors")
+            d = prod(facs[w] for w in wires)
+            shapes = {mat.shape for mat in ((m,) if kind == "matrix" else m)}
+            if shapes != {(d, d)}:
+                raise ShapeMismatch(f"{kind} step of shapes {sorted(shapes)} on factors of total dim {d}")
+            ops.append((kind, m, wires))
+        gone, out = tuple(self.gone), tuple(self.out)
+        if sorted(out + gone) != list(range(n)):
+            raise BadFactorIndex(f"outputs {out} and discards {gone} do not split {n} factors")
+        produced = tuple(facs[w] for w in out)
+        if produced != self.cod.factors:
+            raise ShapeMismatch(f"program produces factors {produced}, declared cod {self.cod.factors}")
         object.__setattr__(self, "ops", tuple(ops))
-        object.__setattr__(self, "gone", tuple(gone))
-        object.__setattr__(self, "out", tuple(alive))
+        object.__setattr__(self, "gone", gone)
+        object.__setattr__(self, "out", out)
 
     @property
     def backend(self) -> str:
@@ -236,19 +213,15 @@ class ProcMorphism:
 
 
 def identity(obj: ProcObject) -> ProcMorphism:
-    return ProcMorphism(obj, obj, ())
+    return ProcMorphism(obj, obj, (), (), range(len(obj.factors)))
 
 
 def discard(obj: ProcObject, which: Sequence[int] | None = None) -> ProcMorphism:
     """Discard the chosen factors (all of them by default)."""
-    if which is None:
-        which = range(len(obj.factors))
-    idx = tuple(sorted(which))
-    if not idx:
-        return identity(obj)
-    drop = set(idx)
-    keep = tuple(d for i, d in enumerate(obj.factors) if i not in drop)
-    return ProcMorphism(obj, ProcObject(obj.backend, keep), (("discard", idx),))
+    n = len(obj.factors)
+    gone = tuple(sorted(range(n) if which is None else which))
+    out = tuple(w for w in range(n) if w not in gone)
+    return ProcMorphism(obj, ProcObject(obj.backend, tuple(obj.factors[w] for w in out)), (), gone, out)
 
 
 def unitary_channel(obj: ProcObject, u, factors: Sequence[int] | None = None,
@@ -257,12 +230,10 @@ def unitary_channel(obj: ProcObject, u, factors: Sequence[int] | None = None,
     if obj.backend != QUANTUM:
         raise BackendMismatch("unitary_channel needs a quantum object")
     u = np.asarray(u, dtype=complex)
-    if factors is None:
-        factors = range(len(obj.factors))
-    idx = tuple(factors)
     if not (np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol):
         raise NotUnitary("matrix is not unitary within tolerance")
-    return ProcMorphism(obj, obj, (("matrix", u, idx),))
+    wires = range(len(obj.factors))
+    return ProcMorphism(obj, obj, (("matrix", u, wires if factors is None else factors),), (), wires)
 
 
 def kraus_channel(obj: ProcObject, kraus_ops, factors: Sequence[int] | None = None) -> ProcMorphism:
@@ -270,9 +241,8 @@ def kraus_channel(obj: ProcObject, kraus_ops, factors: Sequence[int] | None = No
     if obj.backend != QUANTUM:
         raise BackendMismatch("kraus_channel needs a quantum object")
     ks = tuple(require_finite(np.asarray(k, dtype=complex), "Kraus operator") for k in kraus_ops)
-    if factors is None:
-        factors = range(len(obj.factors))
-    return ProcMorphism(obj, obj, (("kraus", ks, tuple(factors)),))
+    wires = range(len(obj.factors))
+    return ProcMorphism(obj, obj, (("kraus", ks, wires if factors is None else factors),), (), wires)
 
 
 def stochastic_map(obj: ProcObject, s, factors: Sequence[int] | None = None) -> ProcMorphism:
@@ -282,17 +252,14 @@ def stochastic_map(obj: ProcObject, s, factors: Sequence[int] | None = None) -> 
     s = require_finite(np.asarray(s, dtype=float), "stochastic matrix")
     if not (-np.min(s) <= VALIDITY_TOL):
         raise NotStochastic("negative entries in stochastic matrix")
-    if factors is None:
-        factors = range(len(obj.factors))
-    return ProcMorphism(obj, obj, (("matrix", s, tuple(factors)),))
+    wires = range(len(obj.factors))
+    return ProcMorphism(obj, obj, (("matrix", s, wires if factors is None else factors),), (), wires)
 
 
 def permute_factors(obj: ProcObject, perm: Sequence[int]) -> ProcMorphism:
+    """Reorder the factors: output i is input factor ``perm[i]``."""
     perm = tuple(perm)
-    cod = ProcObject(obj.backend, tuple(obj.factors[p] for p in perm))
-    if perm == tuple(range(len(perm))):
-        return identity(obj)
-    return ProcMorphism(obj, cod, (("permute", perm),))
+    return ProcMorphism(obj, ProcObject(obj.backend, tuple(obj.factors[p] for p in perm)), (), (), perm)
 
 
 def compose(g: ProcMorphism, f: ProcMorphism) -> ProcMorphism:
@@ -314,22 +281,7 @@ def compose_all(*morphisms: ProcMorphism) -> ProcMorphism:
         ops += [(kind, m, tuple(out[w] for w in wires)) for kind, m, wires in g.ops]
         gone += [out[w] for w in g.gone]
         out = tuple(out[w] for w in g.out)
-    return program(first.dom, morphisms[-1].cod, ops, gone, out)
-
-
-def program(dom: ProcObject, cod: ProcObject, ops, gone, out) -> ProcMorphism:
-    """The kernel program with a given resolved form: the steps ``ops`` on
-    domain wires, then one permutation that puts the wires ``out`` first
-    and the wires ``gone`` after them, then one discard of the ``gone``
-    block, so the wires are discarded in the order given.  A step that
-    would do nothing is left out."""
-    order = tuple(out) + tuple(gone)
-    steps = list(ops)
-    if order != tuple(range(len(order))):
-        steps.append(("permute", order))
-    if gone:
-        steps.append(("discard", tuple(range(len(out), len(order)))))
-    return ProcMorphism(dom, cod, tuple(steps))
+    return ProcMorphism(first.dom, morphisms[-1].cod, ops, gone, out)
 
 
 def tensor_mor(f: ProcMorphism, g: ProcMorphism) -> ProcMorphism:
@@ -342,8 +294,8 @@ def tensor_mor(f: ProcMorphism, g: ProcMorphism) -> ProcMorphism:
         return tuple(w + n for w in wires)
 
     ops = f.ops + tuple((kind, m, shift(wires)) for kind, m, wires in g.ops)
-    return program(tensor_obj(f.dom, g.dom), tensor_obj(f.cod, g.cod), ops,
-                   f.gone + shift(g.gone), f.out + shift(g.out))
+    return ProcMorphism(tensor_obj(f.dom, g.dom), tensor_obj(f.cod, g.cod), ops,
+                        f.gone + shift(g.gone), f.out + shift(g.out))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +344,7 @@ def apply(f: ProcMorphism, rho: ProcState) -> ProcState:
     """Evaluate the kernel program on a state, op by op on the axes of the
     live wires.  Each discarded wire is traced out (summed, classically)
     right after the last op on it; wires freed at the same point go last
-    discarded first, so a discard step sums its highest factor first."""
+    discarded first, so ``discard`` sums its highest factor first."""
     if rho.obj != f.dom:
         raise ShapeMismatch(f"state on {rho.obj}, morphism from {f.dom}")
     dims = f.dom.factors
@@ -597,7 +549,7 @@ def _restrict(f: ProcMorphism, keep: list[bool], defects: dict) -> tuple[ProcMor
             grow *= 1 + defects[id(m)]
     dom = ProcObject(f.backend, tuple(d for d, k in zip(f.dom.factors, keep) if k))
     gone = [new[w] for w in f.gone if keep[w]]
-    return program(dom, f.cod, ops, gone, [new[w] for w in f.out]), grow - 1
+    return ProcMorphism(dom, f.cod, ops, gone, [new[w] for w in f.out]), grow - 1
 
 
 def _cone_bound(f: ProcMorphism, g: ProcMorphism) -> float:

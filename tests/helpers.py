@@ -288,19 +288,62 @@ def _embed_full(m: np.ndarray, positions, dims) -> np.ndarray:
     return big.reshape(d, d)
 
 
-def compile_kernel_oracle(f) -> np.ndarray:
-    """The compiled form of a kernel program by full-space products: every
-    step is embedded as a d x d operator and multiplied onto a list of Kraus
-    branches (Kraus operator outer, existing branch inner); discards are
-    deferred to one partial trace / marginal sum at the end.  Same layout
-    as ``process.compile_kernel``, by an independent route."""
-    dims = f.dom.factors
-    n, d = len(dims), f.dom.dim
-    quantum = f.backend == "quantum"
+# -- step lists: the reference for building and composing programs -----------
+
+def resolve_steps(factors, steps):
+    """The resolved form ``(ops, gone, out)`` of a step list on a domain
+    of ``factors``, by walking the domain wire at each position.  A step is
+    read against the current factor list:
+
+      ("matrix", M, idx)   M in place on factors idx
+      ("kraus", Ms, idx)   the Kraus family in place on factors idx
+      ("discard", idx)     partial trace / marginal sum over factors idx
+      ("permute", perm)    reorder all factors: new[i] = old[perm[i]]
+
+    The steps are not checked here; the program's constructor checks the
+    form."""
+    alive = list(range(len(factors)))
+    ops, gone = [], []
+    for step in steps:
+        if step[0] == "discard":
+            idx = set(step[1])
+            gone += [alive[i] for i in sorted(idx)]
+            alive = [w for i, w in enumerate(alive) if i not in idx]
+        elif step[0] == "permute":
+            alive = [alive[p] for p in step[1]]
+        else:
+            ops.append((step[0], step[1], tuple(alive[i] for i in step[2])))
+    return ops, gone, alive
+
+
+def live_factors(factors, steps) -> tuple:
+    """The factor list a step list leaves on a domain of ``factors``."""
+    return tuple(factors[w] for w in resolve_steps(factors, steps)[2])
+
+
+def steps_program(dom, steps):
+    """The kernel program of a step list on ``dom``, to the factors it leaves."""
+    from causal_fields import process as P
+
+    ops, gone, out = resolve_steps(dom.factors, steps)
+    cod = P.ProcObject(dom.backend, tuple(dom.factors[w] for w in out))
+    return P.ProcMorphism(dom, cod, ops, gone, out)
+
+
+def compile_kernel_oracle(dom, steps) -> np.ndarray:
+    """The compiled form of a step list on ``dom`` by full-space products:
+    every step is embedded as a d x d operator and multiplied onto a list
+    of Kraus branches (Kraus operator outer, existing branch inner);
+    discards are deferred to one partial trace / marginal sum at the end.
+    Same layout as ``process.compile_kernel``, by an independent route: it
+    walks the steps itself and never reads a program's resolved form."""
+    dims = dom.factors
+    n, d = len(dims), dom.dim
+    quantum = dom.backend == "quantum"
     dtype = complex if quantum else float
     alive, discarded = list(range(n)), []
     mats = [np.eye(d, dtype=dtype)]
-    for step in f.steps:
+    for step in steps:
         kind = step[0]
         if kind == "matrix":
             m_full = _embed_full(step[1].astype(dtype), [alive[i] for i in step[2]], dims)

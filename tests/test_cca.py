@@ -55,7 +55,7 @@ from causal_fields.errors import (
 from causal_fields.field_theory import check_reversal, zigzag_composite
 from causal_fields.order import Window, future_domain, lattice, materialize
 
-from helpers import dirac_convergence_deviations, normalisation_defect, random_density, random_unitary
+from helpers import dirac_convergence_deviations, normalisation_defect, random_density, random_unitary, steps_program
 
 RNG = np.random.default_rng(2024)
 TOL = P.VALIDITY_TOL
@@ -225,26 +225,28 @@ def test_reverse_one_step_inverts_forward_step():
     assert P.deviation(P.compose(back, fwd), want) <= 1e-12
 
 
+def _counting_form_checks(monkeypatch) -> list:
+    """The number of ops each form check reads, from here on."""
+    checked, check = [], P.ProcMorphism.__post_init__
+    monkeypatch.setattr(P.ProcMorphism, "__post_init__", lambda f: checked.append(len(f.ops)) or check(f))
+    return checked
+
+
 def test_ring_step_build_is_linear(monkeypatch):
-    # the program is assembled once: the step checks grow with the ring,
-    # not with its square
-    calls = []
-    check = P._step_out_factors
-
-    def counted(factors, step):
-        calls.append(step[0])
-        return check(factors, step)
-
-    monkeypatch.setattr(P, "_step_out_factors", counted)
-    n = 400
-    f = ring_step_morphism(dirac_config(0.3, 0.1), n)
-    assert len(f.steps) == n + 1
-    assert len(calls) <= 2 * (n + 2)
+    # the program is built once: its form check reads each of the ring's
+    # cell ops once, so the checks grow with the ring, not with its square
+    config, n = dirac_config(0.3, 0.1), 400
+    checked = _counting_form_checks(monkeypatch)
+    f = ring_step_morphism(config, n)
+    assert len(f.ops) == n and f.gone == ()
+    assert checked == [n]
 
 
 def test_compose_all_is_linear(monkeypatch):
-    # composing reads each program's resolved form once: the step checks
-    # grow with the number of programs, not with its square
+    # composing reads each program's resolved form once and checks the
+    # composite once: the checks grow with the number of programs, not with
+    # its square.  The composite is the program of the step lists laid end
+    # to end
     obj = P.ProcObject(P.QUANTUM, (2, 2, 2))
     u = dirac_scattering(0.3, 0.1)
     n = 400
@@ -252,19 +254,11 @@ def test_compose_all_is_linear(monkeypatch):
         P.unitary_channel(obj, u, (i % 3, (i + 1) % 3)) if i % 2 else P.permute_factors(obj, (1, 2, 0))
         for i in range(n)
     ]
-    calls = []
-    check = P._step_out_factors
-
-    def counted(factors, step):
-        calls.append(step[0])
-        return check(factors, step)
-
-    monkeypatch.setattr(P, "_step_out_factors", counted)
+    checked = _counting_form_checks(monkeypatch)
     f = P.compose_all(*ms)
-    assert len(calls) <= 2 * n + 4
-    monkeypatch.setattr(P, "_step_out_factors", check)
-    steps = tuple(step for m in ms for step in m.steps)
-    assert P.program_form(f) == P.program_form(P.ProcMorphism(obj, obj, steps))
+    assert checked == [n // 2]
+    steps = [("matrix",) + m.ops[0][1:] if i % 2 else ("permute", (1, 2, 0)) for i, m in enumerate(ms)]
+    assert P.program_form(f) == P.program_form(steps_program(obj, steps))
 
 
 # -- the spec picture: swap scattering is exact transport ------------------------------
@@ -469,13 +463,12 @@ def test_classical_permutation_cca_reversal():
 
 def test_translation_action_on_lattice():
     act = translation_action(1)
-    omega = lattice(1)
     cat = foliation_category_of_lattice(1)
     slices = [sl(0, 0), sl(0, 0, 2), sl(1, 1, 3), frozenset()]
     morphisms = [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2), sl(0, 0)), (sl(0, 0), sl(0, 2))]
     event_pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (2, (0,)))]
     words = sample_words(act, np.random.default_rng(1), 6, max_len=3)
-    rep = check_symmetry_action(act, omega, cat, slices, morphisms, event_pairs, words)
+    rep = check_symmetry_action(act, cat, slices, morphisms, event_pairs, words)
     assert rep.ok, rep.violations[:3]
 
 
@@ -495,7 +488,7 @@ def test_reflection_on_asymmetric_order_fails():
     )
     cat = all_slices_category(omega)
     rep = check_symmetry_action(
-        action, omega, cat,
+        action, cat,
         slice_samples=[frozenset({"a"}), frozenset({"b"})],
         morphism_samples=[(frozenset({"a"}), frozenset({"b"}))],
         event_pairs=[("a", "b")],

@@ -380,7 +380,7 @@ _DRAWN = {
     "monoidality": ("check_monoidality", 1),
     "nosignalling": ("check_environment", 1, 2),
     "reversal": ("check_reversal", 2),
-    "symmetry": ("check_symmetry_action", 4),
+    "symmetry": ("check_symmetry_action", 3),
     "invariance": ("check_invariance", 4),
 }
 
@@ -920,6 +920,29 @@ def test_export_csv_refuses_a_malformed_run(tmp_path, blob, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "per_step" in err
     assert not out.exists()
+
+
+# JSON integers a float cannot hold: they overflow to infinity, and the
+# longest are past Python's 4,300-digit int conversion limit
+HUGE_INTEGERS = {"401 digits": "1" + "0" * 400, "-401 digits": "-1" + "0" * 400, "4301 digits": "1" + "0" * 4300}
+
+
+@pytest.mark.parametrize("name", list(HUGE_INTEGERS))
+def test_an_integer_that_overflows_a_float_is_a_usage_error(dirac_file, fork_file, tmp_path, name, capsys):
+    # refused where the JSON is parsed, for a run's marginals, a config's
+    # integer and a leaf's event id alike, and no output is written
+    huge = HUGE_INTEGERS[name]
+    run, cfg, out = tmp_path / "run.json", tmp_path / "cfg.json", tmp_path / "out"
+    run.write_text('{"per_step": [{"t": 0, "marginals": [%s]}]}' % huge)
+    cfg.write_text(Path(dirac_file).read_text().replace('"d": 1', '"d": ' + huge))
+    for argv in (
+        ["export", "csv", "--run", str(run)],
+        ["check", "functoriality", "--cca", str(cfg)],
+        ["check", "foliation", "--order", fork_file, "--leaves", '[["a", %s], ["c"]]' % huge],
+    ):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 def test_export_dot_refuses_an_id_ending_in_a_backslash(tmp_path, capsys):

@@ -171,7 +171,7 @@ def test_environment_with_a_lossy_dead_step_still_fails(generic_theory, monkeypa
         f = generic_theory.mor(sigma, gamma)
         if not (sigma and gamma):
             return f
-        return P.ProcMorphism(f.dom, f.cod, (("matrix", lossy, (0,)),) + f.steps)
+        return P.ProcMorphism(f.dom, f.cod, (("matrix", lossy, (0,)),) + f.ops, f.gone, f.out)
 
     theory = FieldTheory(generic_theory.category, P.QUANTUM, generic_theory.obj_fn, mor_fn,
                          generic_theory.slots_fn, label="lossy")
@@ -389,7 +389,7 @@ def _position_dependent(theory, site, u):
         if all(x != site for _, x in sigma | gamma):
             return f
         ops = [(kind, u if kind == "matrix" else m, wires) for kind, m, wires in f.ops]
-        return P.program(f.dom, f.cod, ops, f.gone, f.out)
+        return P.ProcMorphism(f.dom, f.cod, ops, f.gone, f.out)
 
     return FieldTheory(theory.category, theory.backend, theory.obj_fn, mor_fn, theory.slots_fn,
                        label="position-dependent")

@@ -29,9 +29,11 @@ from helpers import (
     compile_kernel_oracle,
     dense_superoperator,
     is_completely_positive,
+    live_factors,
     normalisation_defect,
     random_density,
     random_unitary,
+    steps_program,
 )
 
 RNG = np.random.default_rng(42)
@@ -138,6 +140,8 @@ def test_discard_respects_tensor():
 def test_bad_factor_index():
     with pytest.raises(BadFactorIndex):
         P.discard(qobj(2), [3])
+    with pytest.raises(BadFactorIndex):  # too short: it used to give the identity
+        P.permute_factors(qobj(2, 2), (0,))
 
 
 # -- unitary channels --------------------------------------------------------------
@@ -352,9 +356,9 @@ def test_nan_kernel_fails_closed():
     s[1, 1] = np.nan
     a, c = qobj(2), cobj(2)
     for f in (
-        P.ProcMorphism(a, a, (("matrix", m, (0,)),)),
-        P.ProcMorphism(a, a, (("kraus", tuple(k), (0,)),)),
-        P.ProcMorphism(c, c, (("matrix", s, (0,)),)),
+        P.ProcMorphism(a, a, (("matrix", m, (0,)),), (), (0,)),
+        P.ProcMorphism(a, a, (("kraus", tuple(k), (0,)),), (), (0,)),
+        P.ProcMorphism(c, c, (("matrix", s, (0,)),), (), (0,)),
     ):
         ident = P.identity(f.dom)
         assert np.isnan(P.deviation(f, ident))
@@ -382,7 +386,7 @@ def test_numpy_frame_float_warning_fails_the_suite():
     # and the comparison fails closed
     c = cobj(2)
     m = np.array([[1e300, 0.0], [0.0, 1.0]])
-    f = P.ProcMorphism(c, c, (("matrix", m, (0,)), ("matrix", m, (0,))))
+    f = P.ProcMorphism(c, c, (("matrix", m, (0,)), ("matrix", m, (0,))), (), (0,))
     with pytest.raises(RuntimeWarning, match="overflow"):
         P.compile_kernel(f)
     with np.errstate(over="ignore"):
@@ -406,7 +410,7 @@ def test_compile_refuses_large_domain():
 def test_compile_refuses_classical_kraus_step():
     a = cobj(2, 2)
     with pytest.raises(ShapeMismatch):
-        P.compile_kernel(P.ProcMorphism(a, a, (("kraus", (np.eye(2), np.eye(2)), (1,)),)))
+        P.compile_kernel(P.ProcMorphism(a, a, (("kraus", (np.eye(2), np.eye(2)), (1,)),), (), (0, 1)))
 
 
 @pytest.mark.parametrize("ops", [1, 2])
@@ -416,16 +420,16 @@ def test_classical_kraus_step_is_refused_when_built(ops):
     a = cobj(2, 2)
     step = ("kraus", tuple(1j * np.array([[0.0, 1.0], [1.0, 0.0]]) for _ in range(ops)), (0,))
     with pytest.raises(ShapeMismatch, match="kraus"):
-        P.ProcMorphism(a, a, (step,))
+        P.ProcMorphism(a, a, (step,), (), (0, 1))
 
 
 # -- compilation against the full-space oracle --------------------------------------------
 
 @st.composite
-def kernel_programs(draw, dom=None):
-    """A random program of matrix, Kraus, discard and permute steps on 1-4
-    factors of dims 1-3, or on ``dom`` if given; Kraus steps on the quantum
-    backend only."""
+def step_lists(draw, dom=None):
+    """``(dom, steps)``: a random list of matrix, Kraus, discard and
+    permute steps on 1-4 factors of dims 1-3, or on ``dom`` if given; Kraus
+    steps on the quantum backend only."""
     if dom is None:
         backend = draw(st.sampled_from([P.QUANTUM, P.CLASSICAL]))
         facs = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
@@ -454,39 +458,49 @@ def kernel_programs(draw, dom=None):
             else:
                 step = ("kraus", tuple(operator(m) for _ in range(draw(st.integers(1, 3)))), idx)
         steps.append(step)
-        cur = P._step_out_factors(cur, step)
-    obj = P.ProcObject(backend, facs)
-    return P.ProcMorphism(obj, P.ProcObject(backend, cur), tuple(steps))
+        cur = live_factors(facs, steps)
+    return P.ProcObject(backend, facs), steps
 
 
-@given(kernel_programs())
+def kernel_programs(dom=None):
+    """The program of a random step list (``step_lists``)."""
+    return step_lists(dom).map(lambda drawn: steps_program(*drawn))
+
+
+@given(step_lists())
 @settings(max_examples=200, deadline=None)
-def test_prop_compile_matches_full_space_oracle(f):
-    # the identity-batch evaluator and the kron-embedding products give the
-    # same Kraus family (same order) or transfer matrix, entry by entry
-    got, want = P.compile_kernel(f), compile_kernel_oracle(f)
+def test_prop_compile_matches_full_space_oracle(drawn):
+    # the identity-batch evaluator on the resolved form and the
+    # kron-embedding products along the drawn steps give the same Kraus
+    # family (same order) or transfer matrix, entry by entry
+    got, want = P.compile_kernel(steps_program(*drawn)), compile_kernel_oracle(*drawn)
     assert got.shape == want.shape
     assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
 
 
 @st.composite
-def composable_programs(draw):
-    """Three random programs f, g, h with f.cod = g.dom and g.cod = h.dom."""
-    f = draw(kernel_programs())
-    g = draw(kernel_programs(f.cod))
-    return f, g, draw(kernel_programs(g.cod))
+def composable_step_lists(draw):
+    """Three random step lists: on a domain, on what the first leaves, and
+    on what the second leaves."""
+    dom, fs = draw(step_lists())
+    gs = draw(step_lists(P.ProcObject(dom.backend, live_factors(dom.factors, fs))))[1]
+    hs = draw(step_lists(P.ProcObject(dom.backend, live_factors(dom.factors, fs + gs))))[1]
+    return dom, fs, gs, hs
 
 
-@given(composable_programs())
+@given(composable_step_lists())
 @settings(max_examples=200, deadline=None)
-def test_prop_compose_is_step_concatenation(fgh):
+def test_prop_compose_is_step_concatenation(drawn):
     # composing resolved forms gives the program of the concatenated step
-    # lists (the old composition, kept here as the oracle), and it compiles
-    # to the same array bit for bit
-    f, g, h = fgh
+    # lists (the reference composition), and it compiles to the same array
+    # bit for bit
+    dom, fs, gs, hs = drawn
+    f = steps_program(dom, fs)
+    g = steps_program(f.cod, gs)
+    h = steps_program(g.cod, hs)
     for got, want in [
-        (P.compose(g, f), P.ProcMorphism(f.dom, g.cod, f.steps + g.steps)),
-        (P.compose_all(f, g, h), P.ProcMorphism(f.dom, h.cod, f.steps + g.steps + h.steps)),
+        (P.compose(g, f), steps_program(dom, fs + gs)),
+        (P.compose_all(f, g, h), steps_program(dom, fs + gs + hs)),
     ]:
         assert P.program_form(got) == P.program_form(want)
         assert np.array_equal(P.compile_kernel(got), P.compile_kernel(want))
@@ -506,14 +520,15 @@ def _random_state(obj, rng):
     return P.state(obj, p / p.sum())
 
 
-@given(kernel_programs(), st.integers(0, 2 ** 32 - 1))
+@given(step_lists(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_prop_apply_matches_full_space_oracle(f, seed):
+def test_prop_apply_matches_full_space_oracle(drawn, seed):
     # apply, tracing each discarded wire right after the last op on it,
     # agrees with sum_K K rho K^dag (quantum) or T p (classical) of the
-    # full-space compiled form
+    # full-space compiled form of the drawn steps
+    f = steps_program(*drawn)
     rho = _random_state(f.dom, np.random.default_rng(seed))
-    k = compile_kernel_oracle(f)
+    k = compile_kernel_oracle(*drawn)
     if f.backend == P.QUANTUM:
         want = np.einsum("rai,ij,rbj->ab", k, rho.data, k.conj())
     else:
@@ -590,7 +605,7 @@ def test_factor_pair_matches_apply_on_every_step_kind(backend):
              ("matrix", op(6), (1, 0)))
     if quantum:
         steps = steps[:1] + (("kraus", (0.6 * op(2), 0.8 * op(2)), (2,)),) + steps[1:]
-    f = P.ProcMorphism(a, P.ProcObject(backend, (2, 3)), steps)
+    f = steps_program(a, steps)
     d = a.dim
     inputs = [np.eye(d * d)[k].reshape(d, d) for k in range(d * d)] if quantum else list(np.eye(d))
     inputs.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) if quantum else rng.normal(size=d))
@@ -611,13 +626,65 @@ def test_factor_pair_refuses_a_mismatched_step():
 
 @given(kernel_programs())
 @settings(max_examples=100, deadline=None)
-def test_prop_program_writes_back_the_resolved_form(f):
-    # the emitter gives at most one permutation and one discard after the
-    # ops, and the constructor reads the same form back, discard order kept
-    g = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+def test_prop_constructor_keeps_the_form_with_tuple_wires(f):
+    # a form given with lists for its wires, discards and outputs is the
+    # same form, held as tuples, discard order kept
+    g = P.ProcMorphism(f.dom, f.cod, [(kind, m, list(wires)) for kind, m, wires in f.ops],
+                       list(f.gone), list(f.out))
     assert (g.ops, g.gone, g.out) == (f.ops, f.gone, f.out)
+    assert all(type(wires) is tuple for _, _, wires in g.ops)
+    assert type(g.gone) is tuple and type(g.out) is tuple
     assert P.program_form(f) == P.program_form(g)
-    assert len(g.steps) <= len(f.ops) + 2
+
+
+U2 = np.eye(2, dtype=complex)
+
+# Resolved forms the constructor must refuse, as (error, dom, cod, ops, gone, out)
+MALFORMED_FORMS = {
+    "an output wire twice": (BadFactorIndex, qobj(2, 2), qobj(2, 2), (), (), (0, 0)),
+    "a wire both kept and discarded": (BadFactorIndex, qobj(2, 2), qobj(2), (), (0,), (0,)),
+    "a wire neither kept nor discarded": (BadFactorIndex, qobj(2, 2), qobj(2), (), (), (0,)),
+    "an output wire out of range": (BadFactorIndex, qobj(2), qobj(2), (), (), (1,)),
+    "a negative discarded wire": (BadFactorIndex, qobj(2), qobj(), (), (-1,), ()),
+    "outputs that are not the codomain": (ShapeMismatch, qobj(2, 3), qobj(2, 3), (), (), (1, 0)),
+    "an op wire twice": (BadFactorIndex, qobj(2, 2), qobj(2, 2), (("matrix", np.eye(4), (0, 0)),), (), (0, 1)),
+    "an op wire out of range": (BadFactorIndex, qobj(2), qobj(2), (("matrix", U2, (1,)),), (), (0,)),
+    "a matrix of the wrong shape": (ShapeMismatch, qobj(2, 2), qobj(2, 2), (("matrix", U2, (0, 1)),), (), (0, 1)),
+    "a second Kraus operator of the wrong shape":
+        (ShapeMismatch, qobj(2, 2), qobj(2, 2), (("kraus", (U2, np.eye(4)), (0,)),), (), (0, 1)),
+    "an empty Kraus family": (ShapeMismatch, qobj(2), qobj(2), (("kraus", (), (0,)),), (), (0,)),
+    "a discard given as an op": (ShapeMismatch, qobj(2, 2), qobj(2), (("discard", (1,)),), (1,), (0,)),
+    # these used to build; a compiled one gave a quantum Kraus form for a
+    # classical codomain
+    "a quantum domain and a classical codomain": (BackendMismatch, qobj(2), cobj(2), (), (), (0,)),
+    "a classical domain and a quantum codomain": (BackendMismatch, cobj(2), qobj(2), (), (), (0,)),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FORMS))
+def test_constructor_refuses_a_malformed_form(case):
+    # one check of the form: the outputs and the discards split the domain
+    # wires, the outputs are the codomain, every op's wires are distinct
+    # domain wires and each of its matrices fits them, and dom and cod
+    # share a backend
+    error, *form = MALFORMED_FORMS[case]
+    with pytest.raises(error):
+        P.ProcMorphism(*form)
+
+
+def test_programs_and_states_compare_by_identity():
+    # == and hash never reach the matrices, so neither raises; two equal
+    # but distinct programs or states are not ==, and program_form and
+    # states_equal are the value comparisons
+    a = qobj(2)
+    f, g = P.unitary_channel(a, SX), P.unitary_channel(a, SX.copy())
+    r, s = P.basis_state(a, 0), P.basis_state(a, 0)
+    for x, y in ((f, g), (r, s)):
+        assert x == x and hash(x) == hash(x)
+        assert not (x == y) and x != y
+        assert len({x, y}) == 2
+    assert P.deviation(f, g) == 0.0
+    assert P.states_equal(r, s)
 
 
 def _poisoned(f, data):
@@ -629,7 +696,7 @@ def _poisoned(f, data):
     j = data.draw(st.integers(0, len(mats) - 1))
     mats[j].flat[data.draw(st.integers(0, mats[j].size - 1))] = data.draw(st.sampled_from(GARBAGE))
     op = (kind, tuple(mats) if kind == "kraus" else mats[0], wires)
-    return P.program(f.dom, f.cod, f.ops[:i] + (op,) + f.ops[i + 1:], f.gone, f.out)
+    return P.ProcMorphism(f.dom, f.cod, f.ops[:i] + (op,) + f.ops[i + 1:], f.gone, f.out)
 
 
 @given(kernel_programs(), st.data())
@@ -647,25 +714,19 @@ def test_prop_non_finite_step_fails_closed(f, data):
 def test_apply_never_holds_a_wire_longer_than_the_steps(monkeypatch):
     # a 3-step field-theory morphism restricts its source and discards the
     # edge outputs of every step; apply traces each wire right after the
-    # last op on it, so at every op its tensor holds at most the wires the
-    # step list holds there (deferring the traces to the end fails this).
-    # The step list is that of the factor kernels laid end to end, since
-    # the composite's own steps are the write-back of its resolved form
+    # last op on it, so at every op its tensor holds at most the wires of
+    # the factor kernel that op comes from (deferring the traces to the end
+    # fails this): run one after another, each kernel holds its domain
+    # wires while its ops run and discards its edge outputs after them
     config = dirac_config(0.3, 0.5)
     sigma, gamma = lattice_slice(0, [-4, -2, 0, 2, 4]), lattice_slice(3, [1])
     f = build_cca(config).mor(sigma, gamma)
-    steps = [
-        step
+    kernels = [
+        restriction_kernel(config, src, tgt) if kind == "restrict" else one_step_kernel(config, src, tgt)
         for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma)
-        for step in (restriction_kernel(config, src, tgt) if kind == "restrict"
-                     else one_step_kernel(config, src, tgt)).steps
     ]
-    counts, facs = [], f.dom.factors
-    for step in steps:
-        if step[0] == "matrix":
-            counts.append(len(facs))
-        facs = P._step_out_factors(facs, step)
-    assert len(set(counts)) == 3 and max(counts) < len(f.dom.factors)
+    counts = [len(k.dom.factors) for k in kernels for _ in k.ops]
+    assert len(counts) == len(f.ops) and len(set(counts)) == 3 and max(counts) < len(f.dom.factors)
     ndims, real = [], P._apply_on_axes
     monkeypatch.setattr(P, "_apply_on_axes", lambda t, m, axes: ndims.append(t.ndim) or real(t, m, axes))
     out = P.apply(f, _random_state(f.dom, np.random.default_rng(5)))
@@ -840,8 +901,8 @@ def _with_dead_steps(obj, live, bad, good):
     ``bad`` on wire 1 and the normalised ``good`` on wire 2, then discards
     wires 1 and 2; g runs ``live`` and discards."""
     f = P.ProcMorphism(obj, P.ProcObject(obj.backend, obj.factors[:1]), (
-        ("matrix", live, (0,)), bad + ((1,),), ("matrix", good, (2,)), ("discard", (1, 2))))
-    g = P.ProcMorphism(obj, f.cod, (("matrix", live, (0,)), ("discard", (1, 2))))
+        ("matrix", live, (0,)), bad + ((1,),), ("matrix", good, (2,))), (1, 2), (0,))
+    g = P.ProcMorphism(obj, f.cod, (("matrix", live, (0,)),), (1, 2), (0,))
     return f, g
 
 
@@ -890,10 +951,10 @@ def test_cone_accept_with_exact_dropped_steps_beats_the_full_bound():
     rng = np.random.default_rng(4)
     a = qobj(2, 2, 2, 2)
     u = random_unitary(rng, 2)
-    dead = (("matrix", SX, (1,)), ("matrix", SWAP, (2, 3)), ("discard", (1, 2, 3)))
+    dead = (("matrix", SX, (1,)), ("matrix", SWAP, (2, 3)))
     cod = qobj(2)
-    f = P.ProcMorphism(a, cod, (("matrix", u, (0,)),) + dead)
-    g = P.ProcMorphism(a, cod, (("matrix", u * np.exp(1e-12j * np.arange(2)), (0,)),) + dead)
+    f = P.ProcMorphism(a, cod, (("matrix", u, (0,)),) + dead, (1, 2, 3), (0,))
+    g = P.ProcMorphism(a, cod, (("matrix", u * np.exp(1e-12j * np.arange(2)), (0,)),) + dead, (1, 2, 3), (0,))
     diff = choi_matrix(f) - choi_matrix(g)
     got = P.deviation(f, g, P.VALIDITY_TOL)
     assert np.max(np.abs(diff)) <= got < np.linalg.norm(diff)
@@ -966,11 +1027,9 @@ def program_pairs(draw):
         else:
             step = acting_step(kind, cur)
         steps.append(step)
-        cur = P._step_out_factors(cur, step)
+        cur = live_factors(facs, steps)
     if cur and draw(st.booleans()):  # a final discard leaves dead wires
-        step = ("discard", tuple(sorted(draw(st.sets(st.integers(0, len(cur) - 1), min_size=1)))))
-        steps.append(step)
-        cur = P._step_out_factors(cur, step)
+        steps.append(("discard", tuple(sorted(draw(st.sets(st.integers(0, len(cur) - 1), min_size=1))))))
     how = draw(st.sampled_from(["share", "perturb", "fresh"]))
     g_steps = []
     for step in steps:
@@ -980,9 +1039,9 @@ def program_pairs(draw):
             m = len(step[1]) if step[0] == "matrix" else len(step[1][0])
             step = (step[0], _pair_step(draw, rng, backend, step[0], m), step[2])
         g_steps.append(step)
-    dom, cod = P.ProcObject(backend, facs), P.ProcObject(backend, cur)
-    f = P.ProcMorphism(dom, cod, tuple(prelude() + steps))
-    g = P.ProcMorphism(dom, cod, tuple(prelude() + g_steps))
+    dom = P.ProcObject(backend, facs)
+    f = steps_program(dom, prelude() + steps)
+    g = steps_program(dom, prelude() + g_steps)
     tol = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-4, 0.1, 1.0]))
     return f, g, tol
 
@@ -1026,7 +1085,7 @@ def test_prop_one_form_is_exactly_equal(backend, facs, data):
     f = data.draw(kernel_programs(P.ProcObject(backend, tuple(facs))))
     if f.ops and data.draw(st.booleans()):
         f = _poisoned(f, data)
-    g = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+    g = P.ProcMorphism(f.dom, f.cod, f.ops, f.gone, f.out)
     assert P.program_form(f) == P.program_form(g)
     finite = all(np.isfinite(m).all() for _, m, _ in f.ops)
     with np.errstate(all="ignore"):
@@ -1052,13 +1111,13 @@ def test_one_form_is_not_compiled(monkeypatch):
     a = qobj(2, 2)
     kraus = P.kraus_channel(a, [np.sqrt(0.5) * SX, np.sqrt(0.5) * np.eye(2)], [1])
     f = P.compose_all(P.unitary_channel(a, random_unitary(RNG, 4)), kraus, P.discard(a, [0]))
-    g = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+    g = P.ProcMorphism(f.dom, f.cod, f.ops, f.gone, f.out)
     for tol in (None, TOL):
         assert P.deviation(f, g, tol) == 0.0
     assert compiled == [] and bounded == []
     nan = np.eye(4, dtype=complex)
     nan[2, 1] = np.nan
-    h = P.program(f.dom, f.cod, (("matrix", nan, (0, 1)),) + f.ops[1:], f.gone, f.out)
+    h = P.ProcMorphism(f.dom, f.cod, (("matrix", nan, (0, 1)),) + f.ops[1:], f.gone, f.out)
     report = Report("one form")
     report.compare({"pair": "h, h"}, P.deviation(h, h, TOL), TOL)
     assert compiled and not report.ok
@@ -1072,7 +1131,7 @@ def _one_change_variants(f, data) -> dict:
     from f's in one place: one matrix entry, a NaN entry, the dtype of one
     matrix, the wires of one op, or the discard order."""
     def with_op(i, op):
-        return P.program(f.dom, f.cod, f.ops[:i] + (op,) + f.ops[i + 1:], f.gone, f.out)
+        return P.ProcMorphism(f.dom, f.cod, f.ops[:i] + (op,) + f.ops[i + 1:], f.gone, f.out)
 
     out = {}
     if f.ops:
@@ -1094,7 +1153,7 @@ def _one_change_variants(f, data) -> dict:
         if spare:
             out["wire"] = with_op(i, (kind, m, (spare[0],) + wires[1:]))
     if len(f.gone) >= 2:
-        out["discard order"] = P.program(f.dom, f.cod, f.ops, f.gone[::-1], f.out)
+        out["discard order"] = P.ProcMorphism(f.dom, f.cod, f.ops, f.gone[::-1], f.out)
     return out
 
 
@@ -1106,7 +1165,7 @@ def test_prop_comparison_memo_is_exact(f, tol, data):
     # is served without a call, and a pair that differs in one matrix
     # entry, wire, discard order or dtype, or in tol, is computed afresh
     variants = _one_change_variants(f, data)
-    same = P.program(f.dom, f.cod, f.ops, f.gone, f.out)
+    same = P.ProcMorphism(f.dom, f.cod, f.ops, f.gone, f.out)
     runs = [(f, f, tol, 1), (same, f, tol, 0), (f, same, tol, 0), (same, same, tol, 0), (f, f, tol + 1.0, 1)]
     runs += [run for v in variants.values() for run in ((f, v, tol, 1), (v, f, tol, 1), (f, v, tol, 0))]
     exact, calls = P.deviation, []

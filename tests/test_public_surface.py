@@ -78,3 +78,16 @@ def test_tracer_boundaries_resolve():
         if cls_name:
             target = getattr(target, cls_name)
         assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
+
+
+def test_readme_library_quick_start_runs():
+    # the ```python blocks of the README's "Quick start (library)" section,
+    # run in order in one namespace, as a reader would paste them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["out"].obj == namespace["theory"].obj(namespace["gamma"])
