@@ -18,7 +18,8 @@ partitioned, Margolus form of Schumacher-Werner, quant-ph/0405174).  Its
 cells are slot groups of the source slice, each acted on by the one cell
 matrix; its route maps every kept slot to a target slot label.  The program
 is one matrix step per cell, then the unrouted slots discarded and the kept
-ones put in canonical target order (``process.program``).  A forward step scatters at each
+ones put in canonical target order, written as one resolved form
+(``process.ProcMorphism``).  A forward step scatters at each
 source event and routes ``(y, dlt)`` to ``(y - dlt, dlt)``; a reverse step
 applies the inverse effective scattering to the slots ``(x - dlt, dlt)``
 and routes them back to ``(x, dlt)``; a ring step routes modulo the ring.

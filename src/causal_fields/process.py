@@ -22,17 +22,16 @@ on the identity, giving the Kraus / matrix form of the program; a
 steps a state without forming rho, from a ket in one batch of width 1.  Two programs with one resolved form
 (``program_form``, the library's one test of structural identity) and
 finite matrices are one morphism, so their deviation is exactly 0 and
-neither is compiled.  Otherwise equality checking evaluates both programs
-via that compiled form on the full operator basis (quantum) or the
+neither is compiled.  Otherwise equality checking splits the pair into
+the blocks of its wiring, which share no wire, so each Choi (or
+transfer) matrix is a tensor product of its blocks'.  Identical blocks
+factor out exactly as their peak entries; the blocks that differ are
+compiled and compared, on the full operator basis (quantum) or the
 standard basis (classical), entrywise.  Against a tolerance, a
-comparison accepts on one rule, a bound from the joint causal cone of the
-two programs: discarding after a normalised step is discarding its
-inputs, so domain factors that reach no output only through normalised
-steps are dropped, and the bound grows with those steps' normalisation
-defects.  With nothing dropped the cone is the whole domain and the bound
-is the Frobenius norm of the Choi difference, from a QR of the stacked
-Kraus columns.  Otherwise the result is the exact max-entry deviation, so
-every reported violation comes from the full sweep.  A law check compares
+comparison accepts on one rule, a telescoped bound over the differing
+blocks from a QR of each block's stacked Kraus columns; otherwise the
+result is the exact max-entry deviation, so every reported violation
+comes from a sweep.  A law check compares
 through ``deviation_memo``, which keys each comparison on both programs'
 resolved forms and computes each distinct one once per check.
 """
@@ -230,6 +229,8 @@ def unitary_channel(obj: ProcObject, u, factors: Sequence[int] | None = None,
     if obj.backend != QUANTUM:
         raise BackendMismatch("unitary_channel needs a quantum object")
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ShapeMismatch(f"a unitary is a square matrix, not one of shape {u.shape}")
     if not (np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol):
         raise NotUnitary("matrix is not unitary within tolerance")
     wires = range(len(obj.factors))
@@ -259,6 +260,8 @@ def stochastic_map(obj: ProcObject, s, factors: Sequence[int] | None = None) -> 
 def permute_factors(obj: ProcObject, perm: Sequence[int]) -> ProcMorphism:
     """Reorder the factors: output i is input factor ``perm[i]``."""
     perm = tuple(perm)
+    if sorted(perm) != list(range(len(obj.factors))):
+        raise BadFactorIndex(f"{perm} is not a permutation of {len(obj.factors)} factors")
     return ProcMorphism(obj, ProcObject(obj.backend, tuple(obj.factors[p] for p in perm)), (), (), perm)
 
 
@@ -488,29 +491,34 @@ def _kraus_columns(ms: np.ndarray, ns: np.ndarray) -> np.ndarray:
     return np.concatenate([ms.reshape(len(ms), -1).T, ns.reshape(len(ns), -1).T], axis=1)
 
 
-def _defect(m: np.ndarray, quantum: bool) -> float:
-    """Normalisation defect of a matrix step: ||M^dag M - I|| in Frobenius
-    norm (quantum; it bounds the spectral norm) or max_j |sum_i M_ij - 1|
-    (classical; infinite if an entry is negative).  NaN gives NaN or inf."""
+def _peak(k: np.ndarray, quantum: bool) -> float:
+    """max|Choi| of a compiled Kraus family, which is its largest diagonal
+    entry since a Choi matrix is positive (quantum), or max|T| of a
+    compiled matrix (classical)."""
     if quantum:
-        return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
-    if not (np.min(m) >= 0):
-        return np.inf
-    return float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+        return float(np.max(np.sum(k.real ** 2 + k.imag ** 2, axis=0)))
+    return float(np.max(np.abs(k)))
 
 
-def _joint_cone(f: ProcMorphism, g: ProcMorphism) -> tuple[list[bool], dict]:
-    """Which domain wires of ``f`` and ``g`` the comparison must keep, and
-    the defect of every matrix step (keyed by the matrix's id).
+def _telescoped(pairs: list, quantum: bool) -> float:
+    """sum_k prod_{j<k} max|C_j| * b_k * prod_{j>k} max|A_j| over the
+    compiled pairs (A_k, C_k), with b_k the Frobenius norm of the Choi
+    difference (quantum) or max|A_k - C_k| (classical): a bound on
+    max|(x)_k A_k - (x)_k C_k|."""
+    if quantum:
+        bs = [_choi_qr_bound(_kraus_columns(a, c), len(a)) for a, c in pairs]
+    else:
+        bs = [float(np.max(np.abs(a - c))) for a, c in pairs]
+    ma = [_peak(a, quantum) for a, _ in pairs]
+    mc = [_peak(c, quantum) for _, c in pairs]
+    return sum(prod(mc[:k]) * b * prod(ma[k + 1:]) for k, b in enumerate(bs))
 
-    Wires acted on by one matrix or Kraus step of either program are
-    joined; a component is kept if it holds a codomain wire of either
-    program, a Kraus step, or a matrix step whose defect is not within
-    VALIDITY_TOL (NaN included).
-    """
-    quantum = f.backend == QUANTUM
-    n = len(f.dom.factors)
-    root = list(range(n))
+
+def _wiring_blocks(f: ProcMorphism, g: ProcMorphism) -> list:
+    """The block of each domain wire.  The wires of every op of ``f`` and
+    ``g`` are joined, and so are ``f.out[p]`` and ``g.out[p]`` at every
+    output position, so each block holds the same positions in both."""
+    root = list(range(len(f.dom.factors)))
 
     def find(w: int) -> int:
         while root[w] != w:
@@ -518,59 +526,28 @@ def _joint_cone(f: ProcMorphism, g: ProcMorphism) -> tuple[list[bool], dict]:
             w = root[w]
         return w
 
-    defects: dict[int, float] = {}
-    marked: set[int] = set()
-    for h in (f, g):
-        for kind, m, wires in h.ops:
-            for w in wires[1:]:
-                root[find(w)] = find(wires[0])
-            if kind == "matrix" and id(m) not in defects:
-                defects[id(m)] = _defect(m, quantum)
-            if kind == "kraus" or not (defects[id(m)] <= VALIDITY_TOL):
-                marked.update(wires)
-        marked.update(h.out)
-    kept_roots = {find(w) for w in marked}
-    return [find(w) in kept_roots for w in range(n)], defects
+    for wires in itertools.chain((wires for _, _, wires in f.ops + g.ops), zip(f.out, g.out)):
+        for w in wires[1:]:
+            root[find(w)] = find(wires[0])
+    return [find(w) for w in range(len(root))]
 
 
-def _restrict(f: ProcMorphism, keep: list[bool], defects: dict) -> tuple[ProcMorphism, float]:
-    """``f`` on the kept domain wires (domain order, same codomain), and
-    e = prod(1 + defect) - 1 over the matrix steps it drops.
-
-    Ops on dropped wires go, dropped wires leave the discards, and the
-    kept wires are re-indexed.  An op on no wire at all is kept.
-    """
-    new = {w: j for j, w in enumerate(w for w, k in enumerate(keep) if k)}
-    ops, grow = [], 1.0
-    for kind, m, wires in f.ops:
-        if not wires or keep[wires[0]]:
-            ops.append((kind, m, tuple(new[w] for w in wires)))
-        else:
-            grow *= 1 + defects[id(m)]
-    dom = ProcObject(f.backend, tuple(d for d, k in zip(f.dom.factors, keep) if k))
-    gone = [new[w] for w in f.gone if keep[w]]
-    return ProcMorphism(dom, f.cod, ops, gone, [new[w] for w in f.out]), grow - 1
+def _op_block(block: list, wires: tuple):
+    """The block of an op: that of its wires, or None for an op on no wire."""
+    return block[wires[0]] if wires else None
 
 
-def _cone_bound(f: ProcMorphism, g: ProcMorphism) -> float:
-    """An upper bound on the max-entry deviation of ``f`` and ``g`` from
-    their joint cone; when it is the whole domain, the programs themselves
-    are compared and ``e_f = e_g = 0``."""
-    keep, defects = _joint_cone(f, g)
-    e_f = e_g = 0.0
-    if not all(keep):
-        f, e_f = _restrict(f, keep, defects)
-        g, e_g = _restrict(g, keep, defects)
-    a, c = compile_kernel(f), compile_kernel(g)
-    if f.backend == QUANTUM:
-        x = _kraus_columns(a, c)
-        w = x[:, len(a):]
-        b = _choi_qr_bound(x, len(a))
-        m_g = float(np.max(np.sum(w.real ** 2 + w.imag ** 2, axis=1)))
-    else:
-        b = float(np.max(np.abs(a - c)))
-        m_g = float(np.max(np.abs(c)))
-    return b * (1 + e_f) + m_g * (e_f + e_g)
+def _part(h: ProcMorphism, block: list, keys: set) -> ProcMorphism:
+    """``h`` on the blocks ``keys``: its ops, discards and outputs there,
+    on those blocks' wires renumbered in order."""
+    wires = [w for w, b in enumerate(block) if b in keys]
+    new = {w: j for j, w in enumerate(wires)}
+    ops = [(kind, m, tuple(new[w] for w in ws)) for kind, m, ws in h.ops if _op_block(block, ws) in keys]
+    out = [w for w in h.out if block[w] in keys]
+    facs = h.dom.factors
+    return ProcMorphism(ProcObject(h.backend, tuple(facs[w] for w in wires)),
+                        ProcObject(h.backend, tuple(facs[w] for w in out)),
+                        ops, [new[w] for w in h.gone if block[w] in keys], [new[w] for w in out])
 
 
 def program_form(f: ProcMorphism) -> tuple:
@@ -595,49 +572,58 @@ def deviation(f: ProcMorphism, g: ProcMorphism, tol: float | None = None) -> flo
     and nothing is compiled.  With a NaN or infinite matrix the pair is
     compared as below, so it never passes.
 
-    Given ``tol``, the comparison first tries to accept on the joint causal
-    cone.  Every domain factor is a wire; the wires of each matrix or Kraus
-    step of ``f`` and of ``g`` are joined, and a component is kept if it
-    holds a codomain wire of either program, a Kraus step, or a matrix step
-    that is not normalised within VALIDITY_TOL (a classical one also if it
-    has a negative entry; NaN is never normalised).  The programs f', g'
-    on the kept wires give
-
-        bound = b' (1 + e_f) + m_g (e_f + e_g),
-
-    where b' is the Frobenius norm of Choi(f') - Choi(g') (quantum; via a
-    QR of the stacked Kraus columns) or max|T(f') - T(g')| (classical), m_g
-    is the largest diagonal entry of Choi(g') (quantum) or max|T(g')|
-    (classical), and e_f = prod(1 + d_i) - 1 over the defects d_i of the
-    matrix steps f drops (e_g alike).  If ``bound <= tol`` it is returned.
-    When every wire is kept, f' = f, g' = g and e_f = e_g = 0, so the bound
-    is the Frobenius norm of the full Choi difference.  Soundness: on the
-    wire partition f = f' (x) D_f, where D_f ends in a full trace, so
-    Choi(f) = Choi(f') (x) N_f^T with N_f = D_f^dag(1) (classical: the row
-    of column sums of D_f).  Each dropped step is completely positive (or
-    entrywise non-negative) and grows ||N - 1|| from x to at most
-    (1 + d) x + d, so ||N_f - 1|| <= e_f.  Then
-    Choi(f) - Choi(g) = (Choi(f') - Choi(g')) (x) N_f^T
-    + Choi(g') (x) (N_f - N_g)^T, the max entry of X (x) Y is
-    max|X| max|Y|, and a positive matrix's max entry is on its diagonal,
-    so the exact deviation is at most ``bound``.
-
-    Otherwise (no ``tol``, a bound above ``tol``, or NaN) the result is the
-    exact max-entry deviation of the full programs, so every value above
-    ``tol`` is exact.  NaN entries give NaN, never a pass.
+    Otherwise the pair is split into the blocks of its wiring
+    (``_wiring_blocks``; the ops on no wire form one more block, with no
+    wires and no outputs).  Blocks share no wire, so up to a permutation
+    common to both programs, Choi(f) is the tensor product of the blocks'
+    Choi matrices A_k (classical: transfer matrices), and Choi(g) that of
+    the C_k.  Where both programs have one form on a block and its matrices
+    are finite, A_k = C_k, and since max|X (x) Y| = max|X| max|Y| the block
+    factors out exactly as max|A_k|: the largest diagonal entry of a
+    positive matrix, and 1 for a block with no ops, which is not compiled.
+    With ``same`` the product of those, the deviation is
+    ``same * max|(x) A_k - (x) C_k|`` over the blocks that differ (0.0 if
+    none does).  Given ``tol``, the telescoped sum
+    A - C = sum_k C_1..C_{k-1} (x) (A_k - C_k) (x) A_{k+1}..A_m bounds
+    it (``_telescoped``), and a bound ``<= tol`` is returned.  Otherwise
+    (no ``tol``, a bound above ``tol``, or NaN) the differing blocks are
+    compiled as one pair and swept exactly, so every value above ``tol`` is
+    exact.  NaN entries give NaN, never a pass.
     """
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("morphisms must share dom and cod")
     if program_form(f) == program_form(g) and all(np.isfinite(m).all() for _, m, _ in f.ops):
         return 0.0
-    if tol is not None:
-        bound = _cone_bound(f, g)
+    quantum = f.backend == QUANTUM
+    block = _wiring_blocks(f, g)
+    keys = list(dict.fromkeys(block)) + [None] * any(not wires for _, _, wires in f.ops + g.ops)
+    forms = [{b: ([], [], []) for b in keys} for _ in (f, g)]
+    for h, form in zip((f, g), forms):
+        for kind, m, wires in h.ops:
+            form[_op_block(block, wires)][0].append((kind, id(m), wires))
+        for i, wires in ((1, h.gone), (2, h.out)):
+            for w in wires:
+                form[block[w]][i].append(w)
+    nonfinite = {_op_block(block, wires) for _, m, wires in f.ops if not np.isfinite(m).all()}
+    differ = [b for b in keys if forms[0][b] != forms[1][b] or b in nonfinite]
+    shared = [b for b in keys if b not in differ and forms[0][b][0]]
+    if not differ:
+        return 0.0
+
+    def part(h: ProcMorphism, ks) -> ProcMorphism:
+        return h if len(ks) == len(keys) else _part(h, block, set(ks))
+
+    same = prod(_peak(compile_kernel(part(f, [b])), quantum) for b in shared)
+    pairs = [(part(f, [b]), part(g, [b])) for b in differ] if tol is not None else []
+    if pairs:
+        bound = same * _telescoped([(compile_kernel(x), compile_kernel(y)) for x, y in pairs], quantum)
         if bound <= tol:
             return bound
-    a, c = compile_kernel(f), compile_kernel(g)
-    if f.backend == QUANTUM:
-        return _choi_maxdiff(_kraus_columns(a, c), len(a))
-    return float(np.max(np.abs(a - c)))
+    x, y = pairs[0] if len(pairs) == 1 else (part(f, differ), part(g, differ))
+    a, c = compile_kernel(x), compile_kernel(y)
+    if quantum:
+        return same * _choi_maxdiff(_kraus_columns(a, c), len(a))
+    return same * float(np.max(np.abs(a - c)))
 
 
 def deviation_memo():

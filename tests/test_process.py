@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from causal_fields import process as P
 from causal_fields.cca import (
+    PartitionedCCAConfig,
     build_cca,
     dirac_config,
     factorize_morphism,
@@ -142,6 +143,9 @@ def test_bad_factor_index():
         P.discard(qobj(2), [3])
     with pytest.raises(BadFactorIndex):  # too short: it used to give the identity
         P.permute_factors(qobj(2, 2), (0,))
+    for perm in [(0, -1), (0, 5), (1, 1)]:  # (0, 5) names a factor past the last
+        with pytest.raises(BadFactorIndex):
+            P.permute_factors(qobj(2, 2), perm)
 
 
 # -- unitary channels --------------------------------------------------------------
@@ -173,6 +177,13 @@ def test_random_unitary_channel_preserves_trace_and_positivity():
 def test_not_unitary_rejected():
     with pytest.raises(NotUnitary):
         P.unitary_channel(qobj(2), np.array([[1, 0], [0, 0.5]]))
+
+
+@pytest.mark.parametrize("u", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 1))])
+def test_unitary_channel_refuses_a_non_square_matrix(u):
+    # refused by shape before the unitarity test, which cannot broadcast it
+    with pytest.raises(ShapeMismatch):
+        P.unitary_channel(qobj(2, 2), u)
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -395,15 +406,21 @@ def test_numpy_frame_float_warning_fails_the_suite():
 
 
 def test_compile_refuses_large_domain():
-    # two different programs above the cap are refused, with or without
+    # a differing block below the cap on a domain above it is compared
+    # exactly; a differing block above the cap is refused, with or without
     # tol; one program against itself needs no compiling
     a = qobj(2, P._MAX_COMPILE_DIM // 2 + 1)
     f, g = P.unitary_channel(a, SX, [0]), P.identity(a)
     with pytest.raises(ShapeMismatch):
         P.compile_kernel(f)
+    small = P.deviation(P.unitary_channel(qobj(2), SX), P.identity(qobj(2)))
+    for tol in (None, TOL):
+        assert P.deviation(f, g, tol) == small == 1.0
+    b = qobj(*[2] * 13)
+    h = P.permute_factors(b, list(range(1, 13)) + [0])
     for tol in (None, TOL):
         with pytest.raises(ShapeMismatch):
-            P.deviation(f, g, tol)
+            P.deviation(h, P.identity(b), tol)
     assert P.deviation(f, f) == 0.0
 
 
@@ -687,14 +704,15 @@ def test_programs_and_states_compare_by_identity():
     assert P.states_equal(r, s)
 
 
-def _poisoned(f, data):
+def _poisoned(f, draw, garbage=None):
     """f with one entry of one matrix or Kraus operator set to NaN or
-    +-inf, on a copy of that op's payload."""
-    i = data.draw(st.integers(0, len(f.ops) - 1))
+    +-inf (drawn from ``garbage``, all of GARBAGE by default), on a copy
+    of that op's payload."""
+    i = draw(st.integers(0, len(f.ops) - 1))
     kind, m, wires = f.ops[i]
     mats = [k.copy() for k in (m if kind == "kraus" else (m,))]
-    j = data.draw(st.integers(0, len(mats) - 1))
-    mats[j].flat[data.draw(st.integers(0, mats[j].size - 1))] = data.draw(st.sampled_from(GARBAGE))
+    j = draw(st.integers(0, len(mats) - 1))
+    mats[j].flat[draw(st.integers(0, mats[j].size - 1))] = draw(st.sampled_from(garbage or GARBAGE))
     op = (kind, tuple(mats) if kind == "kraus" else mats[0], wires)
     return P.ProcMorphism(f.dom, f.cod, f.ops[:i] + (op,) + f.ops[i + 1:], f.gone, f.out)
 
@@ -705,7 +723,7 @@ def test_prop_non_finite_step_fails_closed(f, data):
     # one NaN or infinite entry in a matrix or Kraus step reaches the
     # result, and apply refuses it rather than return a state
     assume(f.ops)
-    g = _poisoned(f, data)
+    g = _poisoned(f, data.draw)
     rho = _random_state(f.dom, np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
     with np.errstate(all="ignore"), pytest.raises(NotFinite):
         P.apply(g, rho)
@@ -880,10 +898,11 @@ def test_prop_nonfinite_input_is_rejected(kind, where, garbage, imaginary):
         build(obj, arr)
 
 
-# -- the joint-cone accept ----------------------------------------------------------------------
+# -- the block comparison --------------------------------------------------------------------
 
 def _full_path(f, g, tol):
-    """``deviation(f, g, tol)`` on the whole programs, without the cone accept."""
+    """``deviation(f, g, tol)`` on the whole programs as one block: the
+    Frobenius bound of the full Choi difference, else its full sweep."""
     if f.backend == P.QUANTUM:
         ms, ns = P.compile_kernel(f), P.compile_kernel(g)
         x = P._kraus_columns(ms, ns)
@@ -894,6 +913,11 @@ def _full_path(f, g, tol):
 
 def _same_value(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def _close(got, want):
+    """The same value up to rounding, ``1e-12 * max(1, want)``, or both NaN."""
+    return np.isnan(got) == np.isnan(want) and (np.isnan(want) or abs(got - want) <= 1e-12 * max(1.0, want))
 
 
 def _with_dead_steps(obj, live, bad, good):
@@ -924,30 +948,29 @@ FAIL_CLOSED = {
 
 @pytest.mark.parametrize("case", list(FAIL_CLOSED))
 def test_cone_keeps_a_bad_dead_step(case):
-    # a step that is not normalised within VALIDITY_TOL (NaN included), a
-    # Kraus step, or a classical step with a negative entry stays in the
-    # compared programs even though no output depends on it; the normalised
-    # step next to it is dropped
+    # a step that reaches no output still counts: a block with no output
+    # is compared like any other, so a step on it that is not normalised
+    # (NaN included), beside a normalised one, fails at 1e-12 and decides
+    # as the whole programs' comparison does, with the same value up to
+    # rounding when it fails
     backend, bad = FAIL_CLOSED[case]
     quantum = backend == P.QUANTUM
     live = random_unitary(np.random.default_rng(2), 2) if quantum else np.array([[0.3, 0.6], [0.7, 0.4]])
     good = random_unitary(np.random.default_rng(3), 2) if quantum else np.array([[0.0, 1.0], [1.0, 0.0]])
     f, g = _with_dead_steps(P.ProcObject(backend, (2, 2, 2)), live, bad, good)
-    keep, _ = P._joint_cone(f, g)
-    assert keep == [True, True, False]
     for tol in (1e-12, P.VALIDITY_TOL):
         want = _full_path(f, g, tol)
         got = P.deviation(f, g, tol)
         assert (got <= tol) == (want <= tol)
         if not (want <= tol):
-            assert _same_value(got, want), (tol, got, want)
-    # at tol=1e-12 every case is a violation, reported from the full sweep
+            assert _close(got, want), (tol, got, want)
     assert not (P.deviation(f, g, 1e-12) <= 1e-12)
 
 
 def test_cone_accept_with_exact_dropped_steps_beats_the_full_bound():
-    # dropped permutation matrices have defect 0, so the reduced accept is
-    # the Frobenius bound of the 2-dim cone, not of the 16-dim domain
+    # the dead permutation steps sit in identical blocks of peak 1, so the
+    # accept is the Frobenius bound of the 2-dim block that differs, not
+    # of the 16-dim domain
     rng = np.random.default_rng(4)
     a = qobj(2, 2, 2, 2)
     u = random_unitary(rng, 2)
@@ -959,6 +982,59 @@ def test_cone_accept_with_exact_dropped_steps_beats_the_full_bound():
     got = P.deviation(f, g, P.VALIDITY_TOL)
     assert np.max(np.abs(diff)) <= got < np.linalg.norm(diff)
     assert got < _full_path(f, g, P.VALIDITY_TOL)
+
+
+@pytest.mark.parametrize("backend", [P.QUANTUM, P.CLASSICAL])
+def test_wireless_op_beside_a_differing_block(backend):
+    # a 1x1 op on no wire is a block of its own, with no outputs: shared,
+    # it factors out as its peak; in one program only, it differs; either
+    # way the value is the dense one, and a NaN scalar gives NaN
+    quantum = backend == P.QUANTUM
+    obj = P.ProcObject(backend, (2, 2))
+    rng = np.random.default_rng(5)
+    m = random_unitary(rng, 2) if quantum else np.array([[0.3, 0.6], [0.7, 0.4]])
+    m2 = m + 1e-3 * (random_unitary(rng, 2) if quantum else np.eye(2))
+    scalar = np.array([[0.5]], dtype=complex if quantum else float)
+
+    def prog(*ops):
+        return P.ProcMorphism(obj, P.ProcObject(backend, (2,)), ops, (1,), (0,))
+
+    pairs = [
+        (prog(("matrix", scalar, ()), ("matrix", m, (0,))), prog(("matrix", scalar, ()), ("matrix", m2, (0,)))),
+        (prog(("matrix", scalar, ()), ("matrix", m, (0,))), prog(("matrix", m, (0,)))),
+        (prog(("matrix", scalar, ()), ("matrix", m, (1,))), prog(("matrix", scalar, ()), ("matrix", m2, (1,)))),
+    ]
+    for f, g in pairs:
+        for tol in (None, 1e-12, 1.0):
+            got, dense = P.deviation(f, g, tol), _dense_deviation(f, g)
+            if tol is not None and got <= tol:
+                assert dense <= got + 1e-12
+            else:
+                assert _close(got, dense), (got, dense)
+    nan = np.array([[np.nan]], dtype=scalar.dtype)
+    f = prog(("matrix", nan, ()), ("matrix", m, (0,)))
+    for tol in (None, 1.0):
+        assert np.isnan(P.deviation(f, prog(("matrix", m, (0,))), tol))
+        assert np.isnan(P.deviation(f, f, tol))
+
+
+def test_wide_slice_compares_only_small_blocks(monkeypatch):
+    # one cell of a 6-site one-step morphism with a 1e-6 phase error is
+    # reported, and no program compiled on the way spans more than 6 wires
+    u = random_unitary(np.random.default_rng(6), 4)
+    theory = build_cca(PartitionedCCAConfig(d=1, cell_dim=2, scattering=u))
+    s0, s1 = lattice_slice(0, range(0, 12, 2)), lattice_slice(1, range(1, 11, 2))
+    f = theory.mor(s0, s1)
+    i = next(i for i, op in enumerate(f.ops) if op[0] == "matrix")
+    kind, m, wires = f.ops[i]
+    bad = (kind, m * np.exp(1e-6j * np.arange(4)), wires)
+    g = P.ProcMorphism(f.dom, f.cod, f.ops[:i] + (bad,) + f.ops[i + 1:], f.gone, f.out)
+    domains = []
+    compile_kernel = P.compile_kernel
+    monkeypatch.setattr(P, "compile_kernel", lambda h: domains.append(h.dom.dim) or compile_kernel(h))
+    assert f.dom.dim == 2 ** 12
+    assert not (P.deviation(f, g, 1e-10) <= 1e-10)
+    assert domains and max(domains) <= 64
 
 
 def _pair_step(draw, rng, backend, kind, m):
@@ -1002,14 +1078,17 @@ def program_pairs(draw):
     of matrix (Haar / column-stochastic, permutation, perturbed by <= 1e-11,
     lossy), Kraus, discard and permute steps on 1-4 factors; g has f's
     shape and shares f's matrices, perturbs them or draws them fresh; each
-    may start with extra steps of its own."""
+    may start with extra steps of its own.  A step is sometimes a 1x1 op on
+    no wire, and one matrix entry of f or g is sometimes NaN."""
     backend = draw(st.sampled_from([P.QUANTUM, P.CLASSICAL]))
     facs = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda fs: prod(fs) <= 24)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kinds = ["matrix", "discard", "permute"] + (["kraus"] if backend == P.QUANTUM else [])
 
     def acting_step(kind, cur):
-        idx = tuple(draw(st.lists(st.integers(0, len(cur) - 1), unique=True, min_size=1, max_size=2)))
+        wireless = draw(st.integers(0, 7)) == 7  # a 1x1 op on no wire
+        idx = () if wireless else tuple(draw(st.lists(st.integers(0, len(cur) - 1), unique=True, min_size=1,
+                                                      max_size=2)))
         return (kind, _pair_step(draw, rng, backend, kind, prod(cur[i] for i in idx)), idx)
 
     def prelude():
@@ -1042,6 +1121,11 @@ def program_pairs(draw):
     dom = P.ProcObject(backend, facs)
     f = steps_program(dom, prelude() + steps)
     g = steps_program(dom, prelude() + g_steps)
+    poison = draw(st.sampled_from([None] * 6 + ["f", "g"]))  # one NaN entry
+    if poison == "f" and f.ops:
+        f = _poisoned(f, draw, [np.nan])
+    elif poison == "g" and g.ops:
+        g = _poisoned(g, draw, [np.nan])
     tol = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-4, 0.1, 1.0]))
     return f, g, tol
 
@@ -1070,6 +1154,15 @@ def test_prop_reduced_accept_is_sound(pair):
         assert (got <= tol) == (exact <= tol)
 
 
+@given(program_pairs())
+@settings(max_examples=300, deadline=None)
+def test_prop_block_value_is_the_dense_one(pair):
+    # without tol, the block comparison gives the dense Choi (or transfer)
+    # difference up to rounding, and NaN exactly when that is NaN
+    f, g, _ = pair
+    assert _close(P.deviation(f, g), _dense_deviation(f, g))
+
+
 # -- one resolved form -----------------------------------------------------------------------
 
 @given(
@@ -1084,7 +1177,7 @@ def test_prop_one_form_is_exactly_equal(backend, facs, data):
     # give NaN, as the compiled sweep does
     f = data.draw(kernel_programs(P.ProcObject(backend, tuple(facs))))
     if f.ops and data.draw(st.booleans()):
-        f = _poisoned(f, data)
+        f = _poisoned(f, data.draw)
     g = P.ProcMorphism(f.dom, f.cod, f.ops, f.gone, f.out)
     assert P.program_form(f) == P.program_form(g)
     finite = all(np.isfinite(m).all() for _, m, _ in f.ops)
@@ -1099,22 +1192,20 @@ def test_prop_one_form_is_exactly_equal(backend, facs, data):
 
 
 def test_one_form_is_not_compiled(monkeypatch):
-    # a finite pair of one form is answered without compiling or bounding;
-    # the same pair holding a NaN is compared by the sweep and fails its
-    # report
+    # a finite pair of one form is answered without compiling; the same
+    # pair holding a NaN is compared by the sweep and fails its report
     from causal_fields.report import Report
 
-    compiled, bounded = [], []
-    compile_kernel, cone_bound = P.compile_kernel, P._cone_bound
+    compiled = []
+    compile_kernel = P.compile_kernel
     monkeypatch.setattr(P, "compile_kernel", lambda f: compiled.append(f) or compile_kernel(f))
-    monkeypatch.setattr(P, "_cone_bound", lambda f, g: bounded.append(f) or cone_bound(f, g))
     a = qobj(2, 2)
     kraus = P.kraus_channel(a, [np.sqrt(0.5) * SX, np.sqrt(0.5) * np.eye(2)], [1])
     f = P.compose_all(P.unitary_channel(a, random_unitary(RNG, 4)), kraus, P.discard(a, [0]))
     g = P.ProcMorphism(f.dom, f.cod, f.ops, f.gone, f.out)
     for tol in (None, TOL):
         assert P.deviation(f, g, tol) == 0.0
-    assert compiled == [] and bounded == []
+    assert compiled == []
     nan = np.eye(4, dtype=complex)
     nan[2, 1] = np.nan
     h = P.ProcMorphism(f.dom, f.cod, (("matrix", nan, (0, 1)),) + f.ops[1:], f.gone, f.out)
