@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import re
 import sys
@@ -101,14 +102,75 @@ def _rewrite_ranges(argv: list[str]) -> list[str]:
 
 def _write(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+# The JSON text of each scalar type exactly as ``json.dumps`` writes it; a
+# float's text holds an "n" only for nan and ±inf, which strict JSON refuses.
+_SCALARS = {
+    str: json.encoder.encode_basestring_ascii,
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(x, pad: str) -> str:
+    """``json.dumps(x, indent=2, sort_keys=True, allow_nan=False)``, byte for
+    byte, written at the indent ``pad`` ("\\n" and two spaces per level).
+
+    Scalars, dicts with ``str`` keys and lists of one scalar type, of flat
+    lists of one scalar type or of containers are joined here over the C
+    scalar encoders.  Anything else (other keys, subclasses, mixed lists,
+    nan/inf) is left to ``json.dumps``, which raises what it raises; its
+    ASCII output has no raw newline inside a string, so re-indenting it is
+    one ``replace``."""
+    kind = type(x)
+    text = None
+    if kind in _SCALARS:
+        text = _SCALARS[kind](x)
+        if kind is float and "n" in text:
+            text = None
+    elif kind is list or kind is tuple:
+        text = _dumps_list(x, pad) if x else "[]"
+    elif kind is dict and not x:
+        text = "{}"
+    elif kind is dict and all(type(k) is str for k in x):
+        inner = pad + "  "
+        items = [_SCALARS[str](k) + ": " + _dumps(x[k], inner) for k in sorted(x)]
+        text = "{" + inner + ("," + inner).join(items) + pad + "}"
+    if text is None:
+        return json.dumps(x, indent=2, sort_keys=True, allow_nan=False).replace("\n", pad)
+    return text
+
+
+def _dumps_list(x, pad: str) -> str | None:
+    """A non-empty list for ``_dumps``, or None where it falls back."""
+    inner = pad + "  "
+    sep = "," + inner
+    kinds = set(map(type, x))
+    leaf = set(map(type, itertools.chain.from_iterable(x))) if kinds <= {list, tuple} else ()
+    if len(leaf) == 1 and all(x) and (scalar := _SCALARS.get(*leaf)):
+        deeper = inner + "  "
+        text = sep.join(["[" + deeper + ("," + deeper).join(map(scalar, v)) + inner + "]" for v in x])
+        kinds = leaf
+    elif kinds <= {list, tuple, dict}:
+        return "[" + inner + sep.join([_dumps(v, inner) for v in x]) + pad + "]"
+    elif len(kinds) == 1 and (scalar := _SCALARS.get(*kinds)):
+        text = sep.join(map(scalar, x))
+    else:
+        return None
+    if float in kinds and "n" in text:
+        return None
+    return "[" + inner + text + pad + "]"
+
+
 def _emit(obj, path: str | None) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+    _write(_dumps(obj, "\n") + "\n", path)
 
 
 def _reject_constant(token: str):
@@ -137,8 +199,12 @@ def _parse_json(text: str):
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        obj = _parse_json(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BadParams(f"malformed JSON input: {path} is not UTF-8 ({exc.reason})") from None
+    obj = _parse_json(text)
     if not isinstance(obj, dict):
         raise BadParams(f"{path} must hold a JSON object")
     return obj
@@ -578,10 +644,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_rewrite_ranges(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.fn(args)
-    except CausalFieldsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CausalFieldsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_fields import cca, cli, order, process as P
 from causal_fields.cca import (
@@ -957,3 +959,107 @@ def test_export_dot_refuses_an_id_ending_in_a_backslash(tmp_path, capsys):
 
 def test_missing_file_exit_code():
     assert main(["query", "dplus", "--order", "/nonexistent.json", "--events", "a"]) == 2
+
+
+# -- file boundaries --------------------------------------------------------------
+
+@pytest.mark.parametrize("where", ["out", "order"])
+def test_a_directory_at_a_file_boundary_is_a_usage_error(fork_file, tmp_path, where, capsys):
+    # IsADirectoryError is an OSError like FileNotFoundError: exit 2 with
+    # one line, never a traceback and the exit code of "violations found"
+    paths = {"out": str(tmp_path / "report.json"), "order": fork_file, where: str(tmp_path)}
+    argv = ["check", "foliation", "--order", paths["order"], "--leaves", '[["a", "b"], ["c"]]',
+            "--out", paths["out"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "directory" in err
+
+
+def test_input_that_is_not_utf8_is_malformed_json(tmp_path, capsys):
+    path = tmp_path / "order.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["gen", "file", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON input") and err.count("\n") == 1
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    order = tmp_path / "order.json"
+    order.write_bytes(json.dumps({"events": ["é", "漢"], "hasse": [["é", "漢"]]},
+                                 ensure_ascii=False).encode("utf-8"))
+    out = tmp_path / "order.dot"
+    assert main(["export", "dot", "--order", str(order), "--out", str(out)]) == 0
+    text = out.read_bytes().decode("utf-8")
+    assert '"é" -> "漢";' in text
+
+
+# -- the JSON emitter ----------------------------------------------------------------
+
+def _strict(x):
+    return json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
+
+
+_SPECIAL_NUMBERS = [True, False, None, 0, -1, 10 ** 40, -(10 ** 40), 0.0, -0.0, 5e-324, -5e-324,
+                    1e308, -1e308, 0.1, np.float64(0.1), np.float64(-0.0), np.float64(1e308)]
+_texts = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "\U0001f600"]),
+), max_size=6)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(st.sampled_from(_SPECIAL_NUMBERS), st.integers(), _floats, _texts)
+# homogeneous lists and lists of flat lists are the emitter's own joins
+_flat = st.one_of(*(st.lists(s, max_size=5) for s in (_floats, _texts, st.integers(), st.booleans())))
+_pairs = st.one_of(*(st.lists(st.lists(s, min_size=1, max_size=3), max_size=4)
+                     for s in (_floats, _texts, st.integers())))
+_documents = st.recursive(
+    st.one_of(_scalars, _flat, _pairs),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_texts, inner, max_size=4),
+        st.dictionaries(st.integers(-5, 5), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_documents)
+@settings(max_examples=300, deadline=None)
+def test_prop_emitter_writes_the_bytes_of_json_dumps(doc):
+    assert cli._dumps(doc, "\n") == _strict(doc)
+
+
+def test_emit_writes_json_dumps_and_a_newline(tmp_path):
+    doc = {"z": [[0.5, -0.0], [1e-300, 2.0]], "a": {"é": ["x", "y"], "b": []}, "n": [None, 1, "s"]}
+    out = tmp_path / "doc.json"
+    cli._emit(doc, str(out))
+    assert out.read_bytes() == (_strict(doc) + "\n").encode("ascii")
+
+
+_poisons = st.sampled_from([float("nan"), float("inf"), float("-inf"), {1, 2}, object(),
+                            {1: "a", "b": 2}, np.array([0.5, 1.5])])
+_poisoned = st.recursive(
+    st.one_of(
+        _poisons,
+        st.lists(_floats, max_size=3).flatmap(
+            lambda xs: st.integers(0, len(xs)).map(lambda i: xs[:i] + [float("nan")] + xs[i:])),
+        st.lists(st.lists(_floats, min_size=1, max_size=2), max_size=2).map(lambda rows: rows + [[float("inf")]]),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.lists(_documents, max_size=2), inner, st.lists(_documents, max_size=2)).map(
+            lambda t: [*t[0], t[1], *t[2]]),
+        st.tuples(st.dictionaries(_texts, _documents, max_size=2), _texts, inner).map(
+            lambda t: {**t[0], t[1]: t[2]}),
+    ),
+    max_leaves=6,
+)
+
+
+@given(_poisoned)
+@settings(max_examples=200, deadline=None)
+def test_prop_emitter_raises_what_json_dumps_raises(doc):
+    with pytest.raises(Exception) as want:
+        _strict(doc)
+    with pytest.raises(type(want.value)) as got:
+        cli._dumps(doc, "\n")
+    assert str(got.value) == str(want.value)

@@ -15,6 +15,7 @@ from causal_fields.errors import (
     UnboundedQuery,
 )
 from causal_fields.order import (
+    ExplicitOrder,
     Window,
     build_explicit,
     diamond,
@@ -231,6 +232,92 @@ def test_validate_foliation_duplicate_leaf_fails():
 
 def test_validate_foliation_fork():
     assert validate_foliation(FORK, [{"a", "b"}, {"c"}]).ok
+
+
+def _pairwise_foliation_reference(omega, leaves, window=None):
+    """The foliation report as its conditions read: each leaf through
+    ``is_slice`` and ``is_cauchy``, each pair through ``slice_leads_to`` both
+    ways."""
+    report = Report("foliation")
+    leaves = [frozenset(leaf) for leaf in leaves]
+    fin = omega if omega.is_finite else materialize(omega, window)
+    for i, leaf in enumerate(leaves):
+        report.count()
+        if not is_slice(fin, leaf):
+            report.record({"leaf": i, "reason": "not an antichain"})
+        elif not is_cauchy(fin, leaf):
+            report.record({"leaf": i, "reason": "not a Cauchy slice"})
+    for i, j in itertools.combinations(range(len(leaves)), 2):
+        report.count()
+        if not (slice_leads_to(fin, leaves[i], leaves[j]) or slice_leads_to(fin, leaves[j], leaves[i])):
+            report.record({"leaves": (i, j), "reason": "not ordered by ->>"})
+        if leaves[i] & leaves[j]:
+            report.record({"leaves": (i, j), "reason": "not disjoint"})
+    covered = frozenset().union(*leaves)
+    for e in fin.events:
+        if e not in covered:
+            report.record({"event": e, "reason": "not covered by any leaf"})
+    report.count()
+    return report
+
+
+# the foliation window of the structure_checks benchmark: 7 rows of the
+# d=1 diamond lattice, each a Cauchy slice
+FOL_WINDOW = Window(0, 6, (-6,), (6,))
+FOL = materialize(lattice(1), FOL_WINDOW)
+ROWS = [frozenset(e for e in FOL.events if e[0] == t) for t in range(7)]
+LEFT = [frozenset(e for e in row if e[1][0] < 0) for row in ROWS]
+RIGHT = [frozenset(e for e in row if e[1][0] > 0) for row in ROWS]
+FOLIATION_CORPUS = {
+    "covering": (FOL, ROWS, None),
+    "reversed": (FOL, ROWS[::-1], None),
+    "not_covering": (FOL, ROWS[:-1], None),
+    # two crossing antichains, neither in the future domain of the other
+    "unordered": (FOL, [LEFT[0] | RIGHT[2], LEFT[2] | RIGHT[0], *ROWS[3:]], None),
+    "overlapping": (FOL, [ROWS[0], ROWS[1], LEFT[1] | RIGHT[3], ROWS[4]], None),
+    "duplicate": (FOL, [ROWS[1], ROWS[1], ROWS[2]], None),
+    "not_antichain": (FOL, [frozenset({ev(0, 0), ev(1, 1)}), *ROWS[1:]], None),
+    "empty_leaf": (FOL, [frozenset(), *ROWS], None),
+    "no_leaves": (FOL, [], None),
+    "fork": (FORK, [{"a", "b"}, {"c"}], None),
+    "lattice_window": (lattice(1), ROWS, FOL_WINDOW),
+    "lattice_window_not_covering": (lattice(1), ROWS[1:], FOL_WINDOW),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLIATION_CORPUS))
+def test_validate_foliation_matches_the_pairwise_reference(name):
+    omega, leaves, window = FOLIATION_CORPUS[name]
+    want = _pairwise_foliation_reference(omega, leaves, window)
+    assert validate_foliation(omega, leaves, window).to_json() == want.to_json()
+
+
+def test_validate_foliation_unknown_event_raises_as_the_reference():
+    leaves = [ROWS[0], ROWS[1], frozenset({ev(2, 0), ev(99, 99)}), frozenset({ev(0, 100)})]
+    with pytest.raises(Exception) as want:
+        _pairwise_foliation_reference(FOL, leaves)
+    with pytest.raises(type(want.value)) as got:
+        validate_foliation(FOL, leaves)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("name", ["covering", "not_antichain", "lattice_window"])
+def test_validate_foliation_makes_at_most_two_domain_passes_per_leaf(name, monkeypatch):
+    omega, leaves, window = FOLIATION_CORPUS[name]
+    calls = []
+    domain = ExplicitOrder._domain
+
+    def counted(self, bits, past=False):
+        calls.append(past)
+        return domain(self, bits, past)
+
+    monkeypatch.setattr(ExplicitOrder, "_domain", counted)
+    validate_foliation(omega, leaves, window)
+    # D+ of every leaf, D- of every antichain leaf
+    antichains = sum(is_slice(omega if omega.is_finite else FOL, leaf) for leaf in leaves)
+    assert calls.count(False) == len(leaves)
+    assert calls.count(True) == antichains
+    assert len(calls) <= 2 * len(leaves)
 
 
 def test_foliation_category_members():
