@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,11 +69,11 @@ Sites = frozenset
 
 
 def _add(x: Coord, d: Coord) -> Coord:
-    return tuple(a + b for a, b in zip(x, d))
+    return tuple(map(operator.add, x, d))
 
 
 def _sub(x: Coord, d: Coord) -> Coord:
-    return tuple(a - b for a, b in zip(x, d))
+    return tuple(map(operator.sub, x, d))
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +129,85 @@ def lattice_slice_leq(sigma: LatticeSlice, gamma: LatticeSlice, d: int) -> bool:
 # the slice category of the constant-time foliation
 # ---------------------------------------------------------------------------
 
+def _leaf_form(events: frozenset, d: int):
+    """``events`` as a member of the constant-time foliation of the
+    d-dimensional lattice: ``(t, sites)`` when every event is a lattice
+    event (an integer time and ``d`` integer coordinates of its parity) and
+    all share the time ``t``; ``(None, frozenset())`` for the empty slice;
+    None for anything else."""
+    t, sites = None, []
+    for e in events:
+        if not (isinstance(e, tuple) and len(e) == 2):
+            return None
+        et, xs = e
+        if not isinstance(et, int) or (t is not None and et != t):
+            return None
+        if not (isinstance(xs, tuple) and len(xs) == d):
+            return None
+        for x in xs:
+            if not isinstance(x, int) or (x - et) % 2:
+                return None
+        t = et
+        sites.append(xs)
+    return t, frozenset(sites)
+
+
+def _class_key(s, g) -> tuple:
+    """The translation class of a pair of member leaf forms (``_leaf_form``):
+    the time gap and both site sets, shifted by their least site.  Every
+    site has the parity of its slice's time, so a shift that maps one
+    pair's sites onto another's has the parity of the time shift: two pairs
+    get one key exactly when a lattice translation maps one onto the
+    other."""
+    (ts, ss), (tg, gs) = s, g
+    gap = None if ts is None or tg is None else tg - ts
+    if not ss | gs:
+        return gap, ss, gs
+    x0 = min(ss | gs)
+    return gap, frozenset(_sub(x, x0) for x in ss), frozenset(_sub(x, x0) for x in gs)
+
+
+def translation_class(sigma, gamma, d: int) -> tuple | None:
+    """The translation class of the pair (sigma, gamma) of constant-time
+    slices of the d-dimensional lattice, or None when either is not a member
+    slice.  Membership is settled first: a float event hashes like its
+    integer translate, so a key alone would let it pass."""
+    s, g = _leaf_form(frozenset(sigma), d), _leaf_form(frozenset(gamma), d)
+    if s is None or g is None:
+        return None
+    return _class_key(s, g)
+
+
 @dataclass
 class LatticeSliceCategory(SliceCategory):
     """Finite constant-time slices of the diamond lattice (or its reverse),
-    with the slice ordering decided by the closed-form cone test."""
+    with the slice ordering decided by the closed-form cone test.
+
+    ``hom`` parses each slice once (``_leaf_form``) and decides the cone test
+    once per translation class of member pairs; the classes live as long as
+    the category."""
 
     d: int = 1
+    _homs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def hom(self, sigma, gamma) -> bool:
-        sigma, gamma = frozenset(sigma), frozenset(gamma)
-        if not (self.contains(sigma) and self.contains(gamma)):
+        s, g = _leaf_form(frozenset(sigma), self.d), _leaf_form(frozenset(gamma), self.d)
+        if s is None or g is None:
             return False
-        if not gamma:
+        key = _class_key(s, g)
+        known = self._homs.get(key)
+        if known is None:
+            known = self._homs[key] = self._cone_test(s, g)
+        return known
+
+    def _cone_test(self, s, g) -> bool:
+        (ts, ss), (tg, gs) = s, g
+        if tg is None:
             return True
-        if not sigma:
+        if ts is None:
             return False
-        s = LatticeSlice.from_events(sigma)
-        g = LatticeSlice.from_events(gamma)
-        k = self.order.arrow * (g.t - s.t)
-        return k >= 0 and expand_sites(g.sites, k, self.d) <= s.sites
+        k = self.order.arrow * (tg - ts)
+        return k >= 0 and expand_sites(gs, k, self.d) <= ss
 
 
 def cone_pair_witness(d: int):
@@ -169,12 +230,7 @@ def foliation_category_of_lattice(d: int, reversed_: bool = False) -> LatticeSli
     omega = reverse(lattice(d)) if reversed_ else lattice(d)
 
     def contains(s) -> bool:
-        s = frozenset(s)
-        if not s:
-            return True
-        if not all(omega.has_event(e) for e in s):
-            return False
-        return len({e[0] for e in s}) == 1
+        return _leaf_form(frozenset(s), d) is not None
 
     def product_rule(a, b) -> bool:
         if not a or not b:
@@ -200,7 +256,9 @@ class PartitionedCCAConfig:
     """Spatial dimension, cell dimension, and the scattering matrix acting
     on the cell (one tensor factor per neighbourhood direction).  ``cell``,
     not an argument, is the effective scattering checked once as the cell
-    matrix (``_cell_matrix``): every forward step kernel holds that array."""
+    matrix (``_cell_matrix``): every forward step kernel holds that array.
+    ``directions``, not an argument either, is the neighbourhood of ``d``
+    in lexicographic sign order."""
 
     d: int
     cell_dim: int
@@ -208,6 +266,7 @@ class PartitionedCCAConfig:
     scattering_inv: np.ndarray | None = None
     backend: str = P.QUANTUM
     cell: np.ndarray = field(init=False, repr=False)
+    directions: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1 or self.cell_dim < 1:
@@ -226,11 +285,8 @@ class PartitionedCCAConfig:
             raise BadParams(f"unknown backend {self.backend!r}")
         if self.scattering_inv is not None:
             P.require_finite(np.asarray(self.scattering_inv), "scattering inverse")
+        object.__setattr__(self, "directions", tuple(neighbourhood(self.d)))
         object.__setattr__(self, "cell", _cell_matrix(self, effective_scattering(self)))
-
-    @property
-    def directions(self) -> list[Coord]:
-        return neighbourhood(self.d)
 
     @property
     def cell_factors(self) -> int:
@@ -404,19 +460,37 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
     """A field theory on the constant-time foliation (reversed when
     ``direction`` is -1): slice objects and slots of the automaton, and
     morphisms as the factorisation's restriction followed by one
-    ``step_kernel(src, tgt)`` per time step."""
+    ``step_kernel(src, tgt)`` per time step.
+
+    Every kernel comes from the one cell matrix and its wires are domain
+    positions, so a lattice translate of a pair has the pair's program: the
+    same ``dom``, ``cod`` and ``program_form``.  ``mor_fn`` therefore builds
+    once per translation class (``translation_class``) and hands a translate
+    the representative's morphism.  The classes live in this closure, as
+    long as the theory; a theory whose ``mor_fn`` is replaced keeps only
+    ``FieldTheory``'s absolute keys."""
     cat = foliation_category_of_lattice(config.d, reversed_=direction < 0)
+    classes: dict = {}
 
     def sites_of(sigma) -> Sites:
         s = LatticeSlice.from_events(sigma)
         return s.sites if s else frozenset()
 
-    def mor_fn(sigma, gamma) -> P.ProcMorphism:
+    def build(sigma, gamma) -> P.ProcMorphism:
         kernels = [
             restriction_kernel(config, src, tgt) if kind == "restrict" else step_kernel(src, tgt)
             for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma, direction)
         ]
         return P.compose_all(*kernels) if kernels else P.identity(slice_object(config, frozenset()))
+
+    def mor_fn(sigma, gamma) -> P.ProcMorphism:
+        key = translation_class(sigma, gamma, config.d)
+        if key is None:
+            return build(sigma, gamma)
+        f = classes.get(key)
+        if f is None:
+            f = classes[key] = build(sigma, gamma)
+        return f
 
     return FieldTheory(
         category=cat,

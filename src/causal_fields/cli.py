@@ -378,6 +378,9 @@ def _cmd_check(args) -> int:
     if args.target in ("foliation", "category"):
         omega = order_from_json(_load_json(args.order))
         if args.target == "foliation":
+            if isinstance(omega, DiamondLattice):
+                raise BadParams("check foliation needs a finite order: materialise a lattice "
+                                "window with gen diamond --t T0..T1 --x LO..HI")
             report = validate_foliation(omega, _parse_leaves(args.leaves))
         else:
             if isinstance(omega, DiamondLattice):

@@ -48,6 +48,7 @@ class FieldTheory:
     label: str = "field-theory"
     _objs: dict = field(default_factory=dict, repr=False)
     _mors: dict = field(default_factory=dict, repr=False)
+    _slots: dict = field(default_factory=dict, repr=False)
 
     def obj(self, sigma: Iterable) -> P.ProcObject:
         sigma = frozenset(sigma)
@@ -57,17 +58,22 @@ class FieldTheory:
 
     def mor(self, sigma: Iterable, gamma: Iterable) -> P.ProcMorphism:
         sigma, gamma = frozenset(sigma), frozenset(gamma)
+        # decided before the memo is read: a pair of float events equals,
+        # and hashes like, the integer pair it would otherwise be served
+        if not self.category.hom(sigma, gamma):
+            raise NotInCategory(f"no morphism {sorted(sigma, key=repr)} ->> {sorted(gamma, key=repr)}")
         key = (sigma, gamma)
         if key not in self._mors:
-            if not self.category.hom(sigma, gamma):
-                raise NotInCategory(f"no morphism {sorted(sigma, key=repr)} ->> {sorted(gamma, key=repr)}")
             self._mors[key] = self.mor_fn(sigma, gamma)
         return self._mors[key]
 
     def slots(self, sigma: Iterable) -> list:
         if self.slots_fn is None:
             raise NotInCategory(f"theory {self.label!r} exposes no slot labels")
-        return self.slots_fn(frozenset(sigma))
+        sigma = frozenset(sigma)
+        if sigma not in self._slots:
+            self._slots[sigma] = self.slots_fn(sigma)
+        return self._slots[sigma]
 
     def discard_effect(self, sigma: Iterable) -> P.ProcMorphism:
         """The induced environment effect: the image of sigma ->> empty."""
@@ -174,10 +180,6 @@ def check_environment(
         dev = deviation(tensored, theory.discard_effect(sigma | gamma), tol)
         report.compare({"pair": pair, "law": "discard of product"}, dev, tol)
     return report
-
-
-def discard_family(theory: FieldTheory, slices: Iterable[Slice]) -> dict:
-    return {frozenset(s): theory.discard_effect(s) for s in slices}
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +386,6 @@ def global_state_from_cauchy(
 # enumeration helpers for finite categories
 # ---------------------------------------------------------------------------
 
-def enumerate_hom_pairs(cat: SliceCategory) -> list:
-    objs = cat.object_list()
-    return [(s, g) for s, g in itertools.product(objs, repeat=2) if cat.hom(s, g)]
-
-
 def composable_triples(pairs: Sequence[tuple[Slice, Slice]]) -> list:
     """Every chain (s, g, d) with (s, g) and (g, d) in ``pairs``, in the
     order of ``pairs``: by the first pair, then by the second."""
@@ -396,7 +393,3 @@ def composable_triples(pairs: Sequence[tuple[Slice, Slice]]) -> list:
     for s, g in pairs:
         by_source.setdefault(s, []).append(g)
     return [(s, g, d) for s, g in pairs for d in by_source.get(g, ())]
-
-
-def enumerate_hom_triples(cat: SliceCategory) -> list:
-    return composable_triples(enumerate_hom_pairs(cat))

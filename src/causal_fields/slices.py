@@ -29,7 +29,6 @@ from .order import (
     OrderMorphism,
     Window,
     _antichains,
-    event_id,
     future_domain,
     induced_order,
     materialize,
@@ -593,15 +592,3 @@ def pullback_category(f: OrderMorphism, cat: SliceCategory) -> SliceCategory:
             return [s for s in enumerate_slices(f.dom) if contains(s)]
 
     return SliceCategory(f.dom, contains, product_rule, objects, label="pullback")
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-def slice_to_json(s: Slice) -> dict:
-    return {"events": sorted(event_id(e) for e in s)}
-
-
-def foliation_to_json(leaves: Sequence[Iterable]) -> dict:
-    return {"leaves": [sorted(event_id(e) for e in leaf) for leaf in leaves]}

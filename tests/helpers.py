@@ -210,6 +210,16 @@ def dirac_convergence_deviations(
 
 # -- dense quantum oracle ------------------------------------------------------
 
+def translation_class_oracle(sigma, gamma) -> tuple:
+    """A pair of lattice slices with its least event moved to the origin:
+    one value per class of translates (a reference for
+    ``cca.translation_class``, which keys differently)."""
+    if not sigma | gamma:
+        return sigma, gamma
+    t0, x0 = min(sigma | gamma)
+    return tuple(frozenset((t - t0, tuple(a - b for a, b in zip(xs, x0))) for t, xs in s) for s in (sigma, gamma))
+
+
 def random_unitary(rng, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)

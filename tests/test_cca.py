@@ -46,6 +46,7 @@ from causal_fields.errors import (
     CausalFieldsError,
     NegativeTimeGap,
     NotFinite,
+    NotInCategory,
     NotInvertible,
     NotStochastic,
     NotSubset,
@@ -55,7 +56,14 @@ from causal_fields.errors import (
 from causal_fields.field_theory import check_reversal, zigzag_composite
 from causal_fields.order import Window, future_domain, lattice, materialize
 
-from helpers import dirac_convergence_deviations, normalisation_defect, random_density, random_unitary, steps_program
+from helpers import (
+    dirac_convergence_deviations,
+    normalisation_defect,
+    random_density,
+    random_unitary,
+    steps_program,
+    translation_class_oracle,
+)
 
 RNG = np.random.default_rng(2024)
 TOL = P.VALIDITY_TOL
@@ -544,6 +552,153 @@ def test_invariance_fails_for_inhomogeneous_theory():
         morphism_samples=[(sl(0, 0, 2), sl(1, 1))],
     )
     assert not rep.ok
+
+
+# -- translation classes ------------------------------------------------------------------
+
+def _shift(events, dt, dx):
+    return frozenset((t + dt, tuple(x + dx for x in xs)) for t, xs in events)
+
+
+def _mirror(events):
+    return frozenset((-t, xs) for t, xs in events)
+
+
+def _reversal_cell(c):
+    # the checked inverse effective scattering: a reversal theory built on it
+    # holds that very array, so two such theories build programs of one form
+    return cca._cell_matrix(c, scattering_inverse(c) @ cca._direction_reversal(c.cell_dim, c.d).T)
+
+
+_PERMUTATION = np.eye(4)[[2, 0, 3, 1]]
+_CLASS_CONFIGS = {
+    "haar": lambda: cfg(),
+    "dirac": lambda: dirac_config(0.4, 0.1),
+    "permutation": lambda: cfg(u=_PERMUTATION, backend="classical"),
+}
+
+
+@pytest.mark.parametrize("direction", [1, -1], ids=["forward", "reversal"])
+@pytest.mark.parametrize("name", sorted(_CLASS_CONFIGS))
+def test_class_cached_morphisms_are_fresh_builds(monkeypatch, name, direction):
+    # the translation argument on the whole check window (time-mirrored for
+    # the reversal): each morphism the class cache hands out has the form of
+    # a fresh, uncached build of that exact pair, and the 1,220 pairs cost
+    # one build per class
+    c = _CLASS_CONFIGS[name]()
+    if direction > 0:
+        make, pairs = (lambda: build_cca(c)), list(cca._check_window())
+    else:
+        cell = _reversal_cell(c)
+        make = lambda: reversal_theory(c, cell)  # noqa: E731
+        pairs = [(_mirror(s), _mirror(g)) for s, g in cca._check_window()]
+    builds, factorize = [], cca.factorize_morphism
+    monkeypatch.setattr(cca, "factorize_morphism", lambda *a: builds.append(a[1:3]) or factorize(*a))
+    theory = make()
+    cached = [P.program_form(theory.mor(s, g)) for s, g in pairs]
+    classes = {translation_class_oracle(s, g) for s, g in pairs}
+    assert len(pairs) == 1220 and len(builds) == len(classes) == 114
+    assert {translation_class_oracle(s, g) for s, g in builds} == classes
+    for (s, g), form in zip(pairs, cached):
+        assert P.program_form(make().mor(s, g)) == form, (s, g)
+
+
+@pytest.mark.parametrize("direction", [1, -1], ids=["forward", "reversal"])
+def test_a_cached_class_admits_no_other_pair(direction):
+    # once a member pair's class is cached, its member translates share the
+    # program, and translates that are not member pairs still get no hom and
+    # no morphism (the float pair below hashes like an integer translate);
+    # nor does the pair with the same sites and the time gap reversed
+    c = cfg()
+    theory = build_cca(c) if direction > 0 else reversal_theory(c, _reversal_cell(c))
+    cat = theory.category
+    s, g = sl(0, 0, 2), sl(direction, 1)
+    form = P.program_form(theory.mor(s, g))
+    for dt, dx in [(2, 4), (1, -3), (-3, 1), (0, -2)]:
+        assert cat.hom(_shift(s, dt, dx), _shift(g, dt, dx))
+        assert P.program_form(theory.mor(_shift(s, dt, dx), _shift(g, dt, dx))) == form
+    later = frozenset({(2, (2,))})
+    bad = {
+        "off parity": (_shift(s, 0, 1), _shift(g, 0, 1)),
+        "odd time shift": (_shift(s, 1, 0), _shift(g, 1, 0)),
+        "float": (_shift(s, 2.0, 4.0), _shift(g, 2.0, 4.0)),
+        "float time": (_shift(s, 2.0, 4), _shift(g, 2.0, 4)),
+        "float site": (_shift(s, 2, 4.0), _shift(g, 2, 4)),
+        "two-time source": (sl(0, 0) | later, g),
+        "two-time target": (s, g | later),
+        "non-event": (s | {"x"}, g),
+        "short site": (s | {(0, ())}, g),
+        "reversed gap": (s, _mirror(g)),
+    }
+    assert bad["float"] == (frozenset({(2.0, (4.0,)), (2.0, (6.0,))}), frozenset({(2.0 + direction, (5.0,))}))
+    for label, (a, b) in bad.items():
+        assert not cat.hom(a, b), label
+        assert label == "reversed gap" or not (cat.contains(a) and cat.contains(b)), label
+        with pytest.raises(NotInCategory):
+            theory.mor(a, b)
+
+
+def _reference_member(omega, s) -> bool:
+    # the membership rule before the parsed form: every event a lattice
+    # event of the order, and one time
+    return not s or (all(omega.has_event(e) for e in s) and len({e[0] for e in s}) == 1)
+
+
+def _reference_hom(cat, s, g) -> bool:
+    if not (_reference_member(cat.order, s) and _reference_member(cat.order, g)):
+        return False
+    if not g or not s:
+        return not g
+    ls, lg = LatticeSlice.from_events(s), LatticeSlice.from_events(g)
+    k = cat.order.arrow * (lg.t - ls.t)
+    return k >= 0 and lattice_slice_leq(LatticeSlice(0, ls.sites), LatticeSlice(k, lg.sites), cat.d)
+
+
+# one category per (d, reversed), shared by every example: its class cache
+# meets translates of earlier pairs
+_SHARED_CATEGORIES: dict = {}
+
+
+@st.composite
+def _translated_pairs(draw):
+    d = draw(st.sampled_from([1, 2]))
+    reversed_ = draw(st.booleans())
+
+    def leaf():
+        t = draw(st.integers(-2, 2))
+        n = draw(st.integers(0, 3))
+        return frozenset((t, tuple(t + 2 * draw(st.integers(-2, 2)) for _ in range(d))) for _ in range(n))
+
+    dt = draw(st.integers(-3, 3))
+    dx = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    pair = [frozenset((t + dt, tuple(map(sum, zip(xs, dx)))) for t, xs in leaf()) for _ in range(2)]
+    side = draw(st.integers(0, 1))
+    if pair[side]:
+        t, xs = e = draw(st.sampled_from(sorted(pair[side])))
+        defect = draw(st.sampled_from(["none", "float site", "float time", "two times", "wrong d", "bool"]))
+        new = {
+            "none": e,
+            "float site": (t, (float(xs[0]),) + xs[1:]),
+            "float time": (float(t), xs),
+            "two times": (t + 2, tuple(x + 2 for x in xs)),
+            "wrong d": (t, xs + (t,)),
+            "bool": (t, xs) if t not in (0, 1) else (bool(t), xs),
+        }[defect]
+        pair[side] = (pair[side] - {e}) | {new}
+    return d, reversed_, pair[0], pair[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_translated_pairs())
+def test_prop_class_keyed_hom_is_the_cone_test(case):
+    # membership and the cone test, decided once per class on a category
+    # that has seen earlier examples, agree with the per-event rule
+    d, reversed_, s, g = case
+    cat = _SHARED_CATEGORIES.setdefault((d, reversed_), foliation_category_of_lattice(d, reversed_))
+    assert cat.contains(s) == _reference_member(cat.order, s)
+    assert cat.hom(s, g) == _reference_hom(cat, s, g)
+    key = cca.translation_class(s, g, d)
+    assert (key is None) == (not (cat.contains(s) and cat.contains(g)))
 
 
 # -- dirac ---------------------------------------------------------------------------------

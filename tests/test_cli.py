@@ -21,9 +21,10 @@ from causal_fields.cca import (
     ring_step_morphism,
 )
 from causal_fields.cli import main
+from causal_fields.field_theory import FieldTheory
 from causal_fields.order import Window, lattice
 
-from helpers import BOX_WINDOWS, order_json_oracle, window_order_oracle
+from helpers import BOX_WINDOWS, order_json_oracle, random_unitary, translation_class_oracle, window_order_oracle
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
@@ -336,6 +337,21 @@ def test_check_foliation_bad_leaves(fork_file, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("leaves", ['[["0,0"]]', '[[]]', "not json", None])
+def test_check_foliation_refuses_a_lattice_order(tmp_path, leaves, capsys):
+    # a lattice has no finite leaves to validate: the refusal comes before
+    # the leaves are read, names the command that materialises a window,
+    # and writes no report
+    lat = tmp_path / "lattice.json"
+    lat.write_text(json.dumps({"lattice": {"d": 1}}))
+    out = tmp_path / "r.json"
+    argv = ["check", "foliation", "--order", str(lat), "--out", str(out)]
+    assert main(argv + (["--leaves", leaves] if leaves else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gen diamond --t" in err and "--x" in err
+    assert not out.exists()
+
+
 def test_check_category(fork_file, tmp_path):
     code = main(["check", "category", "--order", fork_file,
                  "--out", str(tmp_path / "r.json")])
@@ -361,6 +377,39 @@ def test_check_seeded_determinism(dirac_file, tmp_path):
     main(["check", "monoidality", "--cca", dirac_file, "--samples", "8", "--seed", "11",
           "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# The samples per suite of the law-check benchmark workload, which runs
+# every suite with --seed 7.
+LAWCHECK_SAMPLES = {"functoriality": 12, "monoidality": 16, "nosignalling": 8,
+                    "reversal": 8, "invariance": 6, "symmetry": 6}
+
+
+@pytest.mark.parametrize("target", cca.CHECK_SUITES)
+def test_each_op_builds_one_kernel_program_per_translation_class(monkeypatch, tmp_path, target):
+    # a gate on the builds, free of timing noise: factorize_morphism runs
+    # once per lattice kernel build, and one op builds exactly one program
+    # per translation class (per time direction) of the pairs it asks for
+    haar = tmp_path / "haar.json"
+    haar.write_text(json.dumps(cca_config_to_json(PartitionedCCAConfig(
+        d=1, cell_dim=2, scattering=random_unitary(np.random.default_rng(3), 4)))))
+    builds, asked, factorize, mor = [], set(), cca.factorize_morphism, FieldTheory.mor
+
+    def counted_mor(theory, sigma, gamma):
+        f = mor(theory, sigma, gamma)
+        asked.add((theory.category.order.arrow, frozenset(sigma), frozenset(gamma)))
+        return f
+
+    monkeypatch.setattr(cca, "factorize_morphism", lambda c, s, g, direction=1: builds.append(direction)
+                        or factorize(c, s, g, direction))
+    monkeypatch.setattr(FieldTheory, "mor", counted_mor)
+    argv = ["check", target, "--cca", str(haar), "--samples", str(LAWCHECK_SAMPLES[target]),
+            "--seed", "7", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    classes = {(arrow, translation_class_oracle(s, g)) for arrow, s, g in asked}
+    for arrow in (1, -1):
+        assert builds.count(arrow) == sum(1 for a, _ in classes if a == arrow)
+    assert len(builds) < len(asked) if target != "symmetry" else not builds
 
 
 @pytest.mark.parametrize("target, extra", [

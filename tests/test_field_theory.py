@@ -23,8 +23,6 @@ from causal_fields.field_theory import (
     check_monoidality,
     check_reversal,
     composable_triples,
-    discard_family,
-    enumerate_hom_triples,
     global_state_from_cauchy,
     is_stable_family,
     merge_permutations,
@@ -111,16 +109,6 @@ def test_identity_assignment(theory):
     assert rep.ok
 
 
-def test_enumerate_hom_triples_finite():
-    from causal_fields.order import build_explicit
-    from causal_fields.slices import all_slices_category
-
-    fork = build_explicit(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    cat = all_slices_category(fork)
-    triples = enumerate_hom_triples(cat)
-    assert (frozenset({"a", "b"}), frozenset({"c"}), frozenset()) in triples
-
-
 # -- monoidality -----------------------------------------------------------------------
 
 def test_monoidality_sampled(generic_theory):
@@ -185,9 +173,8 @@ def test_environment_with_a_lossy_dead_step_still_fails(generic_theory, monkeypa
     assert rep.to_json() == check_environment(theory, pairs, products).to_json()
 
 
-def test_discard_family_empty_is_one(generic_theory):
-    fam = discard_family(generic_theory, [frozenset(), sl(0, 0)])
-    eff = fam[frozenset()]
+def test_discard_effect_of_empty_is_one(generic_theory):
+    eff = generic_theory.discard_effect(frozenset())
     assert eff.dom.is_unit and eff.cod.is_unit
     assert P.deviation(eff, P.identity(P.unit(P.QUANTUM)), TOL) <= TOL
 

@@ -32,7 +32,6 @@ from causal_fields.slices import (
     all_slices_category,
     enumerate_slices,
     foliation_category,
-    foliation_to_json,
     is_cauchy,
     is_slice,
     make_slice_morphism,
@@ -42,7 +41,6 @@ from causal_fields.slices import (
     restrict_to_region,
     reverse_category,
     slice_leads_to,
-    slice_to_json,
     space_like_separated,
     tensor_slices,
     validate_foliation,
@@ -653,13 +651,6 @@ def test_pullback_category_lists_the_base_once(tmp_path):
     want = validate_slice_category(SliceCategory(q.dom, reference_contains, lambda a, b: True,
                                                  lambda: objs, label="pullback"))
     assert rep.to_json() == want.to_json()
-
-
-# -- json ----------------------------------------------------------------------------------------
-
-def test_slice_json():
-    assert slice_to_json(frozenset({"b", "a"})) == {"events": ["a", "b"]}
-    assert foliation_to_json([{"a"}, {"b"}]) == {"leaves": [["a"], ["b"]]}
 
 
 # -- property tests --------------------------------------------------------------------------------
