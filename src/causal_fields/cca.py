@@ -90,17 +90,6 @@ class LatticeSlice:
     def events(self) -> frozenset:
         return frozenset((self.t, x) for x in self.sites)
 
-    @staticmethod
-    def from_events(events) -> "LatticeSlice | None":
-        events = frozenset(events)
-        if not events:
-            return None
-        times = {e[0] for e in events}
-        if len(times) != 1:
-            raise BadParams("events do not share one time coordinate")
-        (t,) = times
-        return LatticeSlice(t, frozenset(e[1] for e in events))
-
 
 def lattice_slice(t: int, sites) -> frozenset:
     return LatticeSlice(t, frozenset(tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in sites)).events()
@@ -434,24 +423,25 @@ def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: in
     """The canonical factorisation of a slice morphism into one restriction
     followed by full one-step evolutions; ``direction`` is +1 for the
     forward foliation and -1 for the reversed one."""
-    sigma, gamma = frozenset(sigma), frozenset(gamma)
-    s = LatticeSlice.from_events(sigma)
-    if s is None:
-        if gamma:
+    s, g = _leaf_form(sigma, config.d), _leaf_form(gamma, config.d)
+    if s is None or g is None:
+        raise BadParams("not a lattice slice morphism")
+    (ts, ss), (tg, gs) = s, g
+    if ts is None:
+        if gs:
             raise BadParams("no morphism out of the empty slice")
         return []
-    g = LatticeSlice.from_events(gamma)
-    if g is None:
-        return [("restrict", s.sites, frozenset(), s.t)]
-    k = direction * (g.t - s.t)
-    first = expand_sites(g.sites, max(k, 0), config.d)
-    if k < 0 or not first <= s.sites:
+    if tg is None:
+        return [("restrict", ss, frozenset(), ts)]
+    k = direction * (tg - ts)
+    first = expand_sites(gs, max(k, 0), config.d)
+    if k < 0 or not first <= ss:
         raise BadParams("not a lattice slice morphism")
-    steps = [("restrict", s.sites, first, s.t)]
+    steps = [("restrict", ss, first, ts)]
     cur = first
     for i in range(1, k + 1):
-        nxt = expand_sites(g.sites, k - i, config.d)
-        steps.append(("step", cur, nxt, s.t + direction * i))
+        nxt = expand_sites(gs, k - i, config.d)
+        steps.append(("step", cur, nxt, ts + direction * i))
         cur = nxt
     return steps
 
@@ -473,8 +463,10 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
     classes: dict = {}
 
     def sites_of(sigma) -> Sites:
-        s = LatticeSlice.from_events(sigma)
-        return s.sites if s else frozenset()
+        s = _leaf_form(sigma, config.d)
+        if s is None:
+            raise BadParams("not a constant-time lattice slice")
+        return s[1]
 
     def build(sigma, gamma) -> P.ProcMorphism:
         kernels = [
@@ -708,22 +700,22 @@ def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int) -> list
     Decides the foliation category's ``hom`` for every pair (every window
     slice is one of its objects) with each slice parsed once and each
     target's cone cast once per time gap."""
-    members = [(s, LatticeSlice.from_events(s))
+    members = [(s, _leaf_form(s, 1))
                for t in range(t0, t1 + 1) for s in window_slices(t, lo, hi, max_sites)]
     cones: dict = {}
     pairs = []
-    for s, ls in members:
-        for j, (g, lg) in enumerate(members):
+    for s, (ts, ss) in members:
+        for j, (g, (tg, gs)) in enumerate(members):
             if not g:
                 pairs.append((s, g))
                 continue
-            if ls is None or lg.t < ls.t:
+            if ts is None or tg < ts:
                 continue
-            k = lg.t - ls.t
+            k = tg - ts
             cone = cones.get((j, k))
             if cone is None:
-                cone = cones[(j, k)] = expand_sites(lg.sites, k, 1)
-            if cone <= ls.sites:
+                cone = cones[(j, k)] = expand_sites(gs, k, 1)
+            if cone <= ss:
                 pairs.append((s, g))
     return pairs
 

@@ -33,23 +33,11 @@ class InvalidMorphism(CausalFieldsError):
 
 # -- slices and slice categories ---------------------------------------------
 
-class NotSeparated(CausalFieldsError):
-    pass
-
-
 class NotInCategory(CausalFieldsError):
     pass
 
 
 class InvalidFoliation(CausalFieldsError):
-    pass
-
-
-class NotARegionOfC(CausalFieldsError):
-    pass
-
-
-class NotReversible(CausalFieldsError):
     pass
 
 

@@ -547,13 +547,6 @@ def _walks(succ: Sequence[Sequence[int]], x: int, y: int, box: int, events: Sequ
             path.pop()
 
 
-def is_region(omega: CausalOrder, s: Iterable[Event]) -> bool:
-    """Convexity: every diamond between members stays inside the set."""
-    s = frozenset(s)
-    _require_all(omega, s)
-    return region_between(omega, s, s) <= s
-
-
 def region_between(omega: CausalOrder, sigma: Iterable[Event], gamma: Iterable[Event]) -> frozenset:
     """The union of the diamonds from members of sigma to members of gamma.
 
@@ -616,10 +609,6 @@ def check_morphism(f: OrderMorphism) -> bool:
     return True
 
 
-def identity_morphism(omega: ExplicitOrder) -> OrderMorphism:
-    return OrderMorphism(omega, omega, {e: e for e in omega.events})
-
-
 def epi_mono_factor(f: OrderMorphism) -> tuple[OrderMorphism, OrderMorphism]:
     """Factor f as a causal quotient onto its image followed by the
     inclusion of the image as a causal sub-order."""
@@ -631,19 +620,6 @@ def epi_mono_factor(f: OrderMorphism) -> tuple[OrderMorphism, OrderMorphism]:
     quotient = OrderMorphism(f.dom, image_order, dict(f.mapping))
     embedding = OrderMorphism(image_order, f.cod, {e: e for e in image_order.events})
     return quotient, embedding
-
-
-def region_refinement_factor(i: OrderMorphism) -> tuple[OrderMorphism, OrderMorphism]:
-    """Factor an injective morphism through the smallest region containing
-    its image (the union of diamonds between image points)."""
-    if not (i.dom.is_finite and i.cod.is_finite):
-        raise UnboundedQuery("factorisation needs finite orders")
-    if not check_morphism(i) or not i.is_injective():
-        raise InvalidMorphism("input must be an injective causal-order morphism")
-    theta = i.cod.suborder(region_between(i.cod, i.image, i.image))
-    refinement = OrderMorphism(i.dom, theta, dict(i.mapping))
-    region_mor = OrderMorphism(theta, i.cod, {e: e for e in theta.events})
-    return refinement, region_mor
 
 
 def _antichains(omega: ExplicitOrder, universe: Sequence[Event]) -> Iterator[frozenset]:

@@ -13,27 +13,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (
-    BadParams,
-    InvalidFoliation,
-    NonEnumerableRegion,
-    NotARegionOfC,
-    NotInCategory,
-    NotReversible,
-    NotSeparated,
-    UnboundedQuery,
-)
+from .errors import BadParams, InvalidFoliation, UnboundedQuery
 from .order import (
     CausalOrder,
     ExplicitOrder,
-    OrderMorphism,
     Window,
     _antichains,
     future_domain,
     induced_order,
     materialize,
-    region_between,
-    reverse,
 )
 from .report import Report
 
@@ -77,21 +65,6 @@ def slice_leads_to(omega: CausalOrder, sigma: Iterable, gamma: Iterable) -> bool
     if not gamma:
         return True
     return gamma <= future_domain(omega, sigma)
-
-
-@dataclass(frozen=True)
-class SliceMorphism:
-    """A witnessed pair sigma ->> gamma."""
-
-    source: Slice
-    target: Slice
-
-
-def make_slice_morphism(omega: CausalOrder, sigma: Iterable, gamma: Iterable) -> SliceMorphism:
-    sigma, gamma = frozenset(sigma), frozenset(gamma)
-    if not slice_leads_to(omega, sigma, gamma):
-        raise NotInCategory("target is not in the future domain of the source")
-    return SliceMorphism(sigma, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +117,6 @@ class SliceCategory:
             return [o for o in self.object_list() if o <= region_events]
         sub = induced_order(self.order, sorted(region_events, key=repr))
         return [s for s in enumerate_slices(sub) if self.contains(s)]
-
-
-def tensor_slices(cat: SliceCategory, sigma: Iterable, gamma: Iterable) -> Slice:
-    """The monoidal product: the disjoint union, where defined."""
-    sigma, gamma = frozenset(sigma), frozenset(gamma)
-    if not (cat.contains(sigma) and cat.contains(gamma)):
-        raise NotInCategory("operands are not objects of the category")
-    if not space_like_separated(cat.order, sigma, gamma):
-        raise NotSeparated("operands are not space-like separated")
-    if sigma & gamma:
-        raise NotSeparated("operands overlap")
-    if not cat.product_rule(sigma, gamma):
-        raise NotInCategory("the partial product is undefined in this category")
-    out = sigma | gamma
-    if not cat.contains(out):
-        raise NotInCategory("the union is not an object of the category")
-    return out
-
-
-def monoidal_morphism_product(
-    cat: SliceCategory, m1: SliceMorphism, m2: SliceMorphism
-) -> SliceMorphism:
-    src = tensor_slices(cat, m1.source, m2.source)
-    tgt = tensor_slices(cat, m1.target, m2.target)
-    return make_slice_morphism(cat.order, src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -467,128 +415,3 @@ def _validate_objects(cat: SliceCategory, objs: list, empty_ok: bool, report: Re
             if member[g] and not apart & g and cat.product_rule(sigma, gamma) \
                     and not member[s | g]:
                 report.record({"pair": (sigma, gamma), "reason": "product leaves the category"})
-
-
-# ---------------------------------------------------------------------------
-# restriction to regions and reversal
-# ---------------------------------------------------------------------------
-
-def restrict_to_region(
-    cat: SliceCategory,
-    region: Iterable,
-    generators: Sequence[tuple[Iterable, Iterable]] | None = None,
-) -> SliceCategory:
-    """The full subcategory of slices contained in a region of the category.
-
-    The region must be generated by bounded regions between member slices:
-    it has to equal the union of those bounded regions, and every causally
-    related pair inside it must fit in a single one.  With ``generators``
-    the check uses the given slice pairs; otherwise the category must be
-    enumerable.
-    """
-    region = frozenset(region)
-    omega = cat.order
-    for e in region:
-        omega.require_event(e)
-    if generators is not None:
-        bounded = [
-            region_between(omega, frozenset(s), frozenset(g))
-            for s, g in generators
-        ]
-        bounded = [b for b in bounded if b <= region]
-    elif cat.objects is not None:
-        objs = [o for o in cat.object_list() if o <= region]
-        bounded = [
-            rb
-            for s in objs
-            for g in objs
-            if (rb := region_between(omega, s, g)) <= region
-        ]
-    else:
-        raise NonEnumerableRegion(
-            "restriction of a non-enumerable category needs generating slice pairs"
-        )
-    union = frozenset().union(*bounded) if bounded else frozenset()
-    if union != region:
-        raise NotARegionOfC("region is not a union of bounded regions of the category")
-    for x in region:
-        for y in region:
-            if omega.leq(x, y) and not any(x in b and y in b for b in bounded):
-                raise NotARegionOfC(
-                    f"related pair {x!r} <= {y!r} not inside one bounded region"
-                )
-
-    def contains(s: Slice) -> bool:
-        return cat.contains(s) and s <= region
-
-    objects = None
-    if cat.objects is not None:
-        base_objects = cat.object_list
-
-        def objects() -> list:  # noqa: F811
-            return [o for o in base_objects() if o <= region]
-
-    # The restriction lives on the region as a causal order in its own
-    # right: the slice ordering is recomputed inside the (convex) region.
-    events = [e for e in omega.events if e in region] if omega.is_finite else sorted(region)
-    return SliceCategory(
-        order=induced_order(omega, events),
-        contains=contains,
-        product_rule=cat.product_rule,
-        objects=objects,
-        label=f"{cat.label}|region",
-    )
-
-
-def reverse_category(cat: SliceCategory) -> SliceCategory:
-    """The same objects over the reversed order.
-
-    Reversibility is a property, not a given: for enumerable categories the
-    category-of-slices conditions are re-checked on the reverse and a
-    failure raises NotReversible.
-    """
-    rev_order = reverse(cat.order)
-    out = SliceCategory(
-        order=rev_order,
-        contains=cat.contains,
-        product_rule=cat.product_rule,
-        objects=cat.objects,
-        label=f"{cat.label}^rev",
-    )
-    if cat.objects is not None:
-        report = validate_slice_category(out)
-        if not report.ok:
-            raise NotReversible(str(report.violations[:3]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pullback categories (ordering computed by the generic D+ test only)
-# ---------------------------------------------------------------------------
-
-def pullback_category(f: OrderMorphism, cat: SliceCategory) -> SliceCategory:
-    """Slices of the domain suborder lying over some member of ``cat``."""
-    assert isinstance(f, OrderMorphism)
-    base = None  # the base's objects, listed on first use
-
-    def contains(s: Slice) -> bool:
-        nonlocal base
-        s = frozenset(s)
-        if not is_slice(f.dom, s):
-            return False
-        image = frozenset(f.mapping[e] for e in s)
-        if cat.objects is not None:
-            if base is None:
-                base = cat.object_list()
-            return any(image <= sigma for sigma in base)
-        return cat.contains(image)
-
-    def product_rule(a: Slice, b: Slice) -> bool:
-        return True
-
-    objects = None
-    if f.dom.is_finite:
-        def objects() -> list:  # noqa: F811
-            return [s for s in enumerate_slices(f.dom) if contains(s)]
-
-    return SliceCategory(f.dom, contains, product_rule, objects, label="pullback")

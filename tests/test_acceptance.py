@@ -5,6 +5,7 @@ captured output).  Run the whole file with ``pytest tests/test_acceptance.py -v`
 """
 
 import itertools
+import json
 import time
 
 import numpy as np
@@ -26,6 +27,7 @@ from causal_fields.cca import (
     translation_action,
     window_morphisms,
 )
+from causal_fields.cli import main
 from causal_fields.errors import NotInvertible
 from causal_fields.field_theory import (
     CategoryRegion,
@@ -37,13 +39,19 @@ from causal_fields.field_theory import (
     restrict_states,
 )
 from causal_fields.order import (
+    OrderMorphism,
     Window,
+    check_morphism,
+    epi_mono_factor,
     future_domain,
     lattice,
     materialize,
+    order_from_json,
     past_domain,
+    pullback_slice,
     reverse,
 )
+from causal_fields.slices import is_slice
 
 from helpers import (
     dirac_convergence_deviations,
@@ -357,3 +365,33 @@ def test_acceptance_9_dirac_automaton():
     assert transport_exact
     assert ratios_ok, ratios
     assert elapsed < 30.0
+
+
+# -----------------------------------------------------------------------------
+# 10. coarse-graining a causal order
+# -----------------------------------------------------------------------------
+
+def test_acceptance_10_coarse_graining(tmp_path):
+    # gen honeycomb writes the 2-to-1 collapse of the brick-wall honeycomb
+    # onto the diamond lattice window; it is a causal-order morphism that
+    # factors as a quotient onto its image followed by an embedding, and a
+    # slice of the coarse order pulls back to one slice per choice of an
+    # antichain in each fibre
+    mor = tmp_path / "collapse.json"
+    assert main(["gen", "honeycomb", "--t", "0:2", "--x", "-2:2", "--out", str(tmp_path / "honey.json"),
+                 "--morphism-out", str(mor)]) == 0
+    blob = json.loads(mor.read_text())
+    dom, cod = order_from_json(blob["dom"]), order_from_json(blob["cod"])
+    q = OrderMorphism(dom, cod, {src: dst for src, dst in blob["map"]})
+    quotient, embedding = epi_mono_factor(q)
+    factors = (check_morphism(q) and set(quotient.cod.events) == set(cod.events)
+               and embedding.is_injective()
+               and all(embedding(quotient(e)) == q(e) for e in dom.events))
+    # each fibre over the 2-point slice is a 2-chain with 3 antichains
+    sigma = frozenset({"0,0", "0,2"})
+    _, slices = pullback_slice(q, sigma)
+    pulled = is_slice(cod, sigma) and len(slices) == len(set(slices)) == 9
+    _line(10, factors and pulled, f"honeycomb collapse onto {len(cod.events)} diamond events: "
+                                  f"epi-mono factorisation {factors}; {len(slices)} pulled-back slices")
+    assert factors
+    assert pulled

@@ -149,6 +149,33 @@ def test_factorize_invalid():
         factorize_morphism(cfg(), sl(0, 0), sl(1, 1))
 
 
+NON_MEMBERS = {
+    "two times": frozenset({(0, (0,)), (1, (1,))}),
+    "off parity": frozenset({(0, (1,))}),
+    "float site": frozenset({(0, (0.0,))}),
+    "float time": frozenset({(0.0, (0,))}),
+    "short site": frozenset({(0, ())}),
+    "not an event": frozenset({"a"}),
+}
+
+
+@pytest.mark.parametrize("bad", NON_MEMBERS.values(), ids=NON_MEMBERS.keys())
+def test_a_non_member_slice_is_bad_params(bad):
+    # both read leaves through the one member parser, which accepts only
+    # integer events of one time and of its parity
+    theory, reversal = build_cca(cfg()), build_reversal(cfg())
+    for direction in (1, -1):
+        with pytest.raises(BadParams):
+            factorize_morphism(cfg(), bad, frozenset(), direction)
+        with pytest.raises(BadParams):
+            factorize_morphism(cfg(), sl(0, 0), bad, direction)
+    for t in (theory, reversal):
+        with pytest.raises(BadParams):
+            t.obj(bad)
+        with pytest.raises(BadParams):
+            t.slots(bad)
+
+
 # -- kernels ---------------------------------------------------------------------------
 
 def test_restriction_kernel_identity():
@@ -538,8 +565,7 @@ def test_invariance_fails_for_inhomogeneous_theory():
     other = build_cca(cfg(u=random_unitary(np.random.default_rng(11), 4)))
 
     def patched_mor(sigma, gamma):
-        src = LatticeSlice.from_events(sigma)
-        use = theory if src and src.t % 2 == 0 else other
+        use = theory if sigma and next(iter(sigma))[0] % 2 == 0 else other
         return use.mor_fn(sigma, gamma)
 
     broken = build_cca(c)
@@ -649,9 +675,9 @@ def _reference_hom(cat, s, g) -> bool:
         return False
     if not g or not s:
         return not g
-    ls, lg = LatticeSlice.from_events(s), LatticeSlice.from_events(g)
-    k = cat.order.arrow * (lg.t - ls.t)
-    return k >= 0 and lattice_slice_leq(LatticeSlice(0, ls.sites), LatticeSlice(k, lg.sites), cat.d)
+    (ts, ss), (tg, gs) = ((next(iter(x))[0], frozenset(xs for _, xs in x)) for x in (s, g))
+    k = cat.order.arrow * (tg - ts)
+    return k >= 0 and lattice_slice_leq(LatticeSlice(0, ss), LatticeSlice(k, gs), cat.d)
 
 
 # one category per (d, reversed), shared by every example: its class cache

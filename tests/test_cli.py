@@ -105,37 +105,6 @@ def test_gen_honeycomb_quotient(tmp_path):
     assert all(len(f) == 2 for f in fibres.values())
 
 
-def test_honeycomb_collapse_factorisations(tmp_path):
-    out = tmp_path / "honey.json"
-    mor = tmp_path / "collapse.json"
-    main(["gen", "honeycomb", "--t", "0:2", "--x", "-2:2", "--out", str(out),
-          "--morphism-out", str(mor)])
-    blob = read(mor)
-    from causal_fields.order import (
-        OrderMorphism,
-        epi_mono_factor,
-        order_from_json,
-        pullback_slice,
-    )
-
-    dom = order_from_json(blob["dom"])
-    cod = order_from_json(blob["cod"])
-    q = OrderMorphism(dom, cod, {src: dst for src, dst in blob["map"]})
-    # the collapse factors through the (full) diamond image
-    quotient, embedding = epi_mono_factor(q)
-    assert set(quotient.cod.events) == set(cod.events)
-    assert embedding.is_injective()
-    # pullback of a 2-point diamond slice: slice count is the product of
-    # the per-fibre slice counts (each fibre is a 2-chain: 3 antichains)
-    sigma = frozenset({"0,0", "0,2"})
-    from causal_fields.slices import is_slice
-
-    assert is_slice(cod, sigma)
-    sub, slices = pullback_slice(q, sigma)
-    assert len(slices) == 9
-    assert len(set(slices)) == 9
-
-
 def test_lattice_category_check_with_witnesses(tmp_path):
     order = tmp_path / "lat.json"
     order.write_text(json.dumps({"lattice": {"d": 1}}))

@@ -463,7 +463,7 @@ def _float_checks(theory, reversal):
         "reversal": check_reversal(theory, reversal, sample_zigzag_chain_pairs(rng, 12)),
         "invariance": check_invariance(
             theory, translation_action(1), identity_invariance(theory), words, pairs,
-            word_pairs=[(words[0], words[1])], slice_samples=[sl(0, 0), sl(0, 0, 1)],
+            word_pairs=[(words[0], words[1])], slice_samples=[sl(0, 0), sl(0, 0, 2)],
         ),
     }
 

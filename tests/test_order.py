@@ -25,9 +25,7 @@ from causal_fields.order import (
     event_id,
     future,
     future_domain,
-    identity_morphism,
     induced_order,
-    is_region,
     iterated_neighbourhood,
     lattice,
     materialize,
@@ -39,7 +37,6 @@ from causal_fields.order import (
     past_domain,
     pullback_slice,
     region_between,
-    region_refinement_factor,
     reverse,
     window_covers,
     window_events,
@@ -241,12 +238,6 @@ def test_diamond_equals_union_of_paths():
     assert box == from_paths
 
 
-def test_is_region():
-    assert is_region(CHAIN, diamond(CHAIN, "a", "c"))
-    assert not is_region(CHAIN, {"a", "c"})
-    assert is_region(CHAIN, frozenset())
-
-
 def test_region_between_slice_itself():
     sigma = frozenset({"a", "b"})
     assert region_between(FORK, sigma, sigma) == sigma
@@ -317,7 +308,7 @@ def test_induced_order_keeps_caller_order():
 # -- morphisms -----------------------------------------------------------------------------------
 
 def test_identity_morphism_valid():
-    assert check_morphism(identity_morphism(CHAIN))
+    assert check_morphism(OrderMorphism(CHAIN, CHAIN, {e: e for e in CHAIN.events}))
 
 
 def test_collapse_chain_to_point_valid():
@@ -350,75 +341,17 @@ def test_epi_mono_constant():
     assert back == point_img.mapping
 
 
-def test_region_refinement_path_into_chain():
-    sub = build_explicit(["a", "c"], [("a", "c")])
-    i = OrderMorphism(sub, CHAIN, {"a": "a", "c": "c"})
-    refinement, region_mor = region_refinement_factor(i)
-    assert set(refinement.cod.events) == {"a", "b", "c"}
-    assert is_region(CHAIN, region_mor.image)
-    assert {e: region_mor(refinement(e)) for e in sub.events} == i.mapping
-
-
-def test_region_refinement_already_region():
-    sub = CHAIN.suborder({"a", "b"})
-    i = OrderMorphism(sub, CHAIN, {"a": "a", "b": "b"})
-    refinement, _ = region_refinement_factor(i)
-    assert set(refinement.cod.events) == {"a", "b"}
-
-
-def test_region_refinement_singleton():
-    one = build_explicit(["x"], [])
-    i = OrderMorphism(one, CHAIN, {"x": "b"})
-    refinement, _ = region_refinement_factor(i)
-    assert set(refinement.cod.events) == {"b"}
-
-
-def test_region_refinement_rejects_noninjective():
-    f = OrderMorphism(CHAIN, CHAIN, {"a": "a", "b": "a", "c": "a"})
+def test_epi_mono_rejects_a_non_morphism():
+    anti = build_explicit(["a", "b"], [])
+    two = build_explicit(["p", "q"], [("p", "q")])
     with pytest.raises(InvalidMorphism):
-        region_refinement_factor(f)
-
-
-def test_region_refinement_intermediate_unique():
-    # the intermediate region is the only convex subset through which the
-    # inclusion factors with the sandwich property, on small random orders
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        omega = random_dag(rng, max_events=6, p=0.4)
-        events = list(omega.events)
-        k = int(rng.integers(1, len(events) + 1))
-        chosen = sorted(rng.choice(len(events), size=k, replace=False))
-        sub_events = [events[i] for i in chosen]
-        sub = omega.suborder(sub_events)
-        i = OrderMorphism(sub, omega, {e: e for e in sub_events})
-        refinement, _ = region_refinement_factor(i)
-        theta = frozenset(refinement.cod.events)
-        img = frozenset(sub_events)
-        valid = []
-        for cand in all_subsets(events):
-            if not img <= cand or not is_region(omega, cand):
-                continue
-            ok = all(
-                any(
-                    omega.leq(xp, x) and omega.leq(y, yp)
-                    for xp in img
-                    for yp in img
-                )
-                for x in cand
-                for y in cand
-                if omega.leq(x, y)
-            )
-            if ok:
-                valid.append(cand)
-        assert theta in valid
-        minimal = [c for c in valid if not any(v < c for v in valid)]
-        assert minimal == [theta]
+        epi_mono_factor(OrderMorphism(anti, two, {"a": "p", "b": "q"}))
 
 
 # -- pullbacks ------------------------------------------------------------------------------------
 
 def test_pullback_identity():
-    f = identity_morphism(FORK)
+    f = OrderMorphism(FORK, FORK, {e: e for e in FORK.events})
     sub, slices = pullback_slice(f, {"a", "b"})
     assert set(sub.events) == {"a", "b"}
     assert sorted(slices, key=sorted) == sorted(

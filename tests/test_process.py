@@ -489,10 +489,13 @@ def kernel_programs(dom=None):
 def test_prop_compile_matches_full_space_oracle(drawn):
     # the identity-batch evaluator on the resolved form and the
     # kron-embedding products along the drawn steps give the same Kraus
-    # family (same order) or transfer matrix, entry by entry
+    # family (same order) or transfer matrix, entry by entry, up to rounding
+    # relative to the largest entry: unnormalised classical steps reach
+    # entries of ~1e3, where the two summation orders differ by ~1e-12
     got, want = P.compile_kernel(steps_program(*drawn)), compile_kernel_oracle(*drawn)
     assert got.shape == want.shape
-    assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= P.ORACLE_TOL * scale
 
 
 @st.composite

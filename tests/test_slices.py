@@ -1,19 +1,12 @@
 import collections
-import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_fields.errors import (
-    BadParams,
-    NotARegionOfC,
-    NotSeparated,
-    UnboundedQuery,
-)
+from causal_fields.errors import BadParams, UnboundedQuery
 from causal_fields.order import (
     ExplicitOrder,
     Window,
@@ -34,15 +27,9 @@ from causal_fields.slices import (
     foliation_category,
     is_cauchy,
     is_slice,
-    make_slice_morphism,
     maximal_slices,
-    monoidal_morphism_product,
-    pullback_category,
-    restrict_to_region,
-    reverse_category,
     slice_leads_to,
     space_like_separated,
-    tensor_slices,
     validate_foliation,
     validate_slice_category,
 )
@@ -96,60 +83,6 @@ def test_leads_to_empty_target():
 def test_leads_to_fork():
     assert not slice_leads_to(FORK, {"a"}, {"c"})
     assert slice_leads_to(FORK, {"a", "b"}, {"c"})
-
-
-# -- tensor -----------------------------------------------------------------------
-
-def test_tensor_unit_law():
-    cat = all_slices_category(FORK)
-    assert tensor_slices(cat, {"a"}, frozenset()) == {"a"}
-
-
-def test_tensor_lattice_pair():
-    cat = all_slices_category(lattice(1))
-    assert tensor_slices(cat, {ev(0, 0)}, {ev(0, 2)}) == {ev(0, 0), ev(0, 2)}
-
-
-def test_tensor_not_separated():
-    cat = all_slices_category(CHAIN3)
-    with pytest.raises(NotSeparated):
-        tensor_slices(cat, {"a"}, {"c"})
-
-
-def test_tensor_associative_commutative():
-    anti = build_explicit(["a", "b", "c"], [])
-    cat = all_slices_category(anti)
-    ab_c = tensor_slices(cat, tensor_slices(cat, {"a"}, {"b"}), {"c"})
-    a_bc = tensor_slices(cat, {"a"}, tensor_slices(cat, {"b"}, {"c"}))
-    assert ab_c == a_bc == {"a", "b", "c"}
-    assert tensor_slices(cat, {"a"}, {"b"}) == tensor_slices(cat, {"b"}, {"a"})
-
-
-def test_morphism_product():
-    anti = build_explicit(["a", "b", "c", "d"], [("a", "c"), ("b", "d")])
-    cat = all_slices_category(anti)
-    m1 = make_slice_morphism(anti, {"a"}, {"c"})
-    m2 = make_slice_morphism(anti, {"b"}, {"d"})
-    prod = monoidal_morphism_product(cat, m1, m2)
-    assert prod.source == {"a", "b"} and prod.target == {"c", "d"}
-
-
-def test_morphism_product_identities():
-    anti = build_explicit(["a", "b"], [])
-    cat = all_slices_category(anti)
-    m1 = make_slice_morphism(anti, {"a"}, {"a"})
-    m2 = make_slice_morphism(anti, {"b"}, {"b"})
-    prod = monoidal_morphism_product(cat, m1, m2)
-    assert prod.source == prod.target == {"a", "b"}
-
-
-def test_morphism_product_discards():
-    anti = build_explicit(["a", "b"], [])
-    cat = all_slices_category(anti)
-    m1 = make_slice_morphism(anti, {"a"}, frozenset())
-    m2 = make_slice_morphism(anti, {"b"}, frozenset())
-    prod = monoidal_morphism_product(cat, m1, m2)
-    assert prod.source == {"a", "b"} and prod.target == frozenset()
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -502,76 +435,6 @@ def test_validate_refuses_a_large_category_before_enumerating_it(monkeypatch):
     assert asked == [frozenset()]
 
 
-# -- restriction ------------------------------------------------------------------------------
-
-def test_restrict_to_whole_order():
-    cat = all_slices_category(FORK)
-    sub = restrict_to_region(cat, {"a", "b", "c"})
-    assert sorted(sub.object_list(), key=sorted) == sorted(cat.object_list(), key=sorted)
-
-
-def test_restrict_to_diamond():
-    cat = all_slices_category(FORK)
-    box = region_between(FORK, {"a"}, {"c"})
-    sub = restrict_to_region(cat, box)
-    assert sorted(sub.object_list(), key=sorted) == sorted(
-        [frozenset(), frozenset({"a"}), frozenset({"c"})], key=sorted
-    )
-    assert validate_slice_category(sub).ok
-
-
-def test_restrict_to_empty_region():
-    cat = all_slices_category(FORK)
-    sub = restrict_to_region(cat, frozenset())
-    assert sub.object_list() == [frozenset()]
-
-
-def test_restrict_rejects_non_region():
-    cat = foliation_category(CHAIN3, [{"a"}, {"b"}, {"c"}])
-    with pytest.raises(NotARegionOfC):
-        restrict_to_region(cat, {"a", "c"})
-
-
-def test_restriction_passes_validation_on_random_orders():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        omega = random_dag(rng, max_events=6, p=0.35)
-        cat = all_slices_category(omega)
-        events = list(omega.events)
-        x = events[int(rng.integers(len(events)))]
-        y = events[int(rng.integers(len(events)))]
-        box = region_between(omega, {x}, {y}) | region_between(omega, {x}, {x}) \
-            | region_between(omega, {y}, {y})
-        try:
-            sub = restrict_to_region(cat, box)
-        except NotARegionOfC:
-            continue
-        assert validate_slice_category(sub).ok
-
-
-# -- reversal ----------------------------------------------------------------------------------
-
-def test_reverse_category_all_slices():
-    cat = all_slices_category(FORK)
-    rev = reverse_category(cat)
-    assert rev.order == reverse(FORK)
-    assert validate_slice_category(rev).ok
-
-
-def test_reverse_category_foliation_cauchy_duality():
-    cat = foliation_category(FORK, [{"a", "b"}, {"c"}])
-    rev = reverse_category(cat)
-    # for Cauchy leaves, Delta ->> Sigma iff Sigma ->>^rev Delta
-    assert slice_leads_to(FORK, frozenset({"a", "b"}), frozenset({"c"}))
-    assert slice_leads_to(rev.order, frozenset({"c"}), frozenset({"a", "b"}))
-
-
-def test_reverse_category_degenerate():
-    one = build_explicit(["x"], [])
-    cat = all_slices_category(one)
-    assert reverse_category(cat) is not None
-
-
 def test_validate_with_constructive_witnesses():
     from causal_fields.cca import cone_pair_witness, foliation_category_of_lattice
 
@@ -587,70 +450,6 @@ def test_validate_non_enumerable_without_witnesses():
     cat = all_slices_category(lattice(1))
     rep = validate_slice_category(cat)
     assert not rep.ok
-
-
-# -- pullback categories -------------------------------------------------------------------------
-
-def test_pullback_category_membership():
-    from causal_fields.order import OrderMorphism
-
-    anti = build_explicit(["a", "b"], [])
-    point = build_explicit(["p"], [])
-    f = OrderMorphism(anti, point, {"a": "p", "b": "p"})
-    cat = pullback_category(f, all_slices_category(point))
-    assert sorted(cat.object_list(), key=sorted) == sorted(
-        [frozenset(), frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})],
-        key=sorted,
-    )
-
-
-def _honeycomb_collapse(tmp_path):
-    """The collapse of the honeycomb over t 0..2, x -2..2 onto its 8-event diamond."""
-    from causal_fields.cli import main
-    from causal_fields.order import OrderMorphism, order_from_json
-
-    mor = tmp_path / "collapse.json"
-    main(["gen", "honeycomb", "--t", "0:2", "--x", "-2:2", "--out", str(tmp_path / "honey.json"),
-          "--morphism-out", str(mor)])
-    blob = json.loads(mor.read_text())
-    dom, cod = order_from_json(blob["dom"]), order_from_json(blob["cod"])
-    return OrderMorphism(dom, cod, {src: dst for src, dst in blob["map"]})
-
-
-def test_pullback_category_lists_the_base_once(tmp_path):
-    # membership used to list the base's objects on every query: 85 times
-    # to list the pullback, 170 times to validate it
-    q = _honeycomb_collapse(tmp_path)
-    base = all_slices_category(q.cod)
-    assert len(q.cod.events) == 8
-    calls = []
-
-    def counted_base():
-        calls.append(1)
-        return base.objects()
-
-    def pullback():
-        return pullback_category(q, dataclasses.replace(base, objects=counted_base))
-
-    base_objects = base.object_list()
-
-    def reference_contains(s):
-        # the membership as it was: the image lies in some base object
-        return is_slice(q.dom, s) and any(frozenset(q.mapping[e] for e in s) <= b for b in base_objects)
-
-    cat = pullback()
-    objs = cat.object_list()
-    assert len(objs) == 85 and len(calls) == 1
-    assert objs == [s for s in enumerate_slices(q.dom) if reference_contains(s)]
-    assert all(cat.contains(s) == reference_contains(s) for s in enumerate_slices(q.dom))
-    assert len(calls) == 1
-
-    calls.clear()
-    rep = validate_slice_category(pullback())
-    assert len(calls) == 1
-    want = validate_slice_category(SliceCategory(q.dom, reference_contains, lambda a, b: True,
-                                                 lambda: objs, label="pullback"))
-    assert rep.to_json() == want.to_json()
 
 
 # -- property tests --------------------------------------------------------------------------------
