@@ -87,12 +87,18 @@ class LatticeSlice:
     t: int
     sites: Sites
 
-    def events(self) -> frozenset:
-        return frozenset((self.t, x) for x in self.sites)
-
 
 def lattice_slice(t: int, sites) -> frozenset:
-    return LatticeSlice(t, frozenset(tuple(x) if isinstance(x, (tuple, list)) else (x,) for x in sites)).events()
+    """The slice of ``sites`` (coordinate tuples, or integers for d = 1) at
+    time ``t``.  A set that is not a member of the constant-time foliation
+    of a lattice of d >= 1 (``_leaf_form``: an off-parity site, a
+    non-integer time or site, sites of mixed length or of no coordinate)
+    is BadParams."""
+    events = frozenset((t, tuple(x) if isinstance(x, (tuple, list)) else (x,)) for x in sites)
+    d = len(next(iter(events))[1]) if events else 1
+    if not d or _leaf_form(events, d) is None:
+        raise BadParams(f"not a lattice slice: time {t!r}, sites {sorted(events, key=repr)}")
+    return events
 
 
 def expand_sites(sites: Sites, k: int, d: int) -> Sites:
@@ -141,13 +147,18 @@ def _leaf_form(events: frozenset, d: int):
     return t, frozenset(sites)
 
 
-def _class_key(s, g) -> tuple:
-    """The translation class of a pair of member leaf forms (``_leaf_form``):
-    the time gap and both site sets, shifted by their least site.  Every
-    site has the parity of its slice's time, so a shift that maps one
+def translation_class(sigma, gamma, d: int) -> tuple | None:
+    """The translation class of the pair (sigma, gamma) of constant-time
+    slices of the d-dimensional lattice, or None when either is not a member
+    slice: the time gap and both site sets, shifted by their least site.
+    Every site has the parity of its slice's time, so a shift that maps one
     pair's sites onto another's has the parity of the time shift: two pairs
-    get one key exactly when a lattice translation maps one onto the
-    other."""
+    get one key exactly when a lattice translation maps one onto the other.
+    Membership is settled first: a float event hashes like its integer
+    translate, so a key alone would let it pass."""
+    s, g = _leaf_form(frozenset(sigma), d), _leaf_form(frozenset(gamma), d)
+    if s is None or g is None:
+        return None
     (ts, ss), (tg, gs) = s, g
     gap = None if ts is None or tg is None else tg - ts
     if not ss | gs:
@@ -156,47 +167,33 @@ def _class_key(s, g) -> tuple:
     return gap, frozenset(_sub(x, x0) for x in ss), frozenset(_sub(x, x0) for x in gs)
 
 
-def translation_class(sigma, gamma, d: int) -> tuple | None:
-    """The translation class of the pair (sigma, gamma) of constant-time
-    slices of the d-dimensional lattice, or None when either is not a member
-    slice.  Membership is settled first: a float event hashes like its
-    integer translate, so a key alone would let it pass."""
+def _slice_pair(sigma, gamma, d: int, arrow: int) -> tuple | None:
+    """The one decision of the slice ordering sigma ->> gamma on the
+    constant-time foliation (``arrow`` is -1 on the reversed lattice): the
+    leaf forms (``_leaf_form``) of both slices and the time gap ``k >= 0``
+    whose ``k``-step cone of gamma lies inside sigma, or None when the pair
+    is not a morphism.  A pair with an empty slice has gap 0, so everything
+    maps to the empty slice and the empty slice to nothing else."""
     s, g = _leaf_form(frozenset(sigma), d), _leaf_form(frozenset(gamma), d)
     if s is None or g is None:
         return None
-    return _class_key(s, g)
+    (ts, ss), (tg, gs) = s, g
+    k = 0 if ts is None or tg is None else arrow * (tg - ts)
+    if k < 0 or not expand_sites(gs, k, d) <= ss:
+        return None
+    return s, g, k
 
 
 @dataclass
 class LatticeSliceCategory(SliceCategory):
     """Finite constant-time slices of the diamond lattice (or its reverse),
-    with the slice ordering decided by the closed-form cone test.
-
-    ``hom`` parses each slice once (``_leaf_form``) and decides the cone test
-    once per translation class of member pairs; the classes live as long as
-    the category."""
+    with the slice ordering decided by the closed-form cone test
+    (``_slice_pair``), which parses both slices on every call."""
 
     d: int = 1
-    _homs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def hom(self, sigma, gamma) -> bool:
-        s, g = _leaf_form(frozenset(sigma), self.d), _leaf_form(frozenset(gamma), self.d)
-        if s is None or g is None:
-            return False
-        key = _class_key(s, g)
-        known = self._homs.get(key)
-        if known is None:
-            known = self._homs[key] = self._cone_test(s, g)
-        return known
-
-    def _cone_test(self, s, g) -> bool:
-        (ts, ss), (tg, gs) = s, g
-        if tg is None:
-            return True
-        if ts is None:
-            return False
-        k = self.order.arrow * (tg - ts)
-        return k >= 0 and expand_sites(gs, k, self.d) <= ss
+        return _slice_pair(sigma, gamma, self.d, self.order.arrow) is not None
 
 
 def cone_pair_witness(d: int):
@@ -422,28 +419,16 @@ def reverse_one_step_kernel(
 def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: int = 1) -> list:
     """The canonical factorisation of a slice morphism into one restriction
     followed by full one-step evolutions; ``direction`` is +1 for the
-    forward foliation and -1 for the reversed one."""
-    s, g = _leaf_form(sigma, config.d), _leaf_form(gamma, config.d)
-    if s is None or g is None:
+    forward foliation and -1 for the reversed one.  A pair that is not a
+    morphism (``_slice_pair``) is BadParams."""
+    pair = _slice_pair(sigma, gamma, config.d, direction)
+    if pair is None:
         raise BadParams("not a lattice slice morphism")
-    (ts, ss), (tg, gs) = s, g
-    if ts is None:
-        if gs:
-            raise BadParams("no morphism out of the empty slice")
-        return []
-    if tg is None:
-        return [("restrict", ss, frozenset(), ts)]
-    k = direction * (tg - ts)
-    first = expand_sites(gs, max(k, 0), config.d)
-    if k < 0 or not first <= ss:
-        raise BadParams("not a lattice slice morphism")
-    steps = [("restrict", ss, first, ts)]
-    cur = first
-    for i in range(1, k + 1):
-        nxt = expand_sites(gs, k - i, config.d)
-        steps.append(("step", cur, nxt, ts + direction * i))
-        cur = nxt
-    return steps
+    (ts, ss), (_tg, gs), k = pair
+    cones = [expand_sites(gs, k - i, config.d) for i in range(k + 1)]
+    return [("restrict", ss, cones[0], ts)] + [
+        ("step", src, tgt, ts + direction * i) for i, (src, tgt) in enumerate(itertools.pairwise(cones), 1)
+    ]
 
 
 def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, label: str) -> FieldTheory:
@@ -473,7 +458,7 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
             restriction_kernel(config, src, tgt) if kind == "restrict" else step_kernel(src, tgt)
             for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma, direction)
         ]
-        return P.compose_all(*kernels) if kernels else P.identity(slice_object(config, frozenset()))
+        return P.compose_all(*kernels)
 
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
         key = translation_class(sigma, gamma, config.d)

@@ -126,6 +126,29 @@ def test_cone_law_matches_windowed_dplus():
                 assert closed == ((k, (y,)) in dplus)
 
 
+@pytest.mark.parametrize("t, sites", [(0, []), (0, [0, 2]), (1, [-1, 1]), (1, [(1, -1), (3, 1)]), (2, [[0, 2]])])
+def test_lattice_slice_builds_members(t, sites):
+    s = lattice_slice(t, sites)
+    assert len(s) == len(sites)
+    assert not s or foliation_category_of_lattice(len(next(iter(s))[1])).contains(s)
+
+
+NOT_LATTICE_SLICES = {
+    "off parity": (0, [0, 1]),
+    "off parity d=2": (1, [(1, 2)]),
+    "float time": (0.0, [0]),
+    "float site": (0, [2.0]),
+    "mixed length": (0, [0, (0, 2)]),
+    "no coordinate": (0, [()]),
+}
+
+
+@pytest.mark.parametrize("t, sites", NOT_LATTICE_SLICES.values(), ids=NOT_LATTICE_SLICES.keys())
+def test_lattice_slice_rejects_a_non_member(t, sites):
+    with pytest.raises(BadParams):
+        lattice_slice(t, sites)
+
+
 # -- factorisation ------------------------------------------------------------------
 
 def test_factorize_k0_single_restriction():
@@ -680,8 +703,8 @@ def _reference_hom(cat, s, g) -> bool:
     return k >= 0 and lattice_slice_leq(LatticeSlice(0, ss), LatticeSlice(k, gs), cat.d)
 
 
-# one category per (d, reversed), shared by every example: its class cache
-# meets translates of earlier pairs
+# one category per (d, reversed), shared by every example, so a category
+# that keeps state between calls meets translates of earlier pairs
 _SHARED_CATEGORIES: dict = {}
 
 
@@ -714,17 +737,36 @@ def _translated_pairs(draw):
     return d, reversed_, pair[0], pair[1]
 
 
+def _sites(s) -> frozenset:
+    return frozenset(xs for _, xs in s)
+
+
 @settings(max_examples=400, deadline=None)
 @given(_translated_pairs())
-def test_prop_class_keyed_hom_is_the_cone_test(case):
-    # membership and the cone test, decided once per class on a category
-    # that has seen earlier examples, agree with the per-event rule
+def test_prop_hom_is_the_cone_test_and_factorize_agrees(case):
+    # membership and the cone test agree with the per-event rule, on a fresh
+    # category and on one that has seen earlier examples; factorize_morphism
+    # refuses exactly the pairs that hom refuses, and factorises the others
+    # into a restriction of the source and |gap| steps onto the target
     d, reversed_, s, g = case
-    cat = _SHARED_CATEGORIES.setdefault((d, reversed_), foliation_category_of_lattice(d, reversed_))
-    assert cat.contains(s) == _reference_member(cat.order, s)
-    assert cat.hom(s, g) == _reference_hom(cat, s, g)
+    fresh = foliation_category_of_lattice(d, reversed_)
+    shared = _SHARED_CATEGORIES.setdefault((d, reversed_), foliation_category_of_lattice(d, reversed_))
+    want = _reference_hom(fresh, s, g)
+    for cat in (fresh, shared):
+        assert cat.contains(s) == _reference_member(cat.order, s)
+        assert cat.hom(s, g) == want
     key = cca.translation_class(s, g, d)
-    assert (key is None) == (not (cat.contains(s) and cat.contains(g)))
+    assert (key is None) == (not (fresh.contains(s) and fresh.contains(g)))
+    config = PartitionedCCAConfig(d=d, cell_dim=1, scattering=np.eye(1))
+    direction = fresh.order.arrow
+    if not want:
+        with pytest.raises(BadParams):
+            factorize_morphism(config, s, g, direction)
+        return
+    steps = factorize_morphism(config, s, g, direction)
+    assert steps[0][:2] == ("restrict", _sites(s)) and steps[-1][2] == _sites(g)
+    assert [kind for kind, *_ in steps[1:]] == ["step"] * (len(steps) - 1)
+    assert len(steps) - 1 == (abs(next(iter(g))[0] - next(iter(s))[0]) if s and g else 0)
 
 
 # -- dirac ---------------------------------------------------------------------------------

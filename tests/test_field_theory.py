@@ -14,7 +14,7 @@ from causal_fields.cca import (
     sample_zigzag_chain_pairs,
     window_morphisms,
 )
-from causal_fields.errors import NotAReversal, NotCauchy, NotInCategory
+from causal_fields.errors import NonEnumerableRegion, NotAReversal, NotCauchy, NotInCategory
 from causal_fields.field_theory import (
     CategoryRegion,
     FieldTheory,
@@ -198,6 +198,14 @@ def test_region_events(theory):
     big, _, _ = region_tower()
     events = big.events(theory.category.order)
     assert events == region_between(theory.category.order, sl(0, 0, 2, 4), sl(2, 2))
+
+
+def test_region_slices_refuses_a_region_past_the_bound(theory):
+    # the diamond from (0, 0) to (256, 0) holds 129^2 = 16,641 > 2^14 events
+    region = CategoryRegion.bounded(sl(0, 0), sl(256, 0))
+    assert len(region.events(theory.category.order)) == 129 ** 2
+    with pytest.raises(NonEnumerableRegion):
+        region_slices(theory, region)
 
 
 def test_push_forward_family_is_stable(theory):

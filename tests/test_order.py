@@ -9,6 +9,7 @@ from causal_fields.errors import (
     BadParams,
     CycleDetected,
     DuplicateEvent,
+    InfinitePreimage,
     InvalidMorphism,
     UnboundedQuery,
     UnknownEvent,
@@ -358,6 +359,12 @@ def test_pullback_identity():
         [frozenset(), frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})],
         key=sorted,
     )
+
+
+def test_pullback_needs_a_finite_domain():
+    f = OrderMorphism(lattice(1), lattice(1), {})
+    with pytest.raises(InfinitePreimage):
+        pullback_slice(f, {(0, (0,))})
 
 
 def test_pullback_collapsed_antichain():

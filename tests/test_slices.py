@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_fields.errors import BadParams, UnboundedQuery
+from causal_fields.errors import BadParams, InvalidFoliation, UnboundedQuery
 from causal_fields.order import (
     ExplicitOrder,
     Window,
@@ -259,6 +259,12 @@ def test_foliation_category_members():
         key=sorted,
     )
     assert frozenset() in cat
+
+
+def test_foliation_category_rejects_leaves_that_miss_an_event():
+    # {a, b} alone leaves c uncovered
+    with pytest.raises(InvalidFoliation, match="not covered"):
+        foliation_category(FORK, [{"a", "b"}])
 
 
 def test_foliation_category_common_leaf_rule():
