@@ -190,10 +190,8 @@ class LatticeSliceCategory(SliceCategory):
     with the slice ordering decided by the closed-form cone test
     (``_slice_pair``), which parses both slices on every call."""
 
-    d: int = 1
-
     def hom(self, sigma, gamma) -> bool:
-        return _slice_pair(sigma, gamma, self.d, self.order.arrow) is not None
+        return _slice_pair(sigma, gamma, self.order.d, self.order.arrow) is not None
 
 
 def cone_pair_witness(d: int):
@@ -229,7 +227,6 @@ def foliation_category_of_lattice(d: int, reversed_: bool = False) -> LatticeSli
         product_rule=product_rule,
         objects=None,
         label="lattice-foliation" + ("-rev" if reversed_ else ""),
-        d=d,
     )
 
 
@@ -461,9 +458,8 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
         return P.compose_all(*kernels)
 
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
+        # a pair of non-members has no class (None): build refuses it
         key = translation_class(sigma, gamma, config.d)
-        if key is None:
-            return build(sigma, gamma)
         f = classes.get(key)
         if f is None:
             f = classes[key] = build(sigma, gamma)

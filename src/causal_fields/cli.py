@@ -10,6 +10,7 @@ All sampling is seeded, so outputs are deterministic for a given seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -198,6 +199,13 @@ def _parse_json(text: str):
         raise BadParams(f"malformed JSON input: {exc}") from None
 
 
+def _require(args, flag: str, op: str) -> None:
+    """An op that reads the file named by ``--flag`` refuses to run without
+    it (exit 2)."""
+    if getattr(args, flag) is None:
+        raise BadParams(f"{op} needs --{flag}")
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -375,6 +383,7 @@ def _parse_leaves(text: str | None) -> list[frozenset]:
 
 
 def _cmd_check(args) -> int:
+    _require(args, "order" if args.target in ("foliation", "category") else "cca", f"check {args.target}")
     if args.target in ("foliation", "category"):
         omega = order_from_json(_load_json(args.order))
         if args.target == "foliation":
@@ -529,7 +538,9 @@ def _initial_density(args, config, obj) -> P.FactorPair:
     return P.FactorPair.from_ket(obj, start)
 
 
-def _write_marginal_csv(run_blob: dict, path: str) -> None:
+def _write_marginal_csv(run_blob: dict, path: str | None) -> None:
+    """The marginals of a run as ``time,site,probability`` rows, written to
+    ``path`` or, without one, to stdout."""
     records = run_blob.get("per_step")
     if not (isinstance(records, list) and all(
         isinstance(rec, dict) and "t" in rec and isinstance(rec.get("marginals"), list)
@@ -537,7 +548,7 @@ def _write_marginal_csv(run_blob: dict, path: str) -> None:
         for rec in records
     )):
         raise BadParams('a run file holds "per_step": a list of records with "t" and numeric "marginals"')
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "site", "probability"])
         for rec in records:
@@ -550,6 +561,7 @@ def _write_marginal_csv(run_blob: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_export(args) -> int:
+    _require(args, "order" if args.format == "dot" else "run", f"export {args.format}")
     if args.format == "dot":
         omega = order_from_json(_load_json(args.order))
         if isinstance(omega, DiamondLattice):
@@ -557,7 +569,7 @@ def _cmd_export(args) -> int:
         _write(order_to_dot(omega), args.out)
         return 0
     if args.format == "csv":
-        _write_marginal_csv(_load_json(args.run), args.out or "/dev/stdout")
+        _write_marginal_csv(_load_json(args.run), args.out)
         return 0
     raise BadParams(f"unknown export format {args.format!r}")
 

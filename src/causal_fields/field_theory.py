@@ -37,7 +37,9 @@ class FieldTheory:
 
     ``obj_fn`` and ``mor_fn`` must be pure functions of their slice
     arguments.  ``slots_fn`` returns the per-factor labels of an object in
-    the same order as its factor list.
+    the same order as its factor list.  Objects and slots are asked of
+    ``obj_fn`` and ``slots_fn`` on every call; only morphisms are kept,
+    after the category has decided the pair.
     """
 
     category: SliceCategory
@@ -46,15 +48,10 @@ class FieldTheory:
     mor_fn: Callable[[Slice, Slice], P.ProcMorphism]
     slots_fn: Callable[[Slice], list] | None = None
     label: str = "field-theory"
-    _objs: dict = field(default_factory=dict, repr=False)
     _mors: dict = field(default_factory=dict, repr=False)
-    _slots: dict = field(default_factory=dict, repr=False)
 
     def obj(self, sigma: Iterable) -> P.ProcObject:
-        sigma = frozenset(sigma)
-        if sigma not in self._objs:
-            self._objs[sigma] = self.obj_fn(sigma)
-        return self._objs[sigma]
+        return self.obj_fn(frozenset(sigma))
 
     def mor(self, sigma: Iterable, gamma: Iterable) -> P.ProcMorphism:
         sigma, gamma = frozenset(sigma), frozenset(gamma)
@@ -70,10 +67,7 @@ class FieldTheory:
     def slots(self, sigma: Iterable) -> list:
         if self.slots_fn is None:
             raise NotInCategory(f"theory {self.label!r} exposes no slot labels")
-        sigma = frozenset(sigma)
-        if sigma not in self._slots:
-            self._slots[sigma] = self.slots_fn(sigma)
-        return self._slots[sigma]
+        return self.slots_fn(frozenset(sigma))
 
     def discard_effect(self, sigma: Iterable) -> P.ProcMorphism:
         """The induced environment effect: the image of sigma ->> empty."""
@@ -196,9 +190,6 @@ class CategoryRegion:
     @staticmethod
     def bounded(sigma: Iterable, gamma: Iterable) -> "CategoryRegion":
         return CategoryRegion(((frozenset(sigma), frozenset(gamma)),))
-
-    def union(self, other: "CategoryRegion") -> "CategoryRegion":
-        return CategoryRegion(self.generators + other.generators)
 
     def events(self, order) -> frozenset:
         out: set = set()

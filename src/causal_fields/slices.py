@@ -82,7 +82,7 @@ class SliceCategory:
     order: CausalOrder
     contains: Callable[[Slice], bool]
     product_rule: Callable[[Slice, Slice], bool]
-    objects: Callable[[], list] | None = None
+    objects: Callable[[], Iterable[Slice]] | None = None
     label: str = "slices"
 
     def __contains__(self, s: Iterable) -> bool:
@@ -105,17 +105,10 @@ class SliceCategory:
             and slice_leads_to(self.order, sigma, gamma)
         )
 
-    def object_list(self) -> list:
-        if self.objects is None:
-            raise UnboundedQuery(f"category {self.label!r} is not enumerable")
-        return list(self.objects())
-
     def slices_within(self, region_events: Iterable) -> list:
-        """All member slices contained in a finite set of events."""
-        region_events = frozenset(region_events)
-        if self.objects is not None:
-            return [o for o in self.object_list() if o <= region_events]
-        sub = induced_order(self.order, sorted(region_events, key=repr))
+        """All member slices contained in a finite set of events: the
+        slices of the induced order that ``contains`` admits."""
+        sub = induced_order(self.order, sorted(frozenset(region_events), key=repr))
         return [s for s in enumerate_slices(sub) if self.contains(s)]
 
 
@@ -170,9 +163,7 @@ def is_cauchy(omega: CausalOrder, sigma: Iterable, window: Window | None = None)
 # foliations
 # ---------------------------------------------------------------------------
 
-def validate_foliation(
-    omega: CausalOrder, leaves: Sequence[Iterable], window: Window | None = None
-) -> Report:
+def validate_foliation(omega: CausalOrder, leaves: Sequence[Iterable]) -> Report:
     """Check the foliation conditions: each leaf Cauchy, the family totally
     ordered by ->>, covering, and pairwise disjoint.
 
@@ -182,7 +173,7 @@ def validate_foliation(
     ``is_cauchy``."""
     report = Report("foliation")
     leaves = [frozenset(l) for l in leaves]
-    fin = _finite_view(omega, window)
+    fin = _finite_view(omega, None)
     everything = (1 << len(fin.events)) - 1
     masks, dplus = [], []
     for i, leaf in enumerate(leaves):
@@ -210,17 +201,17 @@ def validate_foliation(
     return report
 
 
-def foliation_category(
-    omega: CausalOrder, leaves: Sequence[Iterable], window: Window | None = None
-) -> SliceCategory:
+def foliation_category(omega: CausalOrder, leaves: Sequence[Iterable]) -> SliceCategory:
     """The category generated by all subsets of the foliation's leaves,
     which must pass ``validate_foliation``.
 
     The product of two members is defined exactly when they are disjoint
-    subsets of one common Cauchy slice.
+    subsets of one common Cauchy slice.  The leaves are disjoint, so
+    ``objects`` yields the empty slice and then each leaf's non-empty
+    subsets, each once.
     """
     leaves = tuple(frozenset(l) for l in leaves)
-    rep = validate_foliation(omega, leaves, window)
+    rep = validate_foliation(omega, leaves)
     if not rep.ok:
         raise InvalidFoliation(str(rep.violations[:3]))
 
@@ -232,31 +223,26 @@ def foliation_category(
             return True
         return not (a & b) and any(a <= leaf and b <= leaf for leaf in leaves)
 
-    def objects() -> list:
-        seen = {frozenset()}
-        out = [frozenset()]
+    def objects() -> Iterator[Slice]:
+        yield frozenset()
         for leaf in leaves:
             members = sorted(leaf, key=repr)
             for k in range(1, len(members) + 1):
                 for combo in itertools.combinations(members, k):
-                    s = frozenset(combo)
-                    if s not in seen:
-                        seen.add(s)
-                        out.append(s)
-        return out
+                    yield frozenset(combo)
 
-    total = sum(2 ** len(l) for l in leaves)
     return SliceCategory(
         order=omega,
         contains=contains,
         product_rule=product_rule,
-        objects=objects if total <= 1 << 16 else None,
+        objects=objects,
         label="foliation",
     )
 
 
-def all_slices_category(omega: CausalOrder, window: Window | None = None) -> SliceCategory:
-    """Slice(Omega): every slice, with products defined whenever separated."""
+def all_slices_category(omega: CausalOrder) -> SliceCategory:
+    """Slice(Omega): every slice, with products defined whenever separated;
+    enumerable when the order is finite."""
 
     def contains(s: Slice) -> bool:
         return is_slice(omega, s)
@@ -265,11 +251,10 @@ def all_slices_category(omega: CausalOrder, window: Window | None = None) -> Sli
         return True
 
     objects = None
-    if omega.is_finite or window is not None:
-        fin = _finite_view(omega, window)
+    if omega.is_finite:
 
         def objects() -> Iterator[Slice]:  # noqa: F811
-            return enumerate_slices(fin)
+            return enumerate_slices(omega)
 
     return SliceCategory(omega, contains, product_rule, objects, label="all-slices")
 

@@ -199,6 +199,31 @@ def test_a_non_member_slice_is_bad_params(bad):
             t.slots(bad)
 
 
+SEEN_MEMBER = sl(0, 0, 2)
+MEMBER_TWINS = {
+    "float": frozenset({(0.0, (0.0,)), (0.0, (2.0,))}),
+    "off parity": frozenset({(0, (1,)), (0, (3,))}),
+    "two times": frozenset({(0, (0,)), (2, (2,))}),
+}
+
+
+@pytest.mark.parametrize("used", [False, True], ids=["fresh", "used"])
+@pytest.mark.parametrize("twin", MEMBER_TWINS.values(), ids=MEMBER_TWINS.keys())
+def test_a_twin_of_a_seen_member_is_bad_params(twin, used):
+    # obj and slots parse every slice they are asked for: the float twin
+    # equals, and hashes like, the member it mirrors, so a theory that kept
+    # objects by slice would serve it the member's object and labels once
+    # the member had been asked for
+    assert MEMBER_TWINS["float"] == SEEN_MEMBER
+    for t in (build_cca(cfg()), build_reversal(cfg())):
+        if used:
+            assert t.obj(SEEN_MEMBER).factors and t.slots(SEEN_MEMBER)
+        with pytest.raises(BadParams):
+            t.obj(twin)
+        with pytest.raises(BadParams):
+            t.slots(twin)
+
+
 # -- kernels ---------------------------------------------------------------------------
 
 def test_restriction_kernel_identity():
@@ -700,7 +725,7 @@ def _reference_hom(cat, s, g) -> bool:
         return not g
     (ts, ss), (tg, gs) = ((next(iter(x))[0], frozenset(xs for _, xs in x)) for x in (s, g))
     k = cat.order.arrow * (tg - ts)
-    return k >= 0 and lattice_slice_leq(LatticeSlice(0, ss), LatticeSlice(k, gs), cat.d)
+    return k >= 0 and lattice_slice_leq(LatticeSlice(0, ss), LatticeSlice(k, gs), cat.order.d)
 
 
 # one category per (d, reversed), shared by every example, so a category

@@ -1,10 +1,14 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +26,20 @@ from causal_fields.cca import (
 )
 from causal_fields.cli import main
 from causal_fields.field_theory import FieldTheory
-from causal_fields.order import Window, lattice
+from causal_fields.order import Window, event_id, lattice, order_from_json, parse_lattice_event, reverse, window_events
 
-from helpers import BOX_WINDOWS, order_json_oracle, random_unitary, translation_class_oracle, window_order_oracle
+from helpers import (
+    BOX_WINDOWS,
+    all_subsets,
+    causal_paths_oracle,
+    future_domain_oracle,
+    maximal_chains,
+    order_json_oracle,
+    random_unitary,
+    reachable_oracle,
+    translation_class_oracle,
+    window_order_oracle,
+)
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
@@ -58,6 +73,14 @@ def test_gen_diamond_roundtrip(tmp_path):
     again = tmp_path / "again.json"
     assert main(["gen", "file", "--in", str(out), "--out", str(again)]) == 0
     assert read(again) == blob
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gen_file_re_emits_a_lattice_file(tmp_path, d, capsys):
+    lat = tmp_path / "lattice.json"
+    lat.write_text(json.dumps({"lattice": {"d": d}}))
+    assert main(["gen", "file", "--in", str(lat)]) == 0
+    assert capsys.readouterr().out == json.dumps({"lattice": {"d": d}}, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -212,6 +235,96 @@ def test_query_from_and_to_name_one_event(fork_file, tmp_path, what, order_kind,
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _query_kinds() -> list:
+    """The ``query`` kinds the parser accepts."""
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in commands.choices["query"]._actions if a.dest == "what").choices
+
+
+# every query on one window of the d=1 lattice, asked of the window written as
+# an explicit order and of the lattice itself; the events are the window's
+# row t=1, a Cauchy slice of the window
+QUERY_WINDOW = Window(0, 2, (-2,), (2,))
+QUERY_ARGS = {"events": "1,-1;1,1", "from": "0,0", "to": "2,0"}
+
+
+def _ids(events) -> list:
+    return sorted(event_id(e) for e in events)
+
+
+def _lattice_domain(omega, a, past=False) -> frozenset:
+    """D+ (D-) of a one-time set of lattice events from its definition: an
+    event later (earlier) than the set is inside exactly when every event of
+    the set's time on a causal path through it is in the set, since every
+    inextendible path through the event crosses that time."""
+    (t,) = {e[0] for e in a}
+    near = list(window_events(omega, Window(t - 3, t + 3, (-6,), (6,))))
+    row = [w for w in near if w[0] == t]
+
+    def crossing(z):
+        return {w for w in row if (reachable_oracle(omega, z, w) if past else reachable_oracle(omega, w, z))}
+
+    return frozenset(z for z in near if (z[0] <= t if past else z[0] >= t) and crossing(z) <= a)
+
+
+def _query_case(kind: str, tmp_path) -> SimpleNamespace:
+    """The order file's argv, the order, the events a query may return, the
+    finite order a Cauchy test reads, D+ and D- oracles and the event-id
+    parser, for the window as an explicit order or for the lattice."""
+    if kind == "explicit":
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(order_json_oracle(window_order_oracle(lattice(1), QUERY_WINDOW))))
+        omega = order_from_json(read(path))
+        return SimpleNamespace(
+            argv=[str(path)], omega=omega, universe=omega.events, fin=omega,
+            dplus=lambda a: future_domain_oracle(omega, a),
+            dminus=lambda a: future_domain_oracle(reverse(omega), a), parse=str)
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"lattice": {"d": 1}}))
+    omega = lattice(1)
+    return SimpleNamespace(
+        argv=[str(path), "--window", "0:2,-2:2"], omega=omega,
+        universe=list(window_events(omega, QUERY_WINDOW)), fin=window_order_oracle(omega, QUERY_WINDOW),
+        dplus=lambda a: _lattice_domain(omega, a),
+        dminus=lambda a: _lattice_domain(omega, a, past=True), parse=parse_lattice_event)
+
+
+def _query_oracle(what: str, q: SimpleNamespace, a, x, y):
+    reach = lambda u, v: reachable_oracle(q.omega, u, v)  # noqa: E731
+    antichain = lambda s: not any(reach(u, v) for u in s for v in s if u != v)  # noqa: E731
+    if what == "future":
+        return _ids(z for z in q.universe if any(reach(e, z) for e in a))
+    if what == "past":
+        return _ids(z for z in q.universe if any(reach(z, e) for e in a))
+    if what == "dplus":
+        return _ids(q.dplus(a))
+    if what == "dminus":
+        return _ids(q.dminus(a))
+    if what == "diamond":
+        return _ids(z for z in q.universe if reach(x, z) and reach(z, y))
+    if what == "paths":
+        return sorted([event_id(e) for e in p] for p in causal_paths_oracle(q.omega, x, y, q.universe))
+    if what == "slices":
+        return sorted(_ids(s) for s in all_subsets(q.universe) if antichain(s))
+    if what == "cauchy":
+        return antichain(a) and all(set(c) & a for c in maximal_chains(q.fin))
+    raise AssertionError(f"query {what!r} has no oracle")
+
+
+@pytest.mark.parametrize("order_kind", ["explicit", "lattice"])
+@pytest.mark.parametrize("what", _query_kinds())
+def test_every_query_kind_matches_its_oracle(tmp_path, what, order_kind, capsys):
+    # the kinds come from the parser, so a kind added there without an
+    # oracle here fails
+    q = _query_case(order_kind, tmp_path)
+    a = frozenset(map(q.parse, QUERY_ARGS["events"].split(";")))
+    want = _query_oracle(what, q, a, q.parse(QUERY_ARGS["from"]), q.parse(QUERY_ARGS["to"]))
+    argv = ["query", what, "--order", *q.argv, "--events", QUERY_ARGS["events"],
+            "--from", QUERY_ARGS["from"], "--to", QUERY_ARGS["to"]]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out) == {what: want}
+
+
 def _cli_bytes(argv, hash_seed):
     """Exit code, stdout and stderr of the CLI in a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -325,6 +438,31 @@ def test_check_category(fork_file, tmp_path):
     code = main(["check", "category", "--order", fork_file,
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
+
+
+def test_check_category_of_a_foliation(fork_file, tmp_path):
+    from causal_fields.slices import foliation_category, validate_slice_category
+
+    out = tmp_path / "r.json"
+    leaves = [["a", "b"], ["c"]]
+    assert main(["check", "category", "--order", fork_file, "--leaves", json.dumps(leaves), "--out", str(out)]) == 0
+    want = validate_slice_category(foliation_category(order_from_json(read(fork_file)), leaves))
+    assert want.ok and read(out) == json.loads(cli._dumps(want.to_json(), "\n"))
+
+
+@pytest.mark.parametrize("n", [11, 17])
+def test_check_category_refuses_an_oversized_foliation(tmp_path, n, capsys):
+    # n unrelated events on one leaf: 2^n objects, refused at the one
+    # object limit before any validation work
+    events = [f"e{i}" for i in range(n)]
+    order = tmp_path / "flat.json"
+    order.write_text(json.dumps({"events": events, "hasse": []}))
+    out = tmp_path / "r.json"
+    argv = ["check", "category", "--order", str(order), "--leaves", json.dumps([events]), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: category 'foliation' exceeds the limit of 1300 objects for exhaustive validation\n")
+    assert not out.exists()
 
 
 def test_check_category_refuses_a_large_window(tmp_path, capsys):
@@ -924,6 +1062,17 @@ def test_export_csv_from_run(dirac_file, tmp_path):
     assert len(rows) == 1 + 3 * 4
 
 
+def test_export_csv_without_out_writes_through_stdout(dirac_file, tmp_path):
+    run_out = tmp_path / "run.json"
+    main(["run", "--cca", dirac_file, "--steps", "2", "--sites", "4", "--mode", "density", "--out", str(run_out)])
+    csv_out = tmp_path / "m.csv"
+    assert main(["export", "csv", "--run", str(run_out), "--out", str(csv_out)]) == 0
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        assert main(["export", "csv", "--run", str(run_out)]) == 0
+    assert captured.getvalue().encode() == csv_out.read_bytes()
+
+
 @pytest.mark.parametrize("blob", [
     {"per_step": 3},
     {},
@@ -977,6 +1126,20 @@ def test_export_dot_refuses_an_id_ending_in_a_backslash(tmp_path, capsys):
 
 def test_missing_file_exit_code():
     assert main(["query", "dplus", "--order", "/nonexistent.json", "--events", "a"]) == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    *[(["check", target], "cca") for target in cca.CHECK_SUITES],
+    (["check", "foliation", "--leaves", '[["a"]]'], "order"),
+    (["check", "category"], "order"),
+    (["export", "csv"], "run"),
+    (["export", "dot"], "order"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_a_missing_file_flag_is_a_usage_error(tmp_path, argv, flag, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]} {argv[1]} needs --{flag}\n"
+    assert not out.exists()
 
 
 # -- file boundaries --------------------------------------------------------------

@@ -151,8 +151,10 @@ def test_validate_foliation_lattice_window():
         frozenset(e for e in fin.events if e[0] == t)
         for t in range(4)
     ]
-    rep = validate_foliation(d1, leaves, win)
-    assert rep.ok
+    # the window is materialised first; the unbounded lattice is refused
+    assert validate_foliation(fin, leaves).ok
+    with pytest.raises(UnboundedQuery):
+        validate_foliation(d1, leaves)
 
 
 def test_validate_foliation_duplicate_leaf_fails():
@@ -165,13 +167,12 @@ def test_validate_foliation_fork():
     assert validate_foliation(FORK, [{"a", "b"}, {"c"}]).ok
 
 
-def _pairwise_foliation_reference(omega, leaves, window=None):
+def _pairwise_foliation_reference(fin, leaves):
     """The foliation report as its conditions read: each leaf through
     ``is_slice`` and ``is_cauchy``, each pair through ``slice_leads_to`` both
     ways."""
     report = Report("foliation")
     leaves = [frozenset(leaf) for leaf in leaves]
-    fin = omega if omega.is_finite else materialize(omega, window)
     for i, leaf in enumerate(leaves):
         report.count()
         if not is_slice(fin, leaf):
@@ -200,27 +201,28 @@ ROWS = [frozenset(e for e in FOL.events if e[0] == t) for t in range(7)]
 LEFT = [frozenset(e for e in row if e[1][0] < 0) for row in ROWS]
 RIGHT = [frozenset(e for e in row if e[1][0] > 0) for row in ROWS]
 FOLIATION_CORPUS = {
-    "covering": (FOL, ROWS, None),
-    "reversed": (FOL, ROWS[::-1], None),
-    "not_covering": (FOL, ROWS[:-1], None),
+    "covering": (FOL, ROWS),
+    "reversed": (FOL, ROWS[::-1]),
+    "not_covering": (FOL, ROWS[:-1]),
     # two crossing antichains, neither in the future domain of the other
-    "unordered": (FOL, [LEFT[0] | RIGHT[2], LEFT[2] | RIGHT[0], *ROWS[3:]], None),
-    "overlapping": (FOL, [ROWS[0], ROWS[1], LEFT[1] | RIGHT[3], ROWS[4]], None),
-    "duplicate": (FOL, [ROWS[1], ROWS[1], ROWS[2]], None),
-    "not_antichain": (FOL, [frozenset({ev(0, 0), ev(1, 1)}), *ROWS[1:]], None),
-    "empty_leaf": (FOL, [frozenset(), *ROWS], None),
-    "no_leaves": (FOL, [], None),
-    "fork": (FORK, [{"a", "b"}, {"c"}], None),
-    "lattice_window": (lattice(1), ROWS, FOL_WINDOW),
-    "lattice_window_not_covering": (lattice(1), ROWS[1:], FOL_WINDOW),
+    "unordered": (FOL, [LEFT[0] | RIGHT[2], LEFT[2] | RIGHT[0], *ROWS[3:]]),
+    "overlapping": (FOL, [ROWS[0], ROWS[1], LEFT[1] | RIGHT[3], ROWS[4]]),
+    "duplicate": (FOL, [ROWS[1], ROWS[1], ROWS[2]]),
+    "not_antichain": (FOL, [frozenset({ev(0, 0), ev(1, 1)}), *ROWS[1:]]),
+    "empty_leaf": (FOL, [frozenset(), *ROWS]),
+    "no_leaves": (FOL, []),
+    "fork": (FORK, [{"a", "b"}, {"c"}]),
+    # a lattice window is materialised before its leaves are validated
+    "lattice_window": (materialize(lattice(1), FOL_WINDOW), ROWS),
+    "lattice_window_not_covering": (materialize(lattice(1), FOL_WINDOW), ROWS[1:]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FOLIATION_CORPUS))
 def test_validate_foliation_matches_the_pairwise_reference(name):
-    omega, leaves, window = FOLIATION_CORPUS[name]
-    want = _pairwise_foliation_reference(omega, leaves, window)
-    assert validate_foliation(omega, leaves, window).to_json() == want.to_json()
+    omega, leaves = FOLIATION_CORPUS[name]
+    want = _pairwise_foliation_reference(omega, leaves)
+    assert validate_foliation(omega, leaves).to_json() == want.to_json()
 
 
 def test_validate_foliation_unknown_event_raises_as_the_reference():
@@ -234,7 +236,7 @@ def test_validate_foliation_unknown_event_raises_as_the_reference():
 
 @pytest.mark.parametrize("name", ["covering", "not_antichain", "lattice_window"])
 def test_validate_foliation_makes_at_most_two_domain_passes_per_leaf(name, monkeypatch):
-    omega, leaves, window = FOLIATION_CORPUS[name]
+    omega, leaves = FOLIATION_CORPUS[name]
     calls = []
     domain = ExplicitOrder._domain
 
@@ -243,9 +245,9 @@ def test_validate_foliation_makes_at_most_two_domain_passes_per_leaf(name, monke
         return domain(self, bits, past)
 
     monkeypatch.setattr(ExplicitOrder, "_domain", counted)
-    validate_foliation(omega, leaves, window)
+    validate_foliation(omega, leaves)
     # D+ of every leaf, D- of every antichain leaf
-    antichains = sum(is_slice(omega if omega.is_finite else FOL, leaf) for leaf in leaves)
+    antichains = sum(is_slice(omega, leaf) for leaf in leaves)
     assert calls.count(False) == len(leaves)
     assert calls.count(True) == antichains
     assert len(calls) <= 2 * len(leaves)
@@ -253,7 +255,7 @@ def test_validate_foliation_makes_at_most_two_domain_passes_per_leaf(name, monke
 
 def test_foliation_category_members():
     cat = foliation_category(FORK, [{"a", "b"}, {"c"}])
-    members = sorted(cat.object_list(), key=sorted)
+    members = sorted(cat.objects(), key=sorted)
     assert members == sorted(
         [frozenset(), frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"}), frozenset({"c"})],
         key=sorted,
@@ -265,6 +267,26 @@ def test_foliation_category_rejects_leaves_that_miss_an_event():
     # {a, b} alone leaves c uncovered
     with pytest.raises(InvalidFoliation, match="not covered"):
         foliation_category(FORK, [{"a", "b"}])
+
+
+# a small window whose rows foliate it, for region queries over every subset
+BOX = materialize(lattice(1), Window(0, 2, (-2,), (2,)))
+BOX_ROWS = [frozenset(e for e in BOX.events if e[0] == t) for t in range(3)]
+
+
+@pytest.mark.parametrize("make", [lambda: foliation_category(BOX, BOX_ROWS), lambda: all_slices_category(BOX),
+                                  lambda: foliation_category(FORK, [{"a", "b"}, {"c"}])],
+                         ids=["foliation", "all-slices", "fork-foliation"])
+def test_slices_within_is_the_members_inside_the_region(make):
+    # asked through the membership predicate, the answer is the category's
+    # objects inside the region, each once
+    cat = make()
+    objs = list(cat.objects())
+    assert len(objs) == len(set(objs))
+    for region in all_subsets(cat.order.events):
+        got = cat.slices_within(region)
+        assert len(got) == len(set(got))
+        assert set(got) == {o for o in objs if o <= region}
 
 
 def test_foliation_category_common_leaf_rule():
@@ -289,7 +311,7 @@ def test_validate_slice_category_missing_empty():
         order=cat.order,
         contains=lambda s: bool(s) and cat.contains(s),
         product_rule=cat.product_rule,
-        objects=lambda: [o for o in cat.object_list() if o],
+        objects=lambda: [o for o in cat.objects() if o],
         label="broken",
     )
     rep = validate_slice_category(broken)
@@ -307,7 +329,7 @@ def _reference_validation(cat: SliceCategory) -> Report:
     if not cat.contains(frozenset()):
         report.record({"reason": "empty slice is not a member"})
     report.count()
-    objs = cat.object_list()
+    objs = list(cat.objects())
     for x in omega.events if omega.is_finite else ():
         for y in omega.events:
             if omega.leq(x, y):
@@ -344,7 +366,7 @@ def test_validate_slice_category_matches_triple_loop():
         order=omega,
         contains=lambda s: s != {"a"} and full.contains(s),
         product_rule=full.product_rule,
-        objects=lambda: [o for o in full.object_list() if o != {"a"}],
+        objects=lambda: [o for o in full.objects() if o != {"a"}],
         label="broken",
     )
     got, want = validate_slice_category(broken), _reference_validation(broken)
@@ -369,11 +391,11 @@ def test_validate_slice_category_asks_each_restriction_once():
         order=omega,
         contains=contains,
         product_rule=full.product_rule,
-        objects=lambda: [o for o in full.object_list() if o != {"a"}],
+        objects=lambda: [o for o in full.objects() if o != {"a"}],
         label="broken",
     )
     got = validate_slice_category(cat)
-    objs = cat.object_list()
+    objs = list(cat.objects())
     cuts = {d & region_between(omega, s, g) for s in objs for g in objs for d in objs}
     unions = {s | g for s in objs for g in objs}
     assert cuts <= set(asked) <= {frozenset()} | set(objs) | cuts | unions
@@ -392,15 +414,18 @@ def _without(cat: SliceCategory, gone, product_rule=None) -> SliceCategory:
         order=cat.order,
         contains=lambda s: s not in gone and cat.contains(s),
         product_rule=product_rule or cat.product_rule,
-        objects=lambda: [o for o in cat.object_list() if o not in gone],
+        objects=lambda: [o for o in cat.objects() if o not in gone],
         label="without",
     )
 
 
 def test_validate_lattice_window_category_is_pinned():
-    # an enumerable category over the lattice: the bitsets live on the
-    # sub-order induced on the objects' events
-    cat = all_slices_category(lattice(1), Window(0, 2, (-2,), (2,)))
+    # an enumerable category over the lattice, built here since no library
+    # category enumerates one: the bitsets live on the sub-order induced on
+    # the objects' events
+    omega, box = lattice(1), materialize(lattice(1), Window(0, 2, (-2,), (2,)))
+    cat = SliceCategory(omega, lambda s: is_slice(omega, s), lambda a, b: True,
+                        lambda: enumerate_slices(box), label="lattice-window")
     rep = validate_slice_category(cat)
     assert (rep.samples, rep.violations) == (14401, [])
     broken = _without(cat, [frozenset({ev(0, 0)})])
@@ -540,7 +565,7 @@ def test_prop_validator_matches_reference(omega, seed):
     # product rule: every condition can fail, on the order and its reverse
     rng = np.random.default_rng(seed)
     full = all_slices_category(omega)
-    objs = full.object_list()
+    objs = list(full.objects())
     gone = [s for s in objs if rng.random() < 0.2]
     allowed = {(a, b) for a in objs for b in objs if rng.random() < 0.7}
     cat = _without(full, gone, lambda a, b: (a, b) in allowed)
