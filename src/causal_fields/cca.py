@@ -14,17 +14,22 @@ per step (and under which the inverse-scattering construction below is an
 actual causal reversal).
 
 Every evolution kernel comes from one scatter-and-route builder (the
-partitioned, Margolus form of Schumacher-Werner, quant-ph/0405174).  Its
-cells are slot groups of the source slice, each acted on by the one cell
-matrix; its route maps every kept slot to a target slot label.  The program
-is one matrix step per cell, then the unrouted slots discarded and the kept
-ones put in canonical target order, written as one resolved form
-(``process.ProcMorphism``).  A forward step scatters at each
-source event and routes ``(y, dlt)`` to ``(y - dlt, dlt)``; a reverse step
-applies the inverse effective scattering to the slots ``(x - dlt, dlt)``
-and routes them back to ``(x, dlt)``; a ring step routes modulo the ring.
-Both time directions share one factorisation of slice morphisms into a
-restriction followed by single steps.
+partitioned, Margolus form of Schumacher-Werner, quant-ph/0405174), which
+assembles a chain of steps in one pass.  Each step kind defines its cells,
+slot groups of the slice the chain has reached, each acted on by the one
+cell matrix, and its route, which maps every kept slot to a target slot
+label.  A restriction has no cells and routes the slots it keeps to
+themselves; a forward step scatters at each source event and routes
+``(y, dlt)`` to ``(y - dlt, dlt)``; a reverse step applies the inverse
+effective scattering to the slots ``(x - dlt, dlt)`` and routes them back
+to ``(x, dlt)``; a ring step routes modulo the ring.  The program is one
+matrix step per cell, the unrouted slots discarded and the kept ones put
+in canonical target order, step after step, written as one resolved form
+(``process.ProcMorphism``) and checked once.  Both time directions share
+one factorisation of slice morphisms into a restriction followed by single
+steps, and a lattice theory builds each morphism as that whole chain; a
+single step kernel (``one_step_kernel``, ``reverse_one_step_kernel``,
+``ring_step_morphism``) is a chain of one.
 """
 
 from __future__ import annotations
@@ -351,20 +356,57 @@ def _cell_matrix(config: PartitionedCCAConfig, mat) -> np.ndarray:
     return make(cell, mat).ops[0][1]
 
 
-def _scatter_and_route(
-    config: PartitionedCCAConfig, sites: Sites, cell: np.ndarray, cells, route: dict
-) -> P.ProcMorphism:
-    """The one kernel builder: the checked cell matrix ``cell`` on every
-    slot group of ``cells`` (in the given order), a discard of the slots
-    ``route`` leaves out, and each kept slot at its target label, targets
-    in canonical slice order."""
+def _scatter_and_route(config: PartitionedCCAConfig, sites: Sites, steps) -> P.ProcMorphism:
+    """The one kernel builder: a chain of scatter-and-route steps from the
+    slice ``sites``, assembled in one pass into one resolved form.
+
+    Each step is ``(cell, cells, route)`` on the slots of the slice the
+    chain has reached: the checked cell matrix ``cell`` on every slot group
+    of ``cells`` (in the given order), a discard of the slots ``route``
+    leaves out (in canonical slot order), and each kept slot renamed to its
+    target label; the targets, sorted, are the slots of the next slice in
+    canonical order (sites sorted, then ``config.directions``, which is
+    their sorted order).  Labels are followed to the domain wires that hold
+    them, so the result has the ``program_form`` of ``compose_all`` over
+    one kernel per step, and only the result is checked
+    (``ProcMorphism``)."""
     slots = slice_slots(config, sites)
-    pos = {s: i for i, s in enumerate(slots)}
-    ops = [("matrix", cell, tuple(pos[s] for s in group)) for group in cells]
-    gone = [i for i, s in enumerate(slots) if s not in route]
-    out = [pos[s] for s in sorted(route, key=route.get)]
+    wire = {s: i for i, s in enumerate(slots)}
+    ops, gone = [], []
+    for cell, cells, route in steps:
+        ops += [("matrix", cell, tuple(wire[s] for s in group)) for group in cells]
+        gone += [wire[s] for s in slots if s not in route]
+        wire = {route[s]: wire[s] for s in route}
+        slots = sorted(wire)
+    out = [wire[s] for s in slots]
     cod = P.ProcObject(config.backend, (config.cell_dim,) * len(out))
     return P.ProcMorphism(slice_object(config, sites), cod, ops, gone, out)
+
+
+def _restriction_step(config: PartitionedCCAConfig, ys: Sites) -> tuple:
+    """Marginalisation onto ``ys`` (``restriction_kernel``'s form): no
+    cell, and the slots over ``ys`` kept under their own labels."""
+    return None, (), {s: s for s in slice_slots(config, ys)}
+
+
+def _forward_step(config: PartitionedCCAConfig, ys: Sites, xs: Sites) -> tuple:
+    """One synchronous step from ``ys`` onto ``xs``: ``config.cell`` at
+    every source event, and ``(y, dlt)`` routed to ``(y - dlt, dlt)`` when
+    that is a target slot."""
+    dirs = config.directions
+    cells = [[(y, dlt) for dlt in dirs] for y in sorted(ys)]
+    route = {(y, dlt): (_sub(y, dlt), dlt) for y in ys for dlt in dirs if _sub(y, dlt) in xs}
+    return config.cell, cells, route
+
+
+def _reverse_step(config: PartitionedCCAConfig, cell: np.ndarray, xs: Sites) -> tuple:
+    """One reverse step onto ``xs``: the checked inverse cell ``cell`` on
+    the slots ``(x - dlt, dlt)`` that the forward scattering at ``x``
+    produced, each routed back to ``(x, dlt)``."""
+    dirs = config.directions
+    cells = [[(_sub(x, dlt), dlt) for dlt in dirs] for x in sorted(xs)]
+    route = {(_sub(x, dlt), dlt): (x, dlt) for x in xs for dlt in dirs}
+    return cell, cells, route
 
 
 def restriction_kernel(config: PartitionedCCAConfig, xs: Sites, ys: Sites) -> P.ProcMorphism:
@@ -385,10 +427,7 @@ def one_step_kernel(config: PartitionedCCAConfig, ys: Sites, xs: Sites) -> P.Pro
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact predecessor set of the target")
-    dirs = config.directions
-    cells = [[(y, dlt) for dlt in dirs] for y in sorted(ys)]
-    route = {(y, dlt): (_sub(y, dlt), dlt) for y in ys for dlt in dirs if _sub(y, dlt) in xs}
-    return _scatter_and_route(config, ys, config.cell, cells, route)
+    return _scatter_and_route(config, ys, [_forward_step(config, ys, xs)])
 
 
 def reverse_one_step_kernel(
@@ -403,10 +442,7 @@ def reverse_one_step_kernel(
     ys, xs = frozenset(ys), frozenset(xs)
     if ys != expand_sites(xs, 1, config.d):
         raise WrongPredecessorSet("source must be the exact reverse predecessor set")
-    dirs = config.directions
-    cells = [[(_sub(x, dlt), dlt) for dlt in dirs] for x in sorted(xs)]
-    route = {(_sub(x, dlt), dlt): (x, dlt) for x in xs for dlt in dirs}
-    return _scatter_and_route(config, ys, _cell_matrix(config, v_inv), cells, route)
+    return _scatter_and_route(config, ys, [_reverse_step(config, _cell_matrix(config, v_inv), xs)])
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +464,14 @@ def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: in
     ]
 
 
-def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, label: str) -> FieldTheory:
+def _lattice_theory(config: PartitionedCCAConfig, direction: int, step, label: str) -> FieldTheory:
     """A field theory on the constant-time foliation (reversed when
     ``direction`` is -1): slice objects and slots of the automaton, and
     morphisms as the factorisation's restriction followed by one
-    ``step_kernel(src, tgt)`` per time step.
+    ``step(src, tgt)`` per time step, a step kind of ``_scatter_and_route``.
+    The chain is assembled in one pass, so a morphism is one resolved form,
+    checked once, with the ``program_form`` of ``compose_all`` over
+    ``restriction_kernel`` and one step kernel per step.
 
     Every kernel comes from the one cell matrix and its wires are domain
     positions, so a lattice translate of a pair has the pair's program: the
@@ -451,11 +490,9 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
         return s[1]
 
     def build(sigma, gamma) -> P.ProcMorphism:
-        kernels = [
-            restriction_kernel(config, src, tgt) if kind == "restrict" else step_kernel(src, tgt)
-            for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma, direction)
-        ]
-        return P.compose_all(*kernels)
+        (_, ss, cone, _t), *steps = factorize_morphism(config, sigma, gamma, direction)
+        chain = [_restriction_step(config, cone)] + [step(src, tgt) for _, src, tgt, _t in steps]
+        return _scatter_and_route(config, ss, chain)
 
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
         # a pair of non-members has no class (None): build refuses it
@@ -477,9 +514,9 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step_kernel, l
 
 def build_cca(config: PartitionedCCAConfig) -> FieldTheory:
     """The partitioned automaton as a field theory on the constant-time
-    foliation category of the diamond lattice; its steps are
-    ``one_step_kernel``, so every step kernel holds ``config.cell``."""
-    return _lattice_theory(config, 1, lambda src, tgt: one_step_kernel(config, src, tgt), "partitioned-cca")
+    foliation category of the diamond lattice; its steps are those of
+    ``one_step_kernel``, so every step holds ``config.cell``."""
+    return _lattice_theory(config, 1, lambda src, tgt: _forward_step(config, src, tgt), "partitioned-cca")
 
 
 def scattering_inverse(config: PartitionedCCAConfig) -> np.ndarray:
@@ -507,14 +544,11 @@ def reversal_theory(config: PartitionedCCAConfig, v_inv: np.ndarray) -> FieldThe
     """The reverse-time field theory built from a given inverse of the
     *effective* scattering.  ``v_inv`` is checked as a cell matrix
     (unitary / stochastic) here, when the theory is built, but not as an
-    inverse: see build_reversal.  Its steps are ``reverse_one_step_kernel``
-    of that checked array, which every step kernel then holds."""
+    inverse: see build_reversal.  Its steps are those of
+    ``reverse_one_step_kernel`` on that checked array, which every step
+    then holds."""
     cell = _cell_matrix(config, v_inv)
-
-    def step(src, tgt) -> P.ProcMorphism:
-        return reverse_one_step_kernel(config, cell, src, tgt)
-
-    return _lattice_theory(config, -1, step, "partitioned-cca-reversal")
+    return _lattice_theory(config, -1, lambda src, tgt: _reverse_step(config, cell, tgt), "partitioned-cca-reversal")
 
 
 def build_reversal(config: PartitionedCCAConfig) -> FieldTheory:
@@ -581,25 +615,30 @@ def check_symmetry_action(
     """Automorphism property plus the three slice-category conditions of a
     symmetry, on samples; for lattice translations also checks that the
     generators shift whole foliation leaves forward.  The order is
-    ``cat.order``."""
+    ``cat.order``.  What does not depend on the word (``leq`` of each event
+    pair, membership of each slice, ``hom`` and ``tensor_defined`` of each
+    morphism sample) is asked once, before the words."""
     report = Report("symmetry-action")
     omega = cat.order
     words = words or [((name, 1),) for name in sorted(action.generators)]
+    leq = [omega.leq(x, y) for x, y in event_pairs]
+    member = [cat.contains(frozenset(s)) for s in slice_samples]
+    decided = [(cat.hom(s, g), cat.tensor_defined(s, g)) for s, g in morphism_samples]
     for word in words:
-        for x, y in event_pairs:
+        for (x, y), before in zip(event_pairs, leq):
             report.count()
             gx, gy = action.apply_word(word, x), action.apply_word(word, y)
-            if omega.leq(x, y) != omega.leq(gx, gy):
+            if before != omega.leq(gx, gy):
                 report.record({"word": word, "pair": (x, y), "law": "automorphism"})
-        for s in slice_samples:
+        for s, is_member in zip(slice_samples, member):
             report.count()
-            if cat.contains(frozenset(s)) and not cat.contains(action.act(word, s)):
+            if is_member and not cat.contains(action.act(word, s)):
                 report.record({"word": word, "slice": s, "law": "slice preservation"})
-        for s, g in morphism_samples:
+        for (s, g), (is_hom, is_product) in zip(morphism_samples, decided):
             report.count()
-            if cat.hom(s, g) and not cat.hom(action.act(word, s), action.act(word, g)):
+            if is_hom and not cat.hom(action.act(word, s), action.act(word, g)):
                 report.record({"word": word, "pair": (s, g), "law": "ordering preservation"})
-            if cat.tensor_defined(s, g):
+            if is_product:
                 gs, gg = action.act(word, s), action.act(word, g)
                 if not cat.tensor_defined(gs, gg) or action.act(word, frozenset(s) | frozenset(g)) != gs | gg:
                     report.record({"word": word, "pair": (s, g), "law": "product preservation"})
@@ -637,14 +676,20 @@ def check_invariance(
     tol: float = P.VALIDITY_TOL,
 ) -> Report:
     """Naturality squares of the invariance data, plus the composition rule
-    for the natural isomorphisms on sampled word pairs."""
+    for the natural isomorphisms on sampled word pairs.  Each sample's
+    ``theory.mor(s, g)`` is asked once, in the first word's square, at the
+    point of that square where it is first needed."""
     report = Report("invariance")
     deviation = P.deviation_memo()
+    samples = [(frozenset(s), frozenset(g)) for s, g in morphism_samples]
+    mors: dict = {}
     for word in words:
-        for s, g in morphism_samples:
-            s, g = frozenset(s), frozenset(g)
+        for i, (s, g) in enumerate(samples):
             gs, gg = action.act(word, s), action.act(word, g)
-            lhs = P.compose(alpha(word, g), theory.mor(s, g))
+            a = alpha(word, g)
+            if i not in mors:
+                mors[i] = theory.mor(s, g)
+            lhs = P.compose(a, mors[i])
             rhs = P.compose(theory.mor(gs, gg), alpha(word, s))
             dev = deviation(lhs, rhs, tol)
             report.compare({"word": word, "pair": (s, g), "law": "naturality"}, dev, tol)
@@ -949,7 +994,7 @@ def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphi
     cells = [[((x,), dlt) for dlt in dirs] for x in range(sites)]
     route = {((x,), dlt): (((x - dlt[0]) % sites,), dlt) for x in range(sites) for dlt in dirs}
     ring = frozenset((x,) for x in range(sites))
-    return _scatter_and_route(config, ring, config.cell, cells, route)
+    return _scatter_and_route(config, ring, [(config.cell, cells, route)])
 
 
 def ring_site_marginals(config: PartitionedCCAConfig, diag: np.ndarray, sites: int) -> np.ndarray:

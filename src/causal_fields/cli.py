@@ -189,14 +189,16 @@ def _finite_number(text: str) -> float | int:
 
 
 def _parse_json(text: str):
-    """Strict JSON: malformed text, the ``NaN``/``Infinity`` tokens and
-    numbers (integers included) that overflow to infinity are rejected with
-    BadParams."""
+    """Strict JSON: malformed text, nesting deeper than the parser's
+    recursion limit, the ``NaN``/``Infinity`` tokens and numbers (integers
+    included) that overflow to infinity are rejected with BadParams."""
     try:
         return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_number,
                           parse_int=_finite_number)
     except json.JSONDecodeError as exc:
         raise BadParams(f"malformed JSON input: {exc}") from None
+    except RecursionError:
+        raise BadParams("malformed JSON input: nested too deeply to parse") from None
 
 
 def _require(args, flag: str, op: str) -> None:

@@ -81,15 +81,19 @@ def merge_permutations(theory: FieldTheory, sigma: Slice, gamma: Slice):
     Returns (p_split, p_merge): p_split maps the merged object to the
     concatenation slots(sigma) + slots(gamma); p_merge is its inverse.
     """
-    merged = theory.slots(sigma | gamma)
-    concat = theory.slots(sigma) + theory.slots(gamma)
-    obj_merged = theory.obj(sigma | gamma)
+    union = sigma | gamma
+    merged, concat = theory.slots(union), theory.slots(sigma) + theory.slots(gamma)
+    return _merge_wiring(theory.obj(union), merged, concat)
+
+
+def _merge_wiring(obj_merged: P.ProcObject, merged: list, concat: list):
+    """``merge_permutations`` from the merged object and the slot lists the
+    caller has already asked for: ``merged`` of the union slice and
+    ``concat``, the two parts' slots laid end to end."""
     split = tuple(merged.index(s) for s in concat)
     p_split = P.permute_factors(obj_merged, split)
-    obj_concat = p_split.cod
     unsplit = tuple(concat.index(s) for s in merged)
-    p_merge = P.permute_factors(obj_concat, unsplit)
-    return p_split, p_merge
+    return p_split, P.permute_factors(p_split.cod, unsplit)
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +139,14 @@ def check_monoidality(
         sigma, sigma_p, gamma, gamma_p = (frozenset(s) for s in quad)
         f = theory.mor(sigma, sigma_p)
         g = theory.mor(gamma, gamma_p)
-        p_split, _ = merge_permutations(theory, sigma, gamma)
+        union, union_p = sigma | gamma, sigma_p | gamma_p
+        merged, concat = theory.slots(union), theory.slots(sigma) + theory.slots(gamma)
+        p_split, _ = _merge_wiring(theory.obj(union), merged, concat)
         _, p_merge_out = merge_permutations(theory, sigma_p, gamma_p)
         wired = P.compose_all(p_split, P.tensor_mor(f, g), p_merge_out)
-        union_mor = theory.mor(sigma | gamma, sigma_p | gamma_p)
-        obj_ok = sorted(theory.slots(sigma | gamma)) == sorted(
-            theory.slots(sigma) + theory.slots(gamma)
-        ) and p_split.cod == P.tensor_obj(theory.obj(sigma), theory.obj(gamma))
+        union_mor = theory.mor(union, union_p)
+        obj_ok = sorted(merged) == sorted(concat) and p_split.cod == P.tensor_obj(
+            theory.obj(sigma), theory.obj(gamma))
         if not obj_ok:
             report.record({"quad": quad, "law": "object equation"}, float("nan"))
         dev = deviation(wired, union_mor, tol)
@@ -307,7 +312,7 @@ def check_reversal(
         b = [frozenset(s) for s in b]
         if a[0] != b[0] or a[-1] != b[-1]:
             raise NotAReversal("chain pair endpoints differ")
-        for s in itertools.chain(a, b):
+        for s in dict.fromkeys(itertools.chain(a, b)):
             if theory.obj(s) != reversal.obj(s):
                 raise NotAReversal("reversal disagrees with the theory on objects")
         lhs, rhs = zigzag_composite(theory, reversal, a), zigzag_composite(theory, reversal, b)

@@ -375,3 +375,46 @@ def compile_kernel_oracle(dom, steps) -> np.ndarray:
         return np.concatenate([t.transpose(1, 0, 2) for t in branches], axis=0)
     assert len(branches) == 1, "classical programs have no kraus steps"
     return branches[0].sum(axis=1)
+
+
+# -- lattice morphisms: the kernel-by-kernel reference for the chain build -----
+
+def _reference_kernel(config, sites, cell, cells, route):
+    """One scatter-and-route kernel on ``sites``, built and checked on its
+    own: ``cell`` on each slot group of ``cells``, the slots ``route``
+    leaves out discarded, the kept ones in the order of their targets."""
+    from causal_fields import cca, process as P
+
+    slots = cca.slice_slots(config, sites)
+    pos = {s: i for i, s in enumerate(slots)}
+    ops = [("matrix", cell, tuple(pos[s] for s in group)) for group in cells]
+    gone = [i for i, s in enumerate(slots) if s not in route]
+    out = [pos[s] for s in sorted(route, key=route.get)]
+    cod = P.ProcObject(config.backend, (config.cell_dim,) * len(out))
+    return P.ProcMorphism(cca.slice_object(config, sites), cod, ops, gone, out)
+
+
+def reference_lattice_morphism(config, sigma, gamma, direction: int, cell):
+    """The lattice theory's morphism sigma ->> gamma built kernel by kernel:
+    ``compose_all`` of a ``discard`` for the factorisation's restriction and
+    one separately checked step kernel per time step (forward steps with
+    ``config.cell``, reverse steps with ``cell``, the checked inverse
+    cell), each composed through the ``out`` of those before it."""
+    from causal_fields import cca, process as P
+
+    dirs = config.directions
+    kernels = []
+    for kind, src, tgt, _t in cca.factorize_morphism(config, sigma, gamma, direction):
+        if kind == "restrict":
+            slots = cca.slice_slots(config, src)
+            drop = [i for i, (x, _) in enumerate(slots) if x not in tgt]
+            kernels.append(P.discard(cca.slice_object(config, src), drop))
+        elif direction > 0:
+            cells = [[(y, dlt) for dlt in dirs] for y in sorted(src)]
+            route = {(y, dlt): (cca._sub(y, dlt), dlt) for y in src for dlt in dirs if cca._sub(y, dlt) in tgt}
+            kernels.append(_reference_kernel(config, src, config.cell, cells, route))
+        else:
+            cells = [[(cca._sub(x, dlt), dlt) for dlt in dirs] for x in sorted(tgt)]
+            route = {(cca._sub(x, dlt), dlt): (x, dlt) for x in tgt for dlt in dirs}
+            kernels.append(_reference_kernel(config, src, cell, cells, route))
+    return P.compose_all(*kernels)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ from causal_fields.errors import (
     NotUnitary,
     WrongPredecessorSet,
 )
-from causal_fields.field_theory import check_reversal, zigzag_composite
+from causal_fields.field_theory import FieldTheory, check_monoidality, check_reversal, zigzag_composite
 from causal_fields.order import Window, future_domain, lattice, materialize
 
 from helpers import (
@@ -61,6 +62,7 @@ from helpers import (
     normalisation_defect,
     random_density,
     random_unitary,
+    reference_lattice_morphism,
     steps_program,
     translation_class_oracle,
 )
@@ -710,6 +712,162 @@ def test_a_cached_class_admits_no_other_pair(direction):
         assert label == "reversed gap" or not (cat.contains(a) and cat.contains(b)), label
         with pytest.raises(NotInCategory):
             theory.mor(a, b)
+
+
+def _d2_window_pairs(reversed_: bool) -> list:
+    # every target of at most two sites in a d = 2 box at times 0..2, each
+    # from its k-step cone (k = 0..2) and from that cone with one more site;
+    # time-mirrored for the reversed foliation
+    sign = -1 if reversed_ else 1
+    pairs = []
+    for t in range(3):
+        box = [(t + 2 * a, t + 2 * b) for a in range(-1, 2) for b in range(-1, 2)]
+        for n in (0, 1, 2):
+            for sites in itertools.combinations(box, n):
+                gs = frozenset(sites)
+                for k in range(t + 1):
+                    cone = cca.expand_sites(gs, k, 2)
+                    extra = (max(cone, default=(t - k, t - k))[0] + 2,) + (t - k,)
+                    for ss in (cone, cone | {extra}):
+                        pairs.append((frozenset((sign * (t - k), x) for x in ss),
+                                      frozenset((sign * t, x) for x in gs)))
+    return list(dict.fromkeys(pairs))
+
+
+def _d2_config():
+    return PartitionedCCAConfig(d=2, cell_dim=2, scattering=random_unitary(np.random.default_rng(5), 16))
+
+
+@pytest.mark.parametrize("direction", [1, -1], ids=["forward", "reversal"])
+@pytest.mark.parametrize("name", sorted(_CLASS_CONFIGS) + ["d2"])
+def test_chain_build_matches_the_kernel_by_kernel_reference(name, direction):
+    # the one-pass chain build has the dom, cod and program_form of
+    # compose_all over a restriction and one checked kernel per step: on
+    # every pair of the check window (time-mirrored for the reversal) and on
+    # d = 2 window pairs.  A fresh theory per pair builds that exact pair
+    c = _d2_config() if name == "d2" else _CLASS_CONFIGS[name]()
+    cell = _reversal_cell(c)
+    if name == "d2":
+        pairs = _d2_window_pairs(direction < 0)
+    elif direction > 0:
+        pairs = list(cca._check_window())
+    else:
+        pairs = [(_mirror(s), _mirror(g)) for s, g in cca._check_window()]
+    assert len(pairs) == (1220 if name != "d2" else 544)
+    for s, g in pairs:
+        theory = build_cca(c) if direction > 0 else reversal_theory(c, cell)
+        f, want = theory.mor(s, g), reference_lattice_morphism(c, s, g, direction, cell)
+        assert (f.dom, f.cod) == (want.dom, want.cod), (s, g)
+        assert P.program_form(f) == P.program_form(want), (s, g)
+
+
+def _counting(monkeypatch, owner, name: str) -> list:
+    """The arguments of every call to ``owner.name`` from here on."""
+    calls, orig = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or orig(*a))
+    return calls
+
+
+def test_monoidality_asks_six_slot_lists_per_quad(monkeypatch):
+    # sigma | gamma and the slots of sigma | gamma, sigma and gamma are asked
+    # once, for the wiring and for the object equation, and likewise for
+    # the targets: six slot lists per quad
+    quads = sample_separated_quads(np.random.default_rng(3), 16)
+    theory = build_cca(cfg())
+    slots = _counting(monkeypatch, FieldTheory, "slots")
+    assert check_monoidality(theory, quads).ok
+    assert len(slots) == 6 * len(quads)
+
+
+def test_symmetry_asks_each_word_independent_question_once(monkeypatch):
+    # leq of each event pair, membership of each slice and hom and
+    # tensor_defined of each morphism sample are asked once; each word then
+    # asks only of the translates
+    rng = np.random.default_rng(5)
+    act, cat = translation_action(1), foliation_category_of_lattice(1)
+    slices = window_slices(0, -4, 4, 2) + [frozenset({(0, (1,))}), frozenset({(0, (0,)), (1, (1,))})]
+    morphisms = list(cca._check_window())[::97] + [(sl(0, 0), sl(1, 3)), (sl(0, 0), sl(0, 2))]
+    pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (3, (1,)))]
+    words = sample_words(act, rng, 6)
+    member = [s for s in slices if cat.contains(s)]
+    homs = [m for m in morphisms if cat.hom(*m)]
+    products = [m for m in morphisms if cat.tensor_defined(*m)]
+    assert 0 < len(member) < len(slices) and 0 < len(homs) < len(morphisms) and products
+    contains = _counting(monkeypatch, cat, "contains")
+    leq = _counting(monkeypatch, type(cat.order), "leq")
+    check_symmetry_action(act, cat, slices, [], pairs, words)
+    assert len(contains) == len(slices) + len(words) * len(member)
+    assert len(leq) == len(pairs) * (1 + len(words))
+    hom = _counting(monkeypatch, type(cat), "hom")
+    tensor = _counting(monkeypatch, type(cat), "tensor_defined")
+    assert check_symmetry_action(act, cat, [], morphisms, pairs, words).ok
+    assert len(hom) == len(morphisms) + len(words) * len(homs)
+    assert len(tensor) == len(morphisms) + len(words) * len(products)
+
+
+def test_invariance_asks_each_sample_morphism_once(monkeypatch):
+    # theory.mor(s, g) once per sample, not once per word; the translates
+    # are asked once per word.  With no words nothing is asked, so a sample
+    # that is no morphism raises nothing
+    rng = np.random.default_rng(8)
+    theory, act = build_cca(dirac_config(0.4, 0.1)), translation_action(1)
+    morphisms = [cca._check_window()[i] for i in rng.choice(1220, size=9, replace=False)]
+    words = sample_words(act, rng, 4)
+    mor = _counting(monkeypatch, FieldTheory, "mor")
+    rep = check_invariance(theory, act, identity_invariance(theory), words, morphisms)
+    assert rep.ok and rep.samples == len(words) * len(morphisms)
+    asked = [(s, g) for _, s, g in mor]
+    samples = [(frozenset(s), frozenset(g)) for s, g in morphisms]
+    translates = [(act.act(w, s), act.act(w, g)) for w in words for s, g in samples]
+    assert sum(map(asked.count, samples)) == len(samples) + sum(map(translates.count, samples))
+    assert len(asked) == len(samples) * (1 + len(words))
+    mor.clear()
+    obj = _counting(monkeypatch, FieldTheory, "obj")
+    rep = check_invariance(theory, act, identity_invariance(theory), [], [(sl(1, 1), sl(0, 0, 2))])
+    assert rep.samples == 0 and not mor and not obj
+
+
+def test_reversal_asks_object_agreement_once_per_distinct_slice(monkeypatch):
+    c = cfg()
+    theory, reversal = build_cca(c), reversal_theory(c, _reversal_cell(c))
+    chain_pairs = sample_zigzag_chain_pairs(np.random.default_rng(2), 12)
+    obj = _counting(monkeypatch, FieldTheory, "obj")
+    assert check_reversal(theory, reversal, chain_pairs).ok
+    distinct = sum(len(set(a) | set(b)) for a, b in chain_pairs)
+    assert distinct < sum(len(a) + len(b) for a, b in chain_pairs)
+    for t in (theory, reversal):
+        assert sum(1 for call in obj if call[0] is t) == distinct
+
+
+_SUITE_CONFIGS = {
+    "haar": lambda: cfg(),
+    "dirac": lambda: dirac_config(0.4, 0.1),
+    "classical-swap": lambda: cfg(u=SWAP.real, backend="classical"),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(_SUITE_CONFIGS))
+def test_suite_reports_match_the_kernel_by_kernel_build(name, seed):
+    # each suite's report, byte for byte, with the theories' morphisms built
+    # by the compose_all reference instead of the one-pass chain
+    c = _SUITE_CONFIGS[name]()
+    cell = _reversal_cell(c)
+
+    def theories(reference: bool):
+        theory, reversal = build_cca(c), reversal_theory(c, cell)
+        if reference:
+            theory.mor_fn = lambda s, g: reference_lattice_morphism(c, s, g, 1, cell)
+            reversal.mor_fn = lambda s, g: reference_lattice_morphism(c, s, g, -1, cell)
+        return theory, reversal
+
+    for target in cca.CHECK_SUITES:
+        reports = [
+            json.dumps(cca.check_suite(target, *theories(reference), np.random.default_rng(seed), 12,
+                                       TOL).to_json(), sort_keys=True)
+            for reference in (False, True)
+        ]
+        assert reports[0] == reports[1], target
 
 
 def _reference_member(omega, s) -> bool:

@@ -1142,6 +1142,33 @@ def test_a_missing_file_flag_is_a_usage_error(tmp_path, argv, flag, capsys):
     assert not out.exists()
 
 
+# Every flag that reads JSON, as (argv, flag, depth); "{deep}" is the nested
+# input and "{dirac}" / "{fork}" valid files.
+_DEEP_INPUTS = [
+    (["check", "functoriality", "--cca", "{deep}"], "cca", 200_000),
+    (["check", "category", "--order", "{deep}"], "order", 200_000),
+    (["gen", "file", "--in", "{deep}"], "in", 200_000),
+    (["run", "--cca", "{dirac}", "--steps", "1", "--initial", "{deep}"], "initial", 200_000),
+    (["export", "csv", "--run", "{deep}"], "run", 200_000),
+    (["check", "foliation", "--order", "{fork}", "--leaves", "{deep}"], "leaves", 5_000),
+]
+
+
+@pytest.mark.parametrize("argv, flag, depth", _DEEP_INPUTS, ids=[flag for _, flag, _ in _DEEP_INPUTS])
+def test_deeply_nested_json_is_a_usage_error(dirac_file, fork_file, tmp_path, argv, flag, depth, capsys):
+    # nesting past the parser's recursion limit is malformed input (exit 2),
+    # never a RecursionError traceback with exit 1, which reads as "law violated"
+    deep = "[" * depth + "]" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    files = {"deep": deep if flag == "leaves" else str(path), "dirac": dirac_file, "fork": fork_file}
+    out = tmp_path / "out"
+    assert main([a.format(**files) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed JSON input") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # -- file boundaries --------------------------------------------------------------
 
 @pytest.mark.parametrize("where", ["out", "order"])
