@@ -17,12 +17,13 @@ Every evolution kernel comes from one scatter-and-route builder (the
 partitioned, Margolus form of Schumacher-Werner, quant-ph/0405174), which
 assembles a chain of steps in one pass.  Each step kind defines its cells,
 slot groups of the slice the chain has reached, each acted on by the one
-cell matrix, and its route, which maps every kept slot to a target slot
-label.  A restriction has no cells and routes the slots it keeps to
-themselves; a forward step scatters at each source event and routes
-``(y, dlt)`` to ``(y - dlt, dlt)``; a reverse step applies the inverse
-effective scattering to the slots ``(x - dlt, dlt)`` and routes them back
-to ``(x, dlt)``; a ring step routes modulo the ring.  The program is one
+cell matrix, and its route, which names for every slot of the next slice,
+in canonical order, the slot it comes from.  A restriction has no cells
+and keeps its target's slots under their own labels; a forward step
+scatters at each source event and routes ``(y, dlt)`` to
+``(y - dlt, dlt)``; a reverse step applies the inverse effective
+scattering to the slots ``(x - dlt, dlt)`` and routes them back to
+``(x, dlt)``; a ring step routes modulo the ring.  The program is one
 matrix step per cell, the unrouted slots discarded and the kept ones put
 in canonical target order, step after step, written as one resolved form
 (``process.ProcMorphism``) and checked once.  Both time directions share
@@ -362,23 +363,22 @@ def _scatter_and_route(config: PartitionedCCAConfig, sites: Sites, steps) -> P.P
 
     Each step is ``(cell, cells, route)`` on the slots of the slice the
     chain has reached: the checked cell matrix ``cell`` on every slot group
-    of ``cells`` (in the given order), a discard of the slots ``route``
-    leaves out (in canonical slot order), and each kept slot renamed to its
-    target label; the targets, sorted, are the slots of the next slice in
-    canonical order (sites sorted, then ``config.directions``, which is
-    their sorted order).  Labels are followed to the domain wires that hold
-    them, so the result has the ``program_form`` of ``compose_all`` over
-    one kernel per step, and only the result is checked
-    (``ProcMorphism``)."""
+    of ``cells`` (in the given order), then the route, which names for
+    each slot of the next slice, in canonical order, the slot it comes
+    from.  The slots no route entry names are discarded, in canonical slot
+    order.  Labels are followed to the domain wires that hold them, so the
+    result has the ``program_form`` of ``compose_all`` over one kernel per
+    step, and only the result is checked (``ProcMorphism``)."""
     slots = slice_slots(config, sites)
     wire = {s: i for i, s in enumerate(slots)}
     ops, gone = [], []
     for cell, cells, route in steps:
         ops += [("matrix", cell, tuple(wire[s] for s in group)) for group in cells]
-        gone += [wire[s] for s in slots if s not in route]
-        wire = {route[s]: wire[s] for s in route}
-        slots = sorted(wire)
-    out = [wire[s] for s in slots]
+        kept = set(route.values())
+        gone += [wire[s] for s in slots if s not in kept]
+        wire = {t: wire[s] for t, s in route.items()}
+        slots = route
+    out = list(wire.values())
     cod = P.ProcObject(config.backend, (config.cell_dim,) * len(out))
     return P.ProcMorphism(slice_object(config, sites), cod, ops, gone, out)
 
@@ -391,21 +391,22 @@ def _restriction_step(config: PartitionedCCAConfig, ys: Sites) -> tuple:
 
 def _forward_step(config: PartitionedCCAConfig, ys: Sites, xs: Sites) -> tuple:
     """One synchronous step from ``ys`` onto ``xs``: ``config.cell`` at
-    every source event, and ``(y, dlt)`` routed to ``(y - dlt, dlt)`` when
-    that is a target slot."""
+    every source event, and the target slot ``(x, dlt)`` taken from
+    ``(x + dlt, dlt)``."""
     dirs = config.directions
     cells = [[(y, dlt) for dlt in dirs] for y in sorted(ys)]
-    route = {(y, dlt): (_sub(y, dlt), dlt) for y in ys for dlt in dirs if _sub(y, dlt) in xs}
+    route = {(x, dlt): (_add(x, dlt), dlt) for x in sorted(xs) for dlt in dirs}
     return config.cell, cells, route
 
 
 def _reverse_step(config: PartitionedCCAConfig, cell: np.ndarray, xs: Sites) -> tuple:
     """One reverse step onto ``xs``: the checked inverse cell ``cell`` on
     the slots ``(x - dlt, dlt)`` that the forward scattering at ``x``
-    produced, each routed back to ``(x, dlt)``."""
+    produced, and the target slot ``(x, dlt)`` taken from ``(x - dlt,
+    dlt)``."""
     dirs = config.directions
     cells = [[(_sub(x, dlt), dlt) for dlt in dirs] for x in sorted(xs)]
-    route = {(_sub(x, dlt), dlt): (x, dlt) for x in xs for dlt in dirs}
+    route = {(x, dlt): (_sub(x, dlt), dlt) for x in sorted(xs) for dlt in dirs}
     return cell, cells, route
 
 
@@ -992,7 +993,7 @@ def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphi
         raise BadParams("ring size must be even and at least 2 to respect the parity of the lattice")
     dirs = config.directions
     cells = [[((x,), dlt) for dlt in dirs] for x in range(sites)]
-    route = {((x,), dlt): (((x - dlt[0]) % sites,), dlt) for x in range(sites) for dlt in dirs}
+    route = {((x,), dlt): (((x + dlt[0]) % sites,), dlt) for x in range(sites) for dlt in dirs}
     ring = frozenset((x,) for x in range(sites))
     return _scatter_and_route(config, ring, [(config.cell, cells, route)])
 

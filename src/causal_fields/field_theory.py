@@ -131,7 +131,9 @@ def check_monoidality(
     """Objects and morphisms factorise over separated products.
 
     Each sample is (sigma, sigma', gamma, gamma') with sigma ->> sigma',
-    gamma ->> gamma' and both products defined.
+    gamma ->> gamma' and both products defined.  The slots of
+    sigma | gamma, sigma and gamma are asked once, for the wiring and for
+    the object equation.
     """
     report = Report("monoidality")
     deviation = P.deviation_memo()
@@ -304,7 +306,9 @@ def check_reversal(
     tol: float = P.VALIDITY_TOL,
 ) -> Report:
     """Compare the composites of pairs of alternating chains with equal
-    endpoints (sound but bounded: the caller fixes the chain lengths)."""
+    endpoints (sound but bounded: the caller fixes the chain lengths).
+    The two theories' objects are compared once per distinct slice of a
+    chain pair."""
     report = Report("reversal")
     deviation = P.deviation_memo()
     for a, b in chain_pairs:
