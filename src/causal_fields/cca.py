@@ -28,9 +28,10 @@ matrix step per cell, the unrouted slots discarded and the kept ones put
 in canonical target order, step after step, written as one resolved form
 (``process.ProcMorphism``) and checked once.  Both time directions share
 one factorisation of slice morphisms into a restriction followed by single
-steps, and a lattice theory builds each morphism as that whole chain; a
-single step kernel (``one_step_kernel``, ``reverse_one_step_kernel``,
-``ring_step_morphism``) is a chain of one.
+steps, and a lattice theory builds each morphism as that whole chain; the
+restriction kernel and each single step kernel (``restriction_kernel``,
+``one_step_kernel``, ``reverse_one_step_kernel``, ``ring_step_morphism``)
+is a chain of one.
 """
 
 from __future__ import annotations
@@ -415,9 +416,7 @@ def restriction_kernel(config: PartitionedCCAConfig, xs: Sites, ys: Sites) -> P.
     xs, ys = frozenset(xs), frozenset(ys)
     if not ys <= xs:
         raise NotSubset("restriction target must be a subset")
-    slots = slice_slots(config, xs)
-    drop = [i for i, (x, _) in enumerate(slots) if x not in ys]
-    return P.discard(slice_object(config, xs), drop)
+    return _scatter_and_route(config, xs, [_restriction_step(config, ys)])
 
 
 def one_step_kernel(config: PartitionedCCAConfig, ys: Sites, xs: Sites) -> P.ProcMorphism:
@@ -505,7 +504,6 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step, label: s
 
     return FieldTheory(
         category=cat,
-        backend=config.backend,
         obj_fn=lambda sigma: slice_object(config, sites_of(sigma)),
         mor_fn=mor_fn,
         slots_fn=lambda sigma: slice_slots(config, sites_of(sigma)),
@@ -592,11 +590,12 @@ def translation_action(d: int) -> SymmetryAction:
     return SymmetryAction("lattice-translations", gens, invs)
 
 
-def sample_words(action: SymmetryAction, rng, count: int, max_len: int = 3) -> list:
+def sample_words(action: SymmetryAction, rng, count: int) -> list:
+    """``count`` random words of one to three generators or inverses."""
     names = sorted(action.generators)
     out = []
     for _ in range(count):
-        k = int(rng.integers(1, max_len + 1))
+        k = int(rng.integers(1, 4))
         word = tuple(
             (names[int(rng.integers(len(names)))], 1 if rng.random() < 0.5 else -1)
             for _ in range(k)
@@ -645,9 +644,9 @@ def check_symmetry_action(
                     report.record({"word": word, "pair": (s, g), "law": "product preservation"})
     if isinstance(omega, DiamondLattice):
         for name in sorted(action.generators):
-            for s in slice_samples:
+            for s, is_member in zip(slice_samples, member):
                 s = frozenset(s)
-                if not s:
+                if not (s and is_member):
                     continue
                 report.count()
                 times = {e[0] for e in action.act(((name, 1),), s)}
@@ -747,11 +746,12 @@ def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int) -> list
     return pairs
 
 
-def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int = 6) -> list:
+def sample_separated_quads(rng, count: int) -> list:
     """Random (sigma, sigma', gamma, gamma') with both products defined and
-    both morphisms present (d=1).  Mixes same-time restrictions with
-    one-step evolutions, keeping the union slices at desk scale."""
-    sites = [x for (x,) in window_leaf_sites(t0, lo, hi)]
+    both morphisms present (d=1), from time-0 slices of sites -6..6.  Mixes
+    same-time restrictions with one-step evolutions, keeping the union
+    slices at desk scale."""
+    sites = [x for (x,) in window_leaf_sites(0, -6, 6)]
     anchors = [x for x in sites if x + 2 in sites]
 
     def leaf(t, xs):
@@ -765,7 +765,7 @@ def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int =
             u = int(rng.integers(2, 5))
             picks = sorted(int(x) for x in rng.choice(sites, size=min(u, len(sites)), replace=False))
             split = int(rng.integers(1, len(picks)))
-            sig, gam = leaf(t0, picks[:split]), leaf(t0, picks[split:])
+            sig, gam = leaf(0, picks[:split]), leaf(0, picks[split:])
             sig_p = frozenset(e for e in sig if rng.random() < 0.7)
             gam_p = frozenset(e for e in gam if rng.random() < 0.7)
         elif kind == 1:
@@ -777,8 +777,8 @@ def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int =
             if not others:
                 continue
             b = int(rng.choice(others))
-            sig, gam = leaf(t0, (a, a + 2)), leaf(t0, (b,))
-            sig_p, gam_p = leaf(t0 + 1, (a + 1,)), frozenset()
+            sig, gam = leaf(0, (a, a + 2)), leaf(0, (b,))
+            sig_p, gam_p = leaf(1, (a + 1,)), frozenset()
         else:
             # one-step evolutions on both sides
             if len(anchors) < 2:
@@ -786,16 +786,16 @@ def sample_separated_quads(rng, count: int, t0: int = 0, lo: int = -6, hi: int =
             a, b = sorted(int(x) for x in rng.choice(anchors, size=2, replace=False))
             if b - a < 4:
                 continue
-            sig, gam = leaf(t0, (a, a + 2)), leaf(t0, (b, b + 2))
-            sig_p = leaf(t0 + 1, (a + 1,)) if rng.random() < 0.8 else frozenset()
-            gam_p = leaf(t0 + 1, (b + 1,)) if rng.random() < 0.8 else frozenset()
+            sig, gam = leaf(0, (a, a + 2)), leaf(0, (b, b + 2))
+            sig_p = leaf(1, (a + 1,)) if rng.random() < 0.8 else frozenset()
+            gam_p = leaf(1, (b + 1,)) if rng.random() < 0.8 else frozenset()
         out.append((sig, sig_p, gam, gam_p))
     return out
 
 
-def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2) -> list:
+def sample_zigzag_chain_pairs(rng, count: int) -> list:
     """Pairs of alternating forward/reverse chains from time 0, with equal
-    endpoints.
+    endpoints, each of at most two zig-zags (six slices).
 
     Slices are site intervals around one centre, and a link of time gap
     ``g`` (forward, then backward, in turn) goes from ``w + g`` sites to
@@ -840,8 +840,8 @@ def sample_zigzag_chain_pairs(rng, count: int, max_zigzag: int = 2) -> list:
 
     out = []
     while len(out) < count:
-        n = int(rng.integers(0, max_zigzag + 1))
-        m = int(rng.integers(0, max_zigzag + 1))
+        n = int(rng.integers(0, 3))
+        m = int(rng.integers(0, 3))
         final = int(rng.integers(1, 3))
         centre = int(rng.integers(-2, 3)) * 2
         net = int(rng.integers(0, 2))

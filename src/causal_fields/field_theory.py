@@ -43,10 +43,9 @@ class FieldTheory:
     """
 
     category: SliceCategory
-    backend: str
     obj_fn: Callable[[Slice], P.ProcObject]
     mor_fn: Callable[[Slice, Slice], P.ProcMorphism]
-    slots_fn: Callable[[Slice], list] | None = None
+    slots_fn: Callable[[Slice], list]
     label: str = "field-theory"
     _mors: dict = field(default_factory=dict, repr=False)
 
@@ -65,8 +64,6 @@ class FieldTheory:
         return self._mors[key]
 
     def slots(self, sigma: Iterable) -> list:
-        if self.slots_fn is None:
-            raise NotInCategory(f"theory {self.label!r} exposes no slot labels")
         return self.slots_fn(frozenset(sigma))
 
     def discard_effect(self, sigma: Iterable) -> P.ProcMorphism:

@@ -129,12 +129,6 @@ class ExplicitOrder:
     def immediate_predecessors(self, x: Event) -> tuple:
         return tuple(self.events[i] for i in self._pred[self.require_event(x)])
 
-    def minimal_elements(self) -> tuple:
-        return tuple(e for i, e in enumerate(self.events) if not self._pred[i])
-
-    def maximal_elements(self) -> tuple:
-        return tuple(e for i, e in enumerate(self.events) if not self._succ[i])
-
     def hasse_edges(self) -> list[tuple[Event, Event]]:
         return [
             (self.events[x], self.events[y])
@@ -700,14 +694,14 @@ def order_from_json(obj: dict) -> CausalOrder:
     return build_explicit(events, [tuple(p) for p in hasse])
 
 
-def order_to_dot(omega: ExplicitOrder, name: str = "causal_order") -> str:
+def order_to_dot(omega: ExplicitOrder) -> str:
     """A DOT digraph of the Hasse diagram, nodes listed in a linear extension.
     A DOT quoted id cannot end in a backslash, so such an event id is BadParams."""
     for text in map(event_id, omega.events):
         if text.endswith("\\"):
             raise BadParams(f"event id {text!r} ends in a backslash, which a DOT quoted id cannot hold")
     quoted = {e: '"' + event_id(e).replace('"', '\\"') + '"' for e in omega.events}
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph causal_order {", "  rankdir=BT;"]
     for e in omega.topological_order():
         lines.append(f"  {quoted[e]};")
     for a, b in omega.hasse_edges():

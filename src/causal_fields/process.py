@@ -88,10 +88,6 @@ class ProcObject:
     def dim(self) -> int:
         return prod(self.factors)
 
-    @property
-    def is_unit(self) -> bool:
-        return len(self.factors) == 0
-
 
 def unit(backend: str) -> ProcObject:
     return ProcObject(backend, ())
@@ -223,15 +219,14 @@ def discard(obj: ProcObject, which: Sequence[int] | None = None) -> ProcMorphism
     return ProcMorphism(obj, ProcObject(obj.backend, tuple(obj.factors[w] for w in out)), (), gone, out)
 
 
-def unitary_channel(obj: ProcObject, u, factors: Sequence[int] | None = None,
-                    tol: float = VALIDITY_TOL) -> ProcMorphism:
+def unitary_channel(obj: ProcObject, u, factors: Sequence[int] | None = None) -> ProcMorphism:
     """The channel rho -> U rho U^dag on the chosen factors of a quantum object."""
     if obj.backend != QUANTUM:
         raise BackendMismatch("unitary_channel needs a quantum object")
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ShapeMismatch(f"a unitary is a square matrix, not one of shape {u.shape}")
-    if not (np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol):
+    if not (np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= VALIDITY_TOL):
         raise NotUnitary("matrix is not unitary within tolerance")
     wires = range(len(obj.factors))
     return ProcMorphism(obj, obj, (("matrix", u, wires if factors is None else factors),), (), wires)
@@ -652,8 +647,8 @@ def deviation_memo():
     return memoised
 
 
-def is_normalised_state(rho: ProcState, tol: float = VALIDITY_TOL) -> bool:
-    return abs(rho.norm - 1.0) <= tol
+def is_normalised_state(rho: ProcState) -> bool:
+    return abs(rho.norm - 1.0) <= VALIDITY_TOL
 
 
 def states_equal(a: ProcState, b: ProcState, tol: float = VALIDITY_TOL) -> bool:

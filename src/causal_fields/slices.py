@@ -85,9 +85,6 @@ class SliceCategory:
     objects: Callable[[], Iterable[Slice]] | None = None
     label: str = "slices"
 
-    def __contains__(self, s: Iterable) -> bool:
-        return self.contains(frozenset(s))
-
     def tensor_defined(self, sigma: Iterable, gamma: Iterable) -> bool:
         sigma, gamma = frozenset(sigma), frozenset(gamma)
         return (

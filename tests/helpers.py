@@ -53,8 +53,9 @@ def maximal_chains(omega: ExplicitOrder):
         for s in succ:
             yield from walk(prefix + [s])
 
-    for m in omega.minimal_elements():
-        yield from walk([m])
+    for m in omega.events:
+        if not omega.immediate_predecessors(m):
+            yield from walk([m])
 
 
 def future_domain_oracle(omega: ExplicitOrder, a) -> frozenset:
@@ -394,6 +395,16 @@ def _reference_kernel(config, sites, cell, cells, route):
     return P.ProcMorphism(cca.slice_object(config, sites), cod, ops, gone, out)
 
 
+def reference_restriction(config, src, tgt):
+    """The restriction of the slice over ``src`` to ``tgt`` as one
+    ``discard`` of the factors over the events left out."""
+    from causal_fields import cca, process as P
+
+    slots = cca.slice_slots(config, src)
+    drop = [i for i, (x, _) in enumerate(slots) if x not in tgt]
+    return P.discard(cca.slice_object(config, src), drop)
+
+
 def reference_lattice_morphism(config, sigma, gamma, direction: int, cell):
     """The lattice theory's morphism sigma ->> gamma built kernel by kernel:
     ``compose_all`` of a ``discard`` for the factorisation's restriction and
@@ -406,9 +417,7 @@ def reference_lattice_morphism(config, sigma, gamma, direction: int, cell):
     kernels = []
     for kind, src, tgt, _t in cca.factorize_morphism(config, sigma, gamma, direction):
         if kind == "restrict":
-            slots = cca.slice_slots(config, src)
-            drop = [i for i, (x, _) in enumerate(slots) if x not in tgt]
-            kernels.append(P.discard(cca.slice_object(config, src), drop))
+            kernels.append(reference_restriction(config, src, tgt))
         elif direction > 0:
             cells = [[(y, dlt) for dlt in dirs] for y in sorted(src)]
             route = {(y, dlt): (cca._sub(y, dlt), dlt) for y in src for dlt in dirs if cca._sub(y, dlt) in tgt}

@@ -229,7 +229,7 @@ def test_acceptance_6_reversal():
     )
     theory = build_cca(config)
     reversal = build_reversal(config)
-    chain_pairs = sample_zigzag_chain_pairs(np.random.default_rng(66), 100, max_zigzag=2)
+    chain_pairs = sample_zigzag_chain_pairs(np.random.default_rng(66), 100)
     report = check_reversal(theory, reversal, chain_pairs, tol=TOL)
 
     # a non-invertible scattering map admits no reversal

@@ -63,6 +63,7 @@ from helpers import (
     random_density,
     random_unitary,
     reference_lattice_morphism,
+    reference_restriction,
     steps_program,
     translation_class_oracle,
 )
@@ -235,7 +236,7 @@ def test_restriction_kernel_identity():
 
 def test_restriction_kernel_discard_all():
     f = restriction_kernel(cfg(), frozenset({(0,), (2,)}), frozenset())
-    assert f.cod.is_unit
+    assert f.cod.factors == ()
     assert normalisation_defect(f) <= TOL
 
 
@@ -366,7 +367,7 @@ def test_swap_scattering_transports():
 
 def test_build_cca_objects():
     theory = build_cca(cfg())
-    assert theory.obj(frozenset()).is_unit
+    assert theory.obj(frozenset()).factors == ()
     assert theory.obj(sl(0, 0, 2)).dim == 16
     assert theory.obj(sl(0, 0, 2, 4)).dim == 64
 
@@ -465,7 +466,7 @@ def test_reversal_check_on_sampled_chains():
     c = cfg()
     theory = build_cca(c)
     rev = build_reversal(c)
-    pairs = sample_zigzag_chain_pairs(np.random.default_rng(3), 25, max_zigzag=2)
+    pairs = sample_zigzag_chain_pairs(np.random.default_rng(3), 25)
     rep = check_reversal(theory, rev, pairs)
     assert rep.ok, rep.violations[:2]
 
@@ -530,7 +531,7 @@ def test_reversal_swap_scattering_is_swap_again():
     s0 = sl(0, 0, 2)
     d1 = sl(1, 1)
     back = rev.mor(d1, sl(0, ))  # restriction to the empty slice
-    assert back.cod.is_unit
+    assert back.cod.factors == ()
     comp = zigzag_composite(theory, rev, [s0, d1, frozenset()])
     assert P.deviation(comp, theory.mor(s0, frozenset()), TOL) <= TOL
 
@@ -552,7 +553,7 @@ def test_translation_action_on_lattice():
     slices = [sl(0, 0), sl(0, 0, 2), sl(1, 1, 3), frozenset()]
     morphisms = [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2), sl(0, 0)), (sl(0, 0), sl(0, 2))]
     event_pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (2, (0,)))]
-    words = sample_words(act, np.random.default_rng(1), 6, max_len=3)
+    words = sample_words(act, np.random.default_rng(1), 6)
     rep = check_symmetry_action(act, cat, slices, morphisms, event_pairs, words)
     assert rep.ok, rep.violations[:3]
 
@@ -589,7 +590,7 @@ def test_translation_homogeneity_exact_kernels():
     # objects on the same wires
     theory = build_cca(cfg())
     act = translation_action(1)
-    for word in sample_words(act, np.random.default_rng(2), 8, max_len=3):
+    for word in sample_words(act, np.random.default_rng(2), 8):
         for s, g in [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2, 4), sl(0, 0, 4))]:
             f = theory.mor(s, g)
             assert P.program_form(f) == P.program_form(theory.mor(act.act(word, s), act.act(word, g)))
@@ -744,7 +745,8 @@ def test_chain_build_matches_the_kernel_by_kernel_reference(name, direction):
     # the one-pass chain build has the dom, cod and program_form of
     # compose_all over a restriction and one checked kernel per step: on
     # every pair of the check window (time-mirrored for the reversal) and on
-    # d = 2 window pairs.  A fresh theory per pair builds that exact pair
+    # d = 2 window pairs.  A fresh theory per pair builds that exact pair.
+    # The restriction kernel, a chain of one, has the form of one discard
     c = _d2_config() if name == "d2" else _CLASS_CONFIGS[name]()
     cell = _reversal_cell(c)
     if name == "d2":
@@ -759,6 +761,10 @@ def test_chain_build_matches_the_kernel_by_kernel_reference(name, direction):
         f, want = theory.mor(s, g), reference_lattice_morphism(c, s, g, direction, cell)
         assert (f.dom, f.cod) == (want.dom, want.cod), (s, g)
         assert P.program_form(f) == P.program_form(want), (s, g)
+        (_, ss, cone, _t), *_ = cca.factorize_morphism(c, s, g, direction)
+        r, want = cca.restriction_kernel(c, ss, cone), reference_restriction(c, ss, cone)
+        assert (r.dom, r.cod) == (want.dom, want.cod), (s, g)
+        assert P.program_form(r) == P.program_form(want), (s, g)
 
 
 def _counting(monkeypatch, owner, name: str) -> list:
@@ -795,7 +801,8 @@ def test_symmetry_asks_each_word_independent_question_once(monkeypatch):
     assert 0 < len(member) < len(slices) and 0 < len(homs) < len(morphisms) and products
     contains = _counting(monkeypatch, cat, "contains")
     leq = _counting(monkeypatch, type(cat.order), "leq")
-    check_symmetry_action(act, cat, slices, [], pairs, words)
+    # the two-time set is no member, so it has no leaf to shift either
+    assert check_symmetry_action(act, cat, slices, [], pairs, words).ok
     assert len(contains) == len(slices) + len(words) * len(member)
     assert len(leq) == len(pairs) * (1 + len(words))
     hom = _counting(monkeypatch, type(cat), "hom")
@@ -1113,10 +1120,10 @@ def test_sampled_zigzag_chains_alternate():
     # the sampler checks no chain: each link must be a morphism of the
     # forward category (even links) or of the reversed one (odd links)
     cats = (foliation_category_of_lattice(1), foliation_category_of_lattice(1, reversed_=True))
-    for max_zigzag, seed in itertools.product(range(4), range(20)):
-        for a, b in sample_zigzag_chain_pairs(np.random.default_rng(seed), 8, max_zigzag=max_zigzag):
+    for seed in range(80):
+        for a, b in sample_zigzag_chain_pairs(np.random.default_rng(seed), 8):
             assert a[0] == b[0] and a[-1] == b[-1]
             for chain in (a, b):
-                assert len(chain) % 2 == 0 and len(chain) <= 2 * max_zigzag + 2
+                assert len(chain) % 2 == 0 and len(chain) <= 6
                 for i, (src, tgt) in enumerate(itertools.pairwise(chain)):
-                    assert cats[i % 2].hom(src, tgt), (max_zigzag, seed, chain, i)
+                    assert cats[i % 2].hom(src, tgt), (seed, chain, i)

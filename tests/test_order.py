@@ -74,7 +74,7 @@ def test_build_chain_closure():
 def test_build_single_point():
     one = build_explicit(["a"], [])
     assert one.leq("a", "a")
-    assert one.minimal_elements() == ("a",) == one.maximal_elements()
+    assert one.immediate_predecessors("a") == () == one.immediate_successors("a")
 
 
 def test_build_cycle_rejected():
