@@ -63,10 +63,12 @@ from .field_theory import (
 )
 from .order import (
     DiamondLattice,
+    Window,
     iterated_neighbourhood,
     lattice,
     neighbourhood,
     reverse,
+    window_events,
 )
 from .report import Report
 from .slices import SliceCategory
@@ -523,17 +525,14 @@ def scattering_inverse(config: PartitionedCCAConfig) -> np.ndarray:
     invertibility as a backend morphism (unitary / permutation)."""
     u = np.asarray(config.scattering)
     m = u.shape[0]
-    if config.backend == P.QUANTUM:
-        u_inv = config.scattering_inv
-        u_inv = u.conj().T if u_inv is None else np.asarray(u_inv)
-    else:
+    if config.backend == P.CLASSICAL:
         is_perm = np.all(np.isin(np.round(u, 12), (0.0, 1.0))) and np.all(
             np.abs(u.sum(axis=1) - 1) <= P.VALIDITY_TOL
         )
         if not is_perm:
             raise NotInvertible("classical scattering is invertible only for permutations")
-        u_inv = config.scattering_inv
-        u_inv = u.T if u_inv is None else np.asarray(u_inv)
+    # the adjoint: for a real permutation, its transpose
+    u_inv = u.conj().T if config.scattering_inv is None else np.asarray(config.scattering_inv)
     if not (np.max(np.abs(u @ u_inv - np.eye(m))) <= P.VALIDITY_TOL):
         raise NotInvertible("scattering inverse does not invert the scattering")
     return u_inv
@@ -636,12 +635,12 @@ def check_symmetry_action(
                 report.record({"word": word, "slice": s, "law": "slice preservation"})
         for (s, g), (is_hom, is_product) in zip(morphism_samples, decided):
             report.count()
-            if is_hom and not cat.hom(action.act(word, s), action.act(word, g)):
+            gs, gg = action.act(word, s), action.act(word, g)
+            if is_hom and not cat.hom(gs, gg):
                 report.record({"word": word, "pair": (s, g), "law": "ordering preservation"})
-            if is_product:
-                gs, gg = action.act(word, s), action.act(word, g)
-                if not cat.tensor_defined(gs, gg) or action.act(word, frozenset(s) | frozenset(g)) != gs | gg:
-                    report.record({"word": word, "pair": (s, g), "law": "product preservation"})
+            if is_product and (not cat.tensor_defined(gs, gg)
+                               or action.act(word, frozenset(s) | frozenset(g)) != gs | gg):
+                report.record({"word": word, "pair": (s, g), "law": "product preservation"})
     if isinstance(omega, DiamondLattice):
         for name in sorted(action.generators):
             for s, is_member in zip(slice_samples, member):
@@ -707,16 +706,12 @@ def check_invariance(
 # samplers over finite windows (for the law-check suites)
 # ---------------------------------------------------------------------------
 
-def window_leaf_sites(t: int, lo: int, hi: int) -> list:
-    lo = lo + ((lo - t) % 2)
-    return [(x,) for x in range(lo, hi + 1, 2)]
-
-
 def window_slices(d1_t: int, lo: int, hi: int, max_sites: int) -> list:
-    """All d=1 constant-time slices in a site box, as event sets."""
-    sites = window_leaf_sites(d1_t, lo, hi)
-    return [frozenset((d1_t, x) for x in combo)
-            for k in range(max_sites + 1) for combo in itertools.combinations(sites, k)]
+    """All d=1 constant-time slices in a site box, as event sets: the
+    slices of at most ``max_sites`` of the lattice's events at time
+    ``d1_t`` with sites in ``lo..hi``."""
+    events = list(window_events(lattice(1), Window(d1_t, d1_t, (lo,), (hi,))))
+    return [frozenset(combo) for k in range(max_sites + 1) for combo in itertools.combinations(events, k)]
 
 
 def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int) -> list:
@@ -751,7 +746,7 @@ def sample_separated_quads(rng, count: int) -> list:
     both morphisms present (d=1), from time-0 slices of sites -6..6.  Mixes
     same-time restrictions with one-step evolutions, keeping the union
     slices at desk scale."""
-    sites = [x for (x,) in window_leaf_sites(0, -6, 6)]
+    sites = [x for _, (x,) in window_events(lattice(1), Window(0, 0, (-6,), (6,)))]
     anchors = [x for x in sites if x + 2 in sites]
 
     def leaf(t, xs):
@@ -763,26 +758,19 @@ def sample_separated_quads(rng, count: int) -> list:
         if kind == 0:
             # restrictions of a small split union
             u = int(rng.integers(2, 5))
-            picks = sorted(int(x) for x in rng.choice(sites, size=min(u, len(sites)), replace=False))
+            picks = sorted(int(x) for x in rng.choice(sites, size=u, replace=False))
             split = int(rng.integers(1, len(picks)))
             sig, gam = leaf(0, picks[:split]), leaf(0, picks[split:])
             sig_p = frozenset(e for e in sig if rng.random() < 0.7)
             gam_p = frozenset(e for e in gam if rng.random() < 0.7)
         elif kind == 1:
             # one-step evolution on one side, a discard on the other
-            if not anchors:
-                continue
             a = int(rng.choice(anchors))
-            others = [x for x in sites if x < a - 1 or x > a + 3]
-            if not others:
-                continue
-            b = int(rng.choice(others))
+            b = int(rng.choice([x for x in sites if x < a - 1 or x > a + 3]))
             sig, gam = leaf(0, (a, a + 2)), leaf(0, (b,))
             sig_p, gam_p = leaf(1, (a + 1,)), frozenset()
         else:
             # one-step evolutions on both sides
-            if len(anchors) < 2:
-                continue
             a, b = sorted(int(x) for x in rng.choice(anchors, size=2, replace=False))
             if b - a < 4:
                 continue
@@ -820,7 +808,7 @@ def sample_zigzag_chain_pairs(rng, count: int) -> list:
         # net time change = sum(up gaps) - sum(down gaps) must equal `net`
         up_total = net
         down_total = 0
-        extra = int(rng.integers(0, max(1, budget - net + 1)))
+        extra = int(rng.integers(0, budget - net + 1))
         if downs and extra > 0:
             up_total += extra
             down_total += extra
@@ -858,10 +846,15 @@ def sample_zigzag_chain_pairs(rng, count: int) -> list:
 # the law-check suites: one sampling policy
 # ---------------------------------------------------------------------------
 
+# The law-check box: sites -4..6, and at most 3 sites a slice.
+_CHECK_BOX = (-4, 6, 3)
+
+
 @functools.cache
 def _check_window() -> tuple:
-    """Every slice morphism of the law-check window (1,220), built once per process."""
-    return tuple(window_morphisms(0, 3, -4, 6, 3))
+    """Every slice morphism of the law-check window (1,220): the box at
+    times 0..3, built once per process."""
+    return tuple(window_morphisms(0, 3, *_CHECK_BOX))
 
 
 @functools.cache
@@ -903,7 +896,7 @@ def check_suite(target: str, theory: FieldTheory, reversal: FieldTheory | None, 
         return check_reversal(theory, reversal, sample_zigzag_chain_pairs(rng, samples), tol)
     action, cat = translation_action(1), theory.category
     if target == "symmetry":
-        slices = _draw(rng, window_slices(0, -4, 6, 3) + window_slices(1, -4, 6, 3), 16)
+        slices = _draw(rng, window_slices(0, *_CHECK_BOX) + window_slices(1, *_CHECK_BOX), 16)
         morphisms = _draw(rng, _check_window(), samples)
         pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (3, (1,)))]
         words = sample_words(action, rng, 6)

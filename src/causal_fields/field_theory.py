@@ -10,8 +10,9 @@ one accept rule (``dev <= tol``, so a NaN fails).
 
 Slot bookkeeping: each theory exposes ``slots(sigma)``, the list of labels
 of the tensor factors of the object assigned to ``sigma``.  The monoidal
-product of slices is the *merged* canonical object, so the monoidality
-checks wire the compared morphisms through the induced slot permutations.
+product of slices is the *merged* canonical object, so the monoidality and
+no-signalling checks wire the compared morphisms through ``slot_wiring``,
+the permutation from one slot order to the other.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class FieldTheory:
     mor_fn: Callable[[Slice, Slice], P.ProcMorphism]
     slots_fn: Callable[[Slice], list]
     label: str = "field-theory"
-    _mors: dict = field(default_factory=dict, repr=False)
+    _mors: dict = field(default_factory=dict, init=False, repr=False)
 
     def obj(self, sigma: Iterable) -> P.ProcObject:
         return self.obj_fn(frozenset(sigma))
@@ -71,26 +72,11 @@ class FieldTheory:
         return self.mor(sigma, frozenset())
 
 
-def merge_permutations(theory: FieldTheory, sigma: Slice, gamma: Slice):
-    """Wiring between the merged object of a union slice and the
-    concatenated tensor object.
-
-    Returns (p_split, p_merge): p_split maps the merged object to the
-    concatenation slots(sigma) + slots(gamma); p_merge is its inverse.
-    """
-    union = sigma | gamma
-    merged, concat = theory.slots(union), theory.slots(sigma) + theory.slots(gamma)
-    return _merge_wiring(theory.obj(union), merged, concat)
-
-
-def _merge_wiring(obj_merged: P.ProcObject, merged: list, concat: list):
-    """``merge_permutations`` from the merged object and the slot lists the
-    caller has already asked for: ``merged`` of the union slice and
-    ``concat``, the two parts' slots laid end to end."""
-    split = tuple(merged.index(s) for s in concat)
-    p_split = P.permute_factors(obj_merged, split)
-    unsplit = tuple(concat.index(s) for s in merged)
-    return p_split, P.permute_factors(p_split.cod, unsplit)
+def slot_wiring(obj: P.ProcObject, have: list, want: list) -> P.ProcMorphism:
+    """The permutation that takes the factors of ``obj``, labelled ``have``,
+    to the order ``want``: the canonical isomorphism between the merged
+    object of a union slice and the tensor of its parts, either way round."""
+    return P.permute_factors(obj, tuple(have.index(s) for s in want))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +126,9 @@ def check_monoidality(
         g = theory.mor(gamma, gamma_p)
         union, union_p = sigma | gamma, sigma_p | gamma_p
         merged, concat = theory.slots(union), theory.slots(sigma) + theory.slots(gamma)
-        p_split, _ = _merge_wiring(theory.obj(union), merged, concat)
-        _, p_merge_out = merge_permutations(theory, sigma_p, gamma_p)
+        p_split = slot_wiring(theory.obj(union), merged, concat)
+        p_merge_out = slot_wiring(P.tensor_obj(f.cod, g.cod),
+                                  theory.slots(sigma_p) + theory.slots(gamma_p), theory.slots(union_p))
         wired = P.compose_all(p_split, P.tensor_mor(f, g), p_merge_out)
         union_mor = theory.mor(union, union_p)
         obj_ok = sorted(merged) == sorted(concat) and p_split.cod == P.tensor_obj(
@@ -170,12 +157,13 @@ def check_environment(
         report.compare({"pair": pair, "law": "discard after evolution"}, dev, tol)
     for pair in products:
         sigma, gamma = (frozenset(s) for s in pair)
-        p_split, _ = merge_permutations(theory, sigma, gamma)
+        union = sigma | gamma
+        p_split = slot_wiring(theory.obj(union), theory.slots(union), theory.slots(sigma) + theory.slots(gamma))
         tensored = P.compose(
             P.tensor_mor(theory.discard_effect(sigma), theory.discard_effect(gamma)),
             p_split,
         )
-        dev = deviation(tensored, theory.discard_effect(sigma | gamma), tol)
+        dev = deviation(tensored, theory.discard_effect(union), tol)
         report.compare({"pair": pair, "law": "discard of product"}, dev, tol)
     return report
 
@@ -270,7 +258,7 @@ def restrict_states(
     """The presheaf restriction map: component-wise reindexing of a stable
     family along an inclusion of regions."""
     order = theory.category.order
-    if not CategoryRegion(family.region.generators).includes(sub_region, order):
+    if not family.region.includes(sub_region, order):
         raise NotInCategory("sub region is not included in the family's region")
     keep = set(region_slices(theory, sub_region))
     states = {s: family.states[s] for s in family.states if s in keep}

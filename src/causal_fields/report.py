@@ -38,8 +38,8 @@ def _jsonify(value: Any):
 @dataclass
 class Report:
     law: str
-    samples: int = 0
-    violations: list = field(default_factory=list)
+    samples: int = field(default=0, init=False)
+    violations: list = field(default_factory=list, init=False)
 
     @property
     def ok(self) -> bool:
@@ -57,9 +57,6 @@ class Report:
         self.count()
         if not (dev <= tol):
             self.record(witness, dev)
-
-    def worst(self) -> float:
-        return max((v["deviation"] for v in self.violations), default=0.0)
 
     def to_json(self) -> dict:
         return {

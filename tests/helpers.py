@@ -427,3 +427,22 @@ def reference_lattice_morphism(config, sigma, gamma, direction: int, cell):
             route = {(cca._sub(x, dlt), dlt): (x, dlt) for x in tgt for dlt in dirs}
             kernels.append(_reference_kernel(config, src, cell, cells, route))
     return P.compose_all(*kernels)
+
+
+# -- planted defects: mutants of a lattice theory for detection tests ---------
+
+def position_dependent(theory, site, u):
+    """``theory`` with the matrix of every kernel whose slices touch
+    ``site`` replaced by ``u``: a theory that is not translation invariant."""
+    from causal_fields import process as P
+    from causal_fields.field_theory import FieldTheory
+
+    def mor_fn(sigma, gamma):
+        f = theory.mor(sigma, gamma)
+        if all(x != site for _, x in sigma | gamma):
+            return f
+        ops = [(kind, u if kind == "matrix" else m, wires) for kind, m, wires in f.ops]
+        return P.ProcMorphism(f.dom, f.cod, ops, f.gone, f.out)
+
+    return FieldTheory(theory.category, theory.obj_fn, mor_fn, theory.slots_fn,
+                       label="position-dependent")

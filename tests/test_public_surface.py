@@ -129,25 +129,14 @@ def test_readme_library_quick_start_runs():
     assert namespace["out"].obj == namespace["theory"].obj(namespace["gamma"])
 
 
-def _identifiers(tree: ast.AST) -> set:
-    """Every name a piece of code mentions: names, attributes and imports."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
-    return out
+def _imports(tree: ast.AST) -> set:
+    """The names a piece of code imports."""
+    return {node.name.rpartition(".")[2] for node in ast.walk(tree) if isinstance(node, ast.alias)}
 
 
-def _outside_mentions(tree: ast.AST) -> set:
-    """The names by which code outside the library can reach it: attributes
-    and imports.  A bare name there is bound by that code itself, or by an
-    import already counted."""
-    return {node.attr if isinstance(node, ast.Attribute) else node.name.rpartition(".")[2]
-            for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.alias))}
+def _attributes(tree: ast.AST) -> set:
+    """The names a piece of code reads as attributes."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def _is_dunder(name: str) -> bool:
@@ -163,9 +152,9 @@ def _library() -> list:
 def _definitions() -> dict:
     """Every top-level function and class of the library, and every
     non-dunder method and property of its classes, by name: a list of
-    ``(finding, node)``, where ``finding`` reads ``file:line name``.  A
-    class's node leaves out those methods, which are definitions of their
-    own; its dunder methods stay with it."""
+    ``(finding, node, is_method)``, where ``finding`` reads ``file:line
+    name``.  A class's node leaves out those methods, which are definitions
+    of their own; its dunder methods stay with it."""
     out: dict = {}
     for path, tree in _library():
         for node in tree.body:
@@ -173,12 +162,12 @@ def _definitions() -> dict:
                 methods = [m for m in node.body
                            if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name)]
                 for m in methods:
-                    out.setdefault(m.name, []).append((f"{path}:{m.lineno} {node.name}.{m.name}", m))
+                    out.setdefault(m.name, []).append((f"{path}:{m.lineno} {node.name}.{m.name}", m, True))
                 shell = copy.copy(node)
                 shell.body = [n for n in node.body if n not in methods]
-                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", shell))
+                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", shell, False))
             elif isinstance(node, ast.FunctionDef):
-                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", node))
+                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", node, False))
     return out
 
 
@@ -193,17 +182,26 @@ def _product_code() -> list:
     return trees
 
 
-def _reached(definitions: dict, roots: set) -> set:
-    """The names reached from ``roots``, by name: a reached definition
-    reaches every definition of a name its body mentions."""
-    seen, todo = set(), list(roots)
+def _reached(definitions: dict, names: set, attributes: set) -> set:
+    """The findings of the definitions reached from the bare ``names`` and
+    the ``attributes``.  A bare name (imports included) reaches the
+    top-level definitions of that name, and an attribute every definition
+    of it, methods and properties included; a reached definition reaches
+    what its body mentions, the same way."""
+    reached, seen = set(), set()
+    todo = [(n, False) for n in names] + [(a, True) for a in attributes]
     while todo:
-        name = todo.pop()
-        if name not in seen:
-            seen.add(name)
-            for _, node in definitions.get(name, ()):
-                todo.extend(_identifiers(node) - seen)
-    return seen
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        name, by_attribute = key
+        for finding, node, is_method in definitions.get(name, ()):
+            if by_attribute or not is_method:
+                reached.add(finding)
+                bare = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | _imports(node)
+                todo += [(n, False) for n in bare] + [(a, True) for a in _attributes(node)]
+    return reached
 
 
 def test_every_library_definition_is_reached():
@@ -211,68 +209,106 @@ def test_every_library_definition_is_reached():
     # and property of its classes, is reached from a CLI op or check suite,
     # the acceptance tests, the README quick start, the benchmark's code and
     # boundaries or the public names, or is kept for a stated reason
+    # (a method only through an attribute: a local variable of its name is
+    # no call of it)
     definitions = _definitions()
-    roots = {"main", "check_suite"} | set(causal_fields.__all__)
+    names, attributes = {"main", "check_suite"} | set(causal_fields.__all__), set()
     for tree in _product_code():
-        roots |= _outside_mentions(tree)
+        names |= _imports(tree)
+        attributes |= _attributes(tree)
     for _, owner, attr, _ in _tracer_boundaries():
-        roots |= {attr, owner.partition(":")[2]}
+        names.add(owner.partition(":")[2])
+        attributes.add(attr)
     missing = set(KEPT) - set(definitions)
     assert not missing, f"kept names that are not definitions: {sorted(missing)}"
-    reached = sorted(f for name in set(KEPT) & _reached(definitions, roots) for f, _ in definitions[name])
+    kept = {f for name in KEPT for f, _, _ in definitions[name]}
+    reached = sorted(kept & _reached(definitions, names, attributes))
     assert not reached, "kept definitions reached anyway:\n" + "\n".join(reached)
-    unreached = set(definitions) - _reached(definitions, roots | set(KEPT))
-    found = sorted(f for name in unreached for f, _ in definitions[name])
+    everything = {f for entries in definitions.values() for f, _, _ in entries}
+    found = sorted(everything - _reached(definitions, names | set(KEPT), attributes))
     assert not found, "dead library code:\n" + "\n".join(found)
 
 
-def _defaulted(fn: ast.FunctionDef) -> list:
-    """``(place, name, default)`` of each parameter of ``fn`` that has a
-    default; ``place`` is its positional index, None if keyword-only."""
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list:
+    """``(place, name, default, line)`` of each parameter of ``fn`` that has
+    a default; ``place`` is its index among a call's positional arguments,
+    which leave out the first ``skip`` parameters (``self``), and None if it
+    is keyword-only."""
     a = fn.args
     positional = a.posonlyargs + a.args
     first = len(positional) - len(a.defaults)
-    out = [(first + i, p.arg, d) for i, (p, d) in enumerate(zip(positional[first:], a.defaults))]
-    return out + [(None, p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    out = [(first + i - skip, p.arg, d, fn.lineno)
+           for i, (p, d) in enumerate(zip(positional[first:], a.defaults))]
+    return out + [(None, p.arg, d, fn.lineno) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
+def _init_fields(node: ast.ClassDef) -> list:
+    """``_defaulted`` for the ``__init__`` that ``@dataclass`` writes: each
+    field with a default, at its place among the fields that
+    ``field(init=False)`` does not leave out.  A ``default_factory`` default
+    is the ``field(...)`` call itself, which no argument equals."""
+    out, place = [], 0
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        default = stmt.value
+        if isinstance(default, ast.Call) and isinstance(default.func, ast.Name) and default.func.id == "field":
+            kw = {k.arg: k.value for k in default.keywords}
+            if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                continue
+            default = kw.get("default", default if "default_factory" in kw else None)
+        if default is not None:
+            out.append((place, stmt.target.id, default, stmt.lineno))
+        place += 1
+    return out
 
 
 def _callables() -> list:
-    """``(path, owner, fn, called_as, skip)`` for every top-level function
-    and every method of the library: the name a call uses (a class's name
-    for its ``__init__``) and the number of leading parameters a call does
-    not pass (``self``)."""
+    """``(path, owner, name, called_as, defaulted)`` for every top-level
+    function and every method of the library, and the ``__init__`` that
+    ``@dataclass`` writes for a class that defines none: the name a call
+    uses (a class's name for its ``__init__``) and ``_defaulted``."""
     out = []
     for path, tree in _library():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                out.append((path, None, node, node.name, 0))
+                out.append((path, None, node.name, node.name, _defaulted(node, 0)))
             elif isinstance(node, ast.ClassDef):
-                for m in node.body:
-                    if isinstance(m, ast.FunctionDef):
-                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                                     for d in m.decorator_list)
-                        called_as = node.name if m.name == "__init__" else m.name
-                        out.append((path, node.name, m, called_as, 0 if static else 1))
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                for m in methods:
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in m.decorator_list)
+                    called_as = node.name if m.name == "__init__" else m.name
+                    out.append((path, node.name, m.name, called_as, _defaulted(m, 0 if static else 1)))
+                if _is_dataclass(node) and "__init__" not in {m.name for m in methods}:
+                    out.append((path, node.name, "__init__", node.name, _init_fields(node)))
     return out
 
 
-def _sets(call: ast.Call, place, name: str, default: ast.expr, skip: int) -> bool:
+def _sets(call: ast.Call, place, name: str, default: ast.expr) -> bool:
     """Whether ``call`` gives the parameter a value other than its default;
     a ``*args`` or ``**kwargs`` argument counts as giving every one."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
         return True
     given = [k.value for k in call.keywords if k.arg == name]
-    if place is not None and 0 <= place - skip < len(call.args):
-        given.append(call.args[place - skip])
+    if place is not None and 0 <= place < len(call.args):
+        given.append(call.args[place])
     return any(ast.dump(v) != ast.dump(default) for v in given)
 
 
 def _product_calls() -> dict:
     """Every call in the library and in the product code outside it, by the
-    name it calls; outside the library a bare name counts only if imported."""
+    name it calls.  Outside the library a bare name counts only if imported
+    or read as an attribute: otherwise that code bound it itself."""
     calls: dict = {}
     trees = [(tree, None) for _, tree in _library()]
-    trees += [(tree, _outside_mentions(tree)) for tree in _product_code()]
+    trees += [(tree, _imports(tree) | _attributes(tree)) for tree in _product_code()]
     for tree, imported in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -285,20 +321,21 @@ def _product_calls() -> dict:
 
 
 def test_every_optional_parameter_is_set():
-    # every parameter with a default, of a library function or method, is
-    # given another value by some product call (the library, the acceptance
-    # tests, the README quick start or the benchmark's code), or is kept for
-    # a stated reason: a setting nothing sets is a knob nothing needs
+    # every parameter with a default, of a library function or method, and
+    # every defaulted field of a dataclass's written ``__init__``, is given
+    # another value by some product call (the library, the acceptance tests,
+    # the README quick start or the benchmark's code), or is kept for a
+    # stated reason: a setting nothing sets is a knob nothing needs
     calls = _product_calls()
     findings, unset = {}, set()
-    for path, owner, fn, called_as, skip in _callables():
-        if fn.name in KEPT or owner in KEPT:
+    for path, owner, fn, called_as, defaulted in _callables():
+        if fn in KEPT or owner in KEPT:
             continue
-        qualified = f"{owner}.{fn.name}" if owner else fn.name
-        for place, name, default in _defaulted(fn):
+        qualified = f"{owner}.{fn}" if owner else fn
+        for place, name, default, line in defaulted:
             key = f"{qualified}({name})"
-            findings[key] = f"{path}:{fn.lineno} {key}"
-            if not any(_sets(c, place, name, default, skip) for c in calls.get(called_as, ())):
+            findings[key] = f"{path}:{line} {key}"
+            if not any(_sets(c, place, name, default) for c in calls.get(called_as, ())):
                 unset.add(key)
     missing = set(KEPT_PARAMETERS) - set(findings)
     assert not missing, f"kept parameters that are not optional parameters: {sorted(missing)}"
