@@ -466,7 +466,7 @@ def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: in
     ]
 
 
-def _lattice_theory(config: PartitionedCCAConfig, direction: int, step, label: str) -> FieldTheory:
+def _lattice_theory(config: PartitionedCCAConfig, direction: int, step) -> FieldTheory:
     """A field theory on the constant-time foliation (reversed when
     ``direction`` is -1): slice objects and slots of the automaton, and
     morphisms as the factorisation's restriction followed by one
@@ -509,7 +509,6 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step, label: s
         obj_fn=lambda sigma: slice_object(config, sites_of(sigma)),
         mor_fn=mor_fn,
         slots_fn=lambda sigma: slice_slots(config, sites_of(sigma)),
-        label=label,
     )
 
 
@@ -517,7 +516,7 @@ def build_cca(config: PartitionedCCAConfig) -> FieldTheory:
     """The partitioned automaton as a field theory on the constant-time
     foliation category of the diamond lattice; its steps are those of
     ``one_step_kernel``, so every step holds ``config.cell``."""
-    return _lattice_theory(config, 1, lambda src, tgt: _forward_step(config, src, tgt), "partitioned-cca")
+    return _lattice_theory(config, 1, lambda src, tgt: _forward_step(config, src, tgt))
 
 
 def scattering_inverse(config: PartitionedCCAConfig) -> np.ndarray:
@@ -546,7 +545,7 @@ def reversal_theory(config: PartitionedCCAConfig, v_inv: np.ndarray) -> FieldThe
     ``reverse_one_step_kernel`` on that checked array, which every step
     then holds."""
     cell = _cell_matrix(config, v_inv)
-    return _lattice_theory(config, -1, lambda src, tgt: _reverse_step(config, cell, tgt), "partitioned-cca-reversal")
+    return _lattice_theory(config, -1, lambda src, tgt: _reverse_step(config, cell, tgt))
 
 
 def build_reversal(config: PartitionedCCAConfig) -> FieldTheory:
@@ -566,7 +565,6 @@ def build_reversal(config: PartitionedCCAConfig) -> FieldTheory:
 class SymmetryAction:
     """A group action given by generators (and their inverses) on events."""
 
-    label: str
     generators: dict
     inverses: dict
 
@@ -586,7 +584,7 @@ def translation_action(d: int) -> SymmetryAction:
         name = "tau_" + "".join("p" if s > 0 else "m" for s in dlt)
         gens[name] = (lambda dd: lambda e: (e[0] + 1, _sub(e[1], dd)))(dlt)
         invs[name] = (lambda dd: lambda e: (e[0] - 1, _add(e[1], dd)))(dlt)
-    return SymmetryAction("lattice-translations", gens, invs)
+    return SymmetryAction(gens, invs)
 
 
 def sample_words(action: SymmetryAction, rng, count: int) -> list:

@@ -512,10 +512,7 @@ def _cmd_run(args) -> int:
 def _initial_density(args, config, obj) -> P.FactorPair:
     """The initial state of a density run.  The default start is one
     excitation in the first factor of site 0, a ket (quantum).  A dense
-    ``--initial`` must be a state to within VALIDITY_TOL: Hermitian, trace 1
-    and no diagonal entry below -tol (quantum), or no entry below -tol and
-    sum 1 (classical)."""
-    tol = P.VALIDITY_TOL
+    ``--initial`` must pass ``process.is_state``."""
     if args.initial:
         m = P.matrix_from_json(_load_json(args.initial))
         if config.backend == P.CLASSICAL:
@@ -523,14 +520,10 @@ def _initial_density(args, config, obj) -> P.FactorPair:
                 raise BadParams("a classical initial state has a nonzero imaginary part")
             rho = P.state(obj, m.real.reshape(-1))
             rule = "entries >= -1e-10 summing to 1"
-            ok = -np.min(rho.data) <= tol and abs(rho.norm - 1.0) <= tol
         else:
             rho = P.state(obj, m)
             rule = "rho = rho^dag, trace 1 and a diagonal >= -1e-10"
-            ok = (np.max(np.abs(rho.data - rho.data.conj().T)) <= tol
-                  and abs(np.trace(rho.data) - 1.0) <= tol
-                  and -np.min(np.real(np.diagonal(rho.data))) <= tol)
-        if not ok:
+        if not P.is_state(rho):
             raise BadParams(f"a {config.backend} initial state needs {rule}, within 1e-10")
         return P.FactorPair.from_state(rho)
     start = np.zeros(obj.dim)

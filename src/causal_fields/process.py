@@ -11,15 +11,15 @@ when it is built: its matrix and Kraus steps on domain wires (``ops``),
 the domain wires it discards in discard order (``gone``), and the domain
 wire at each codomain position (``out``).  Every interpreter reads that
 form, and every builder, composites included, writes one directly.
-``apply`` contracts each op onto the axes its wires hold in the working
-state and traces each discarded wire right after the last op on it, so
-the state holds no wire longer than that.  The one-sided evaluator
-``_evolve`` runs the form on a batch of columns with a leading branch
-axis: a Kraus step branches the batch, and the discarded wires join the
-branch axis (quantum) or are summed out (classical).  Compiling runs it
-on the identity, giving the Kraus / matrix form of the program; a
-``FactorPair`` runs it on both factors of rho = sum_b A_b B_b^dag and so
-steps a state without forming rho, from a ket in one batch of width 1.  Two programs with one resolved form
+The one-sided evaluator ``_evolve`` runs the form on a batch of columns
+with a leading branch axis: a Kraus step branches the batch, and the
+discarded wires join the branch axis (quantum) or are summed out
+(classical).  Compiling runs it on the identity, giving the Kraus /
+matrix form of the program; a ``FactorPair`` runs it on both factors of
+rho = sum_b A_b B_b^dag, from a ket in one batch of width 1, and
+``apply`` runs it on a probability vector.  On a density operator
+``apply`` contracts each op from both sides and traces each discarded
+wire right after the last op on it.  Two programs with one resolved form
 (``program_form``, the library's one test of structural identity) and
 finite matrices are one morphism, so their deviation is exactly 0 and
 neither is compiled.  Otherwise equality checking splits the pair into
@@ -101,8 +101,10 @@ def tensor_obj(a: ProcObject, b: ProcObject) -> ProcObject:
 
 @dataclass(frozen=True, eq=False)
 class ProcState:
-    """A state on a ProcObject: density operator or probability vector.
-    Equality is identity; ``states_equal`` compares values."""
+    """Data on a ProcObject of the shape of a density operator or a
+    probability vector, with finite entries; ``is_state`` tells whether it
+    is a state.  Equality is identity; ``state_deviation`` compares
+    values."""
 
     obj: ProcObject
     data: np.ndarray
@@ -130,6 +132,26 @@ def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
 
 def state(obj: ProcObject, data) -> ProcState:
     return ProcState(obj, np.asarray(data, dtype=complex if obj.backend == QUANTUM else float))
+
+
+def is_state(rho: ProcState) -> bool:
+    """Whether ``rho`` is a state within VALIDITY_TOL: Hermitian, trace 1
+    and no diagonal entry below -tol (quantum), or no entry below -tol and
+    summing to 1 (classical).  An overflow reads inf and is refused."""
+    x, tol = rho.data, VALIDITY_TOL
+    with np.errstate(over="ignore"):
+        if rho.obj.backend == CLASSICAL:
+            return bool(-np.min(x) <= tol and abs(np.sum(x) - 1.0) <= tol)
+        return bool(np.max(np.abs(x - x.conj().T)) <= tol and abs(np.trace(x) - 1.0) <= tol
+                    and -np.min(np.real(np.diagonal(x))) <= tol)
+
+
+def state_deviation(a: ProcState, b: ProcState) -> float:
+    """Max entry of |a - b| for two states on one object, passed through
+    unchanged: an overflow reads inf, so it never passes a tolerance."""
+    if a.obj != b.obj:
+        raise ShapeMismatch(f"states on {a.obj} and {b.obj}")
+    return float(np.max(np.abs(a.data - b.data)))
 
 
 def basis_state(obj: ProcObject, index: int) -> ProcState:
@@ -319,8 +341,8 @@ def _evolve(f: ProcMorphism, t: np.ndarray) -> np.ndarray:
     each op is contracted onto the axes of its domain wires; a Kraus step
     branches the batch, Kraus operator outer, existing branch inner.  The
     discarded wires then join the branch axis in discard order (quantum) or
-    are summed out (classical), and the kept wires are read in ``out``
-    order."""
+    are summed out one at a time, last discarded first (classical), and the
+    kept wires are read in ``out`` order."""
     n, width = len(f.dom.factors), t.shape[-1]
     quantum = f.backend == QUANTUM
     dtype = complex if quantum else float
@@ -334,49 +356,48 @@ def _evolve(f: ProcMorphism, t: np.ndarray) -> np.ndarray:
     if quantum:
         t = t.transpose((0,) + tuple(1 + w for w in f.gone + f.out) + (n + 1,))
         return np.ascontiguousarray(t.reshape(-1, f.cod.dim, width))
-    t = t[0].transpose(f.out + f.gone + (n,))
-    return t.reshape(f.cod.dim, -1, width).sum(axis=1)[None]
+    gone = tuple(f.dom.factors[w] for w in f.gone)
+    t = t[0].transpose(f.out + f.gone + (n,)).reshape((f.cod.dim,) + gone + (width,))
+    for _ in gone:
+        t = t.sum(axis=-2)
+    return t[None]
 
 
 def apply(f: ProcMorphism, rho: ProcState) -> ProcState:
-    """Evaluate the kernel program on a state, op by op on the axes of the
-    live wires.  Each discarded wire is traced out (summed, classically)
-    right after the last op on it; wires freed at the same point go last
-    discarded first, so ``discard`` sums its highest factor first."""
+    """Evaluate the kernel program on a state: a probability vector as a
+    ``FactorPair`` steps it, a density operator from both sides, op by op
+    on the axes of the live wires, tracing out each discarded wire right
+    after the last op on it (wires freed together, last discarded first)."""
     if rho.obj != f.dom:
         raise ShapeMismatch(f"state on {rho.obj}, morphism from {f.dom}")
+    if f.backend == CLASSICAL:
+        return FactorPair.from_state(rho).step(f).state()
     dims = f.dom.factors
-    quantum = f.backend == QUANTUM
     last = {w: i for i, (_, _, wires) in enumerate(f.ops) for w in wires}
     drops: dict[int, list] = {}
     for w in f.gone:
         drops.setdefault(last.get(w, -1), []).append(w)
     live = list(range(len(dims)))  # the domain wire on each axis
-    t = rho.data.reshape(dims * 2 if quantum else dims)
+    t = rho.data.reshape(dims * 2)
 
     def trace(after: int):
         nonlocal t
         for w in reversed(drops.get(after, ())):
             i = live.index(w)
-            t = np.trace(t, axis1=i, axis2=i + len(live)) if quantum else np.sum(t, axis=i)
+            t = np.trace(t, axis1=i, axis2=i + len(live))
             del live[i]
 
     trace(-1)
     for i, (kind, m, wires) in enumerate(f.ops):
         axes = [live.index(w) for w in wires]
         conj_axes = [a + len(live) for a in axes]
-        if kind == "matrix":
-            t = _apply_on_axes(t, m, axes)
-            if quantum:
-                t = _apply_on_axes(t, m.conj(), conj_axes)
-        else:
-            terms = [_apply_on_axes(_apply_on_axes(t, k, axes), k.conj(), conj_axes) for k in m]
-            t = sum(terms[1:], terms[0])
+        terms = [_apply_on_axes(_apply_on_axes(t, k, axes), k.conj(), conj_axes)
+                 for k in ((m,) if kind == "matrix" else m)]
+        t = sum(terms[1:], terms[0])
         trace(i)
     perm = [live.index(w) for w in f.out]
-    t = t.transpose(perm + [p + len(live) for p in perm] if quantum else perm)
     d = f.cod.dim
-    return ProcState(f.cod, t.reshape((d, d) if quantum else (d,)))
+    return ProcState(f.cod, t.transpose(perm + [p + len(live) for p in perm]).reshape(d, d))
 
 
 class FactorPair:
@@ -645,16 +666,6 @@ def deviation_memo():
         return values[key]
 
     return memoised
-
-
-def is_normalised_state(rho: ProcState) -> bool:
-    return abs(rho.norm - 1.0) <= VALIDITY_TOL
-
-
-def states_equal(a: ProcState, b: ProcState, tol: float = VALIDITY_TOL) -> bool:
-    if a.obj != b.obj:
-        return False
-    return float(np.max(np.abs(a.data - b.data))) <= tol
 
 
 # ---------------------------------------------------------------------------

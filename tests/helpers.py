@@ -444,5 +444,25 @@ def position_dependent(theory, site, u):
         ops = [(kind, u if kind == "matrix" else m, wires) for kind, m, wires in f.ops]
         return P.ProcMorphism(f.dom, f.cod, ops, f.gone, f.out)
 
-    return FieldTheory(theory.category, theory.obj_fn, mor_fn, theory.slots_fn,
-                       label="position-dependent")
+    return FieldTheory(theory.category, theory.obj_fn, mor_fn, theory.slots_fn)
+
+
+# -- data of a state's shape that is not a state ------------------------------
+
+def not_states(d: int) -> dict:
+    """By backend, named data of dimension ``d`` that ``process.is_state``
+    refuses: each breaks one rule (Hermitian, trace 1, no diagonal entry
+    below -1e-10; no entry below -1e-10, sum 1) by far more than 1e-10."""
+    from causal_fields import process as P
+
+    eye = np.eye(d)
+    skew = eye / d
+    skew[0, 1] = 0.1  # upper triangular: not Hermitian
+    negative_diagonal = np.diag([1.5, -0.5] + [0.0] * (d - 2))
+    p_negative = np.full(d, 1.0 / (d - 2))
+    p_negative[:2] = [-0.5, 0.5]
+    return {
+        P.QUANTUM: {"triangular": skew, "minus_identity": -eye / d, "twice_identity": 2 * eye / d,
+                    "negative_diagonal": negative_diagonal},
+        P.CLASSICAL: {"negative_entry": p_negative, "sum_two": np.full(d, 2.0 / d)},
+    }

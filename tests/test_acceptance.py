@@ -34,7 +34,7 @@ from causal_fields.field_theory import (
     check_environment,
     check_monoidality,
     check_reversal,
-    is_stable_family,
+    check_stable_family,
     push_forward_family,
     restrict_states,
 )
@@ -306,24 +306,24 @@ def test_acceptance_8_presheaf_of_states():
         sigma = spec_tower[0]
         rho = P.state(theory.obj(sigma), random_density(rng, theory.obj(sigma).dim))
         fam = push_forward_family(theory, big, sigma, rho)
-        if not is_stable_family(theory, fam, tol=TOL):
+        if not check_stable_family(theory, fam, tol=TOL).ok:
             failures.append("push-forward family not stable")
         # identity law
         same = restrict_states(theory, big, fam)
         if set(same.states) != set(fam.states) or any(
-            not P.states_equal(same.states[s], fam.states[s], 0.0) for s in fam.states
+            P.state_deviation(same.states[s], fam.states[s]) != 0.0 for s in fam.states
         ):
             failures.append("identity restriction changed the family")
         # composition law, all depth-3 chains big >= mid >= small
         direct = restrict_states(theory, small, fam)
         via = restrict_states(theory, small, restrict_states(theory, mid, fam))
         if set(direct.states) != set(via.states) or any(
-            not P.states_equal(direct.states[s], via.states[s], 0.0)
+            P.state_deviation(direct.states[s], via.states[s]) != 0.0
             for s in direct.states
         ):
             failures.append("restriction composition law failed")
         for region in (mid, small):
-            if not is_stable_family(theory, restrict_states(theory, region, fam), tol=TOL):
+            if not check_stable_family(theory, restrict_states(theory, region, fam), tol=TOL).ok:
                 failures.append("restricted family not stable")
     _line(8, not failures, f"presheaf identity/composition laws on {len(towers)} "
                            f"depth-3 region chains: {len(failures)} failures")

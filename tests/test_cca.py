@@ -568,7 +568,6 @@ def test_reflection_on_asymmetric_order_fails():
     omega = build_explicit(["a", "b", "c"], [("a", "b")])
     swap = {"a": "c", "b": "b", "c": "a"}
     action = SymmetryAction(
-        "swap-ac",
         {"s": lambda e: swap[e]},
         {"s": lambda e: swap[e]},
     )

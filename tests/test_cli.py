@@ -34,6 +34,7 @@ from helpers import (
     causal_paths_oracle,
     future_domain_oracle,
     maximal_chains,
+    not_states,
     order_json_oracle,
     random_unitary,
     reachable_oracle,
@@ -968,21 +969,7 @@ def test_run_density_default_start_matches_single_particle(dirac_file, tmp_path,
         assert np.max(np.abs(np.array(r["marginals"]) - s["marginals"])) <= 1e-10
 
 
-def _not_states(d: int) -> dict:
-    eye = np.eye(d)
-    skew = eye / d
-    skew[0, 1] = 0.1  # upper triangular: not Hermitian
-    negative_diagonal = np.diag([1.5, -0.5] + [0.0] * (d - 2))
-    p_negative = np.full(d, 1.0 / (d - 2))
-    p_negative[:2] = [-0.5, 0.5]
-    return {
-        P.QUANTUM: {"triangular": skew, "minus_identity": -eye / d, "twice_identity": 2 * eye / d,
-                    "negative_diagonal": negative_diagonal},
-        P.CLASSICAL: {"negative_entry": p_negative, "sum_two": np.full(d, 2.0 / d)},
-    }
-
-
-NOT_STATES = _not_states(16)  # dimension 16: a ring of 2 sites
+NOT_STATES = not_states(16)  # dimension 16: a ring of 2 sites
 
 
 @pytest.mark.parametrize("backend,name", [(b, n) for b, cases in NOT_STATES.items() for n in cases])

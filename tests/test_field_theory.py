@@ -22,9 +22,9 @@ from causal_fields.field_theory import (
     check_functoriality,
     check_monoidality,
     check_reversal,
+    check_stable_family,
     composable_triples,
     global_state_from_cauchy,
-    is_stable_family,
     push_forward_family,
     region_slices,
     restrict_states,
@@ -32,7 +32,7 @@ from causal_fields.field_theory import (
 )
 from causal_fields.order import region_between
 
-from helpers import position_dependent, random_density, random_unitary
+from helpers import not_states, position_dependent, random_density, random_unitary
 
 RNG = np.random.default_rng(77)
 TOL = P.VALIDITY_TOL
@@ -169,8 +169,7 @@ def test_environment_with_a_lossy_dead_step_still_fails(generic_theory, monkeypa
             return f
         return P.ProcMorphism(f.dom, f.cod, (("matrix", lossy, (0,)),) + f.ops, f.gone, f.out)
 
-    theory = FieldTheory(generic_theory.category, generic_theory.obj_fn, mor_fn,
-                         generic_theory.slots_fn, label="lossy")
+    theory = FieldTheory(generic_theory.category, generic_theory.obj_fn, mor_fn, generic_theory.slots_fn)
     pairs = [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2, 4), sl(1, 1, 3)), (sl(0, 0, 2), sl(0, 0))]
     products = [(sl(0, 0), sl(0, 2))]
     rep = check_environment(theory, pairs, products)
@@ -221,7 +220,8 @@ def test_push_forward_family_is_stable(theory):
     sigma = sl(0, 0, 2, 4)
     rho = P.state(theory.obj(sigma), random_density(RNG, theory.obj(sigma).dim))
     fam = push_forward_family(theory, big, sigma, rho)
-    assert is_stable_family(theory, fam)
+    rep = check_stable_family(theory, fam)
+    assert rep.ok and rep.samples > len(fam.states)
 
 
 def test_perturbed_family_not_stable(theory):
@@ -232,7 +232,26 @@ def test_perturbed_family_not_stable(theory):
     victim = sl(1, 1)
     d = theory.obj(victim).dim
     fam.states[victim] = P.state(theory.obj(victim), np.eye(d, dtype=complex) / d)
-    assert not is_stable_family(theory, fam)
+    rep = check_stable_family(theory, fam)
+    # every violation is an ordering onto the victim, and each is listed
+    pairs = [v["witness"]["pair"] for v in rep.violations]
+    assert pairs and all(gamma == victim != delta for delta, gamma in pairs)
+    assert len(pairs) == sum(theory.category.hom(s, victim) for s in fam.states if s != victim)
+
+
+def test_family_state_on_a_wrong_object_is_a_violation(theory):
+    # a held state on another object than the theory's is recorded with a
+    # NaN deviation in each comparison it takes part in, not raised
+    big, _, _ = region_tower()
+    sigma = sl(0, 0, 2, 4)
+    rho = P.state(theory.obj(sigma), random_density(RNG, theory.obj(sigma).dim))
+    fam = push_forward_family(theory, big, sigma, rho)
+    victim = sl(1, 1)
+    fam.states[victim] = P.basis_state(theory.obj(sl(0, 0, 2)), 0)
+    rep = check_stable_family(theory, fam)
+    assert rep.violations and all(np.isnan(v["deviation"]) for v in rep.violations)
+    assert all(victim in v["witness"]["pair"] for v in rep.violations)
+    assert (victim, victim) in [v["witness"]["pair"] for v in rep.violations]
 
 
 def test_empty_region_vacuously_stable(theory):
@@ -240,7 +259,7 @@ def test_empty_region_vacuously_stable(theory):
     fam = push_forward_family(
         theory, empty_region, frozenset(), P.state(P.unit(P.QUANTUM), [[1.0]])
     )
-    assert is_stable_family(theory, fam)
+    assert check_stable_family(theory, fam).ok
 
 
 def test_restrict_states_identity_and_composition(theory):
@@ -256,9 +275,9 @@ def test_restrict_states_identity_and_composition(theory):
     via_mid = restrict_states(theory, small, restrict_states(theory, mid, fam))
     assert set(direct.states) == set(via_mid.states)
     for s in direct.states:
-        assert P.states_equal(direct.states[s], via_mid.states[s], 0.0)
+        assert P.state_deviation(direct.states[s], via_mid.states[s]) == 0.0
     # restrictions of stable families are stable
-    assert is_stable_family(theory, restrict_states(theory, mid, fam))
+    assert check_stable_family(theory, restrict_states(theory, mid, fam)).ok
 
 
 def test_restrict_states_requires_inclusion(theory):
@@ -291,11 +310,11 @@ def test_global_state_forward_only(generic_theory):
     gs = global_state_from_cauchy(generic_theory, None, sigma, rho, leaves)
     for leaf in leaves[1:]:
         want = P.apply(generic_theory.mor(sigma, leaf), rho)
-        assert P.states_equal(gs.state(leaf), want, 1e-12)
+        assert P.state_deviation(gs.state(leaf), want) <= 1e-12
     # sub-slice states come from restriction of the containing leaf
     sub = sl(1, 1)
     want = P.apply(generic_theory.mor(leaves[1], sub), gs.state(leaves[1]))
-    assert P.states_equal(gs.state(sub), want, 1e-12)
+    assert P.state_deviation(gs.state(sub), want) <= 1e-12
 
 
 def test_global_state_from_middle_slice(generic_theory):
@@ -313,8 +332,8 @@ def test_global_state_from_middle_slice(generic_theory):
     from_middle = global_state_from_cauchy(generic_theory, rev, sigma, rho_sigma, family)
     # the reconstructions agree on every slice determined by both data
     want_past = P.apply(generic_theory.mor(initial, past_narrow), rho0)
-    assert P.states_equal(from_middle.state(past_narrow), want_past, 1e-10)
-    assert P.states_equal(from_middle.state(leaves[2]), from_initial.state(leaves[2]), 1e-10)
+    assert P.state_deviation(from_middle.state(past_narrow), want_past) <= 1e-10
+    assert P.state_deviation(from_middle.state(leaves[2]), from_initial.state(leaves[2])) <= 1e-10
 
 
 def test_global_state_wide_past_not_reconstructible(generic_theory):
@@ -331,6 +350,17 @@ def test_global_state_needs_normalised_datum(generic_theory):
     bad = P.state(generic_theory.obj(sigma), 0.5 * random_density(RNG, 64))
     with pytest.raises(NotCauchy):
         global_state_from_cauchy(generic_theory, None, sigma, bad, leaves_tower())
+
+
+@pytest.mark.parametrize("name", sorted(not_states(16)[P.QUANTUM]))
+def test_global_state_refuses_a_datum_that_is_not_a_state(name):
+    # the data that run --mode density --initial refuses; triangular and
+    # negative_diagonal have trace 1, so a rule on the trace alone takes them
+    theory = build_cca(dirac_config(0.4, 0.1))
+    sigma = lattice_slice(0, [0, 2])
+    rho = P.state(theory.obj(sigma), not_states(16)[P.QUANTUM][name])
+    with pytest.raises(NotCauchy):
+        global_state_from_cauchy(theory, None, sigma, rho, [sigma, lattice_slice(1, [1])])
 
 
 def test_global_state_past_leaf_needs_reversal(generic_theory):

@@ -380,14 +380,23 @@ def test_nan_kernel_fails_closed():
 
 def test_library_float_warning_fails_the_suite():
     # pyproject.toml turns a numpy RuntimeWarning raised in library code
-    # into an error: here an overflow in states_equal's subtraction, which
-    # reads inf and so compares unequal, fails the test unless the site
-    # opts in with np.errstate
+    # into an error: here an overflow in state_deviation's subtraction,
+    # which reads inf and so passes no tolerance, fails the test unless the
+    # site opts in with np.errstate
     a, b = P.state(cobj(2), [1e308, 0.0]), P.state(cobj(2), [-1e308, 0.0])
     with pytest.raises(RuntimeWarning, match="overflow"):
-        P.states_equal(a, b)
+        P.state_deviation(a, b)
     with np.errstate(over="ignore"):
-        assert not P.states_equal(a, b)
+        assert P.state_deviation(a, b) == np.inf
+
+
+@pytest.mark.parametrize("backend", [P.QUANTUM, P.CLASSICAL])
+def test_is_state_refuses_an_overflow_without_a_warning(backend):
+    # data from outside (run --initial) may hold +-1e308: the rule's
+    # subtraction or sum overflows to inf, which is refused, and the site
+    # opts in with np.errstate so no warning escapes
+    big = np.array([[0.5, 1e308], [-1e308, 0.5]]) if backend == P.QUANTUM else np.array([1e308, 1e308])
+    assert not P.is_state(P.state(P.ProcObject(backend, (2,)), big))
 
 
 def test_numpy_frame_float_warning_fails_the_suite():
@@ -634,6 +643,26 @@ def test_factor_pair_matches_apply_on_every_step_kind(backend):
         assert np.max(np.abs(_factor_pair_apply(f, x).data - P.apply(f, x).data)) <= P.ORACLE_TOL
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_on_a_probability_vector_is_the_factor_pair_step(seed):
+    # stochastic steps with discards between them: apply runs _evolve on a
+    # probability vector as a factor pair does, so the two agree bit for bit
+    rng = np.random.default_rng(seed)
+    a = cobj(2, 3, 2, 2)
+
+    def stochastic(m):
+        s = rng.random((m, m))
+        return s / s.sum(axis=0)
+
+    steps = (("matrix", stochastic(6), (0, 1)), ("discard", (3,)), ("matrix", stochastic(4), (2, 0)),
+             ("permute", (2, 0, 1)), ("discard", (0,)), ("matrix", stochastic(6), (1, 0)))
+    f = steps_program(a, steps)
+    p = _random_state(a, rng)
+    for g in (f, P.compose(P.discard(f.cod, [1]), f), P.discard(a, [0, 2])):
+        got, want = P.apply(g, p).data, _factor_pair_apply(g, p).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_factor_pair_refuses_a_mismatched_step():
     pair = P.FactorPair.from_ket(qobj(2), [1.0, 0.0])
     with pytest.raises(ShapeMismatch):
@@ -695,7 +724,7 @@ def test_constructor_refuses_a_malformed_form(case):
 def test_programs_and_states_compare_by_identity():
     # == and hash never reach the matrices, so neither raises; two equal
     # but distinct programs or states are not ==, and program_form and
-    # states_equal are the value comparisons
+    # state_deviation are the value comparisons
     a = qobj(2)
     f, g = P.unitary_channel(a, SX), P.unitary_channel(a, SX.copy())
     r, s = P.basis_state(a, 0), P.basis_state(a, 0)
@@ -704,7 +733,7 @@ def test_programs_and_states_compare_by_identity():
         assert not (x == y) and x != y
         assert len({x, y}) == 2
     assert P.deviation(f, g) == 0.0
-    assert P.states_equal(r, s)
+    assert P.state_deviation(r, s) == 0.0
 
 
 def _poisoned(f, draw, garbage=None):
