@@ -54,6 +54,7 @@ from .errors import (
     WrongPredecessorSet,
 )
 from .field_theory import (
+    ComposableTriples,
     FieldTheory,
     check_environment,
     check_functoriality,
@@ -856,9 +857,11 @@ def _check_window() -> tuple:
 
 
 @functools.cache
-def _check_triples() -> tuple:
-    """Every composable triple of the check window (13,069), built once per process."""
-    return tuple(composable_triples(_check_window()))
+def _check_triples() -> ComposableTriples:
+    """Every composable triple of the check window (13,069), addressed by
+    index over the window's morphisms: a draw builds only the triples it
+    picks."""
+    return composable_triples(_check_window())
 
 
 def _draw(rng, population, n: int) -> list:

@@ -17,9 +17,12 @@ the permutation from one slot order to the other.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import process as P
 from .errors import NonEnumerableRegion, NotAReversal, NotCauchy, NotInCategory
@@ -366,10 +369,36 @@ def global_state_from_cauchy(
 # enumeration helpers for finite categories
 # ---------------------------------------------------------------------------
 
-def composable_triples(pairs: Sequence[tuple[Slice, Slice]]) -> list:
+def composable_triples(pairs: Sequence[tuple[Slice, Slice]]) -> ComposableTriples:
     """Every chain (s, g, d) with (s, g) and (g, d) in ``pairs``, in the
-    order of ``pairs``: by the first pair, then by the second."""
+    order of ``pairs``: by the first pair, then by the second.  The chains
+    are addressed by index and built only when read; what is kept is the
+    pairs, each pair's continuations and their prefix counts."""
+    pairs = tuple(pairs)
     by_source: dict = {}
     for s, g in pairs:
         by_source.setdefault(s, []).append(g)
-    return [(s, g, d) for s, g in pairs for d in by_source.get(g, ())]
+    continuations = [by_source.get(g, ()) for _, g in pairs]
+    return ComposableTriples(pairs, continuations, list(itertools.accumulate(map(len, continuations), initial=0)))
+
+
+class ComposableTriples(Sequence):
+    """The chains of ``composable_triples``: chain ``i`` continues the pair
+    ``k`` whose prefix count ``starts[k]`` is the last not above ``i``, with
+    its ``i - starts[k]``-th continuation."""
+
+    def __init__(self, pairs: tuple, continuations: list, starts: list):
+        self._pairs, self._continuations, self._starts = pairs, continuations, starts
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i) -> tuple[Slice, Slice, Slice]:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"chain {i} of {len(self)}")
+        k = bisect.bisect_right(self._starts, i) - 1
+        s, g = self._pairs[k]
+        return s, g, self._continuations[k][i - self._starts[k]]

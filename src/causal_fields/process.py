@@ -116,12 +116,6 @@ class ProcState:
             raise ShapeMismatch(f"state data {self.data.shape}, expected {want}")
         require_finite(self.data, "state data")
 
-    @property
-    def norm(self) -> float:
-        if self.obj.backend == QUANTUM:
-            return float(np.real(np.trace(self.data)))
-        return float(np.sum(self.data))
-
 
 def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` itself, or NotFinite if any entry is NaN or infinite."""

@@ -209,6 +209,16 @@ def dirac_convergence_deviations(
     return out
 
 
+def composable_triples_oracle(pairs) -> list:
+    """Every chain (s, g, d) with (s, g) and (g, d) in ``pairs``, by the
+    first pair, then by the second, built whole (a reference for the
+    index-addressed ``field_theory.composable_triples``)."""
+    by_source: dict = {}
+    for s, g in pairs:
+        by_source.setdefault(s, []).append(g)
+    return [(s, g, d) for s, g in pairs for d in by_source.get(g, ())]
+
+
 # -- dense quantum oracle ------------------------------------------------------
 
 def translation_class_oracle(sigma, gamma) -> tuple:

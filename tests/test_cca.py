@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,10 +55,17 @@ from causal_fields.errors import (
     NotUnitary,
     WrongPredecessorSet,
 )
-from causal_fields.field_theory import FieldTheory, check_monoidality, check_reversal, zigzag_composite
+from causal_fields.field_theory import (
+    FieldTheory,
+    check_monoidality,
+    check_reversal,
+    composable_triples,
+    zigzag_composite,
+)
 from causal_fields.order import Window, future_domain, lattice, materialize
 
 from helpers import (
+    composable_triples_oracle,
     dirac_convergence_deviations,
     normalisation_defect,
     random_density,
@@ -1098,6 +1106,34 @@ def test_check_window_is_built_once_per_process(monkeypatch):
         idx = np.random.default_rng(seed).choice(len(want), size=12, replace=False)
         assert got[0] == got[1] == [want[i] for i in idx]
     assert calls == [(0, 3, -4, 6, 3)]
+
+
+@pytest.mark.parametrize("samples", [12, 50])
+def test_check_triples_draw_the_oracle_triples(samples):
+    # every seed draws the same triples by index as from the whole list
+    oracle = composable_triples_oracle(cca._check_window())
+    assert len(cca._check_triples()) == len(oracle) == 13069
+    for seed in range(8):
+        got = cca._draw(np.random.default_rng(seed), cca._check_triples(), samples)
+        assert got == cca._draw(np.random.default_rng(seed), oracle, samples)
+
+
+def test_check_triples_are_addressed_not_built():
+    # the check window's triples hold its pairs, their continuations and
+    # prefix counts (~80 KB), not the ~0.9 MB of every triple, and a draw
+    # leaves nothing behind
+    window = cca._check_window()
+    cca._draw(np.random.default_rng(0), window, 50)
+    tracemalloc.start()
+    try:
+        triples = composable_triples(window)
+        built, peak = tracemalloc.get_traced_memory()
+        assert peak < 200_000, peak
+        for seed in range(8):
+            cca._draw(np.random.default_rng(seed), triples, 50)
+        assert tracemalloc.get_traced_memory()[0] - built < 1_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_window_slices_count():

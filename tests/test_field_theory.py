@@ -32,7 +32,7 @@ from causal_fields.field_theory import (
 )
 from causal_fields.order import region_between
 
-from helpers import not_states, position_dependent, random_density, random_unitary
+from helpers import composable_triples_oracle, not_states, position_dependent, random_density, random_unitary
 
 RNG = np.random.default_rng(77)
 TOL = P.VALIDITY_TOL
@@ -64,8 +64,23 @@ def generic_theory_config():
 
 # -- functoriality ------------------------------------------------------------------
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("window", [(0, 3, -4, 6, 3), (0, 2, 0, 4, 2), (0, 2, -3, 3, 3), (0, 0, 0, 0, 1)])
+def test_composable_triples_are_the_oracle_chains(window, strict):
+    # the chains are read by index off the pairs, in the order of the list
+    # the oracle builds whole; without identities, the pairs into the last
+    # time have no continuation, and the one-slice window has no chain
+    pairs = [(s, g) for s, g in window_morphisms(*window) if not strict or s != g]
+    want, got = composable_triples_oracle(pairs), composable_triples(pairs)
+    assert [got[i] for i in range(len(got))] == list(got) == want
+    assert [got[i] for i in range(-len(want), 0)] == want
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[i]
+
+
 def test_functoriality_window(generic_theory):
-    triples = composable_triples(window_morphisms(0, 2, 0, 4, 2))[:200]
+    triples = list(composable_triples(window_morphisms(0, 2, 0, 4, 2)))[:200]
     rep = check_functoriality(generic_theory, triples)
     assert rep.ok, rep.violations[:2]
 

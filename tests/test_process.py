@@ -170,7 +170,7 @@ def test_random_unitary_channel_preserves_trace_and_positivity():
     for _ in range(5):
         rho = P.state(a, random_density(RNG, 4))
         out = P.apply(f, rho)
-        assert abs(out.norm - 1.0) < 1e-12
+        assert abs(np.real(np.trace(out.data)) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out.data).min() > -1e-12
 
 
@@ -783,7 +783,7 @@ def test_apply_never_holds_a_wire_longer_than_the_steps(monkeypatch):
     assert len(ndims) == 2 * len(counts)  # M, then conj(M), per matrix step
     for n, c in zip(ndims, np.repeat(counts, 2)):
         assert n <= 2 * c
-    assert abs(out.norm - 1.0) <= P.VALIDITY_TOL
+    assert abs(np.real(np.trace(out.data)) - 1.0) <= P.VALIDITY_TOL
 
 
 def test_morphisms_equal_shape_mismatch():

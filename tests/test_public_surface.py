@@ -134,9 +134,31 @@ def _imports(tree: ast.AST) -> set:
     return {node.name.rpartition(".")[2] for node in ast.walk(tree) if isinstance(node, ast.alias)}
 
 
-def _attributes(tree: ast.AST) -> set:
-    """The names a piece of code reads as attributes."""
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+def _foreign(tree: ast.AST) -> set:
+    """The names a piece of code binds by importing from outside
+    ``causal_fields`` (``np``, ``json``, ``field``, ...)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.partition(".")[0] for a in node.names
+                    if a.name.partition(".")[0] != "causal_fields"}
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.partition(".")[0] != "causal_fields":
+            out |= {a.asname or a.name for a in node.names}
+    return out
+
+
+def _root(node: ast.expr) -> str | None:
+    """The bare name an attribute chain starts from, if any."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _attributes(tree: ast.AST, foreign: set) -> set:
+    """The names a piece of code reads as attributes, leaving out the reads
+    off a ``foreign`` name: ``np.linalg.norm`` reads no library ``norm``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _root(node) not in foreign}
 
 
 def _is_dunder(name: str) -> bool:
@@ -152,22 +174,24 @@ def _library() -> list:
 def _definitions() -> dict:
     """Every top-level function and class of the library, and every
     non-dunder method and property of its classes, by name: a list of
-    ``(finding, node, is_method)``, where ``finding`` reads ``file:line
-    name``.  A class's node leaves out those methods, which are definitions
-    of their own; its dunder methods stay with it."""
+    ``(finding, node, is_method, foreign)``, where ``finding`` reads
+    ``file:line name`` and ``foreign`` is its module's ``_foreign``.  A
+    class's node leaves out those methods, which are definitions of their
+    own; its dunder methods stay with it."""
     out: dict = {}
     for path, tree in _library():
+        foreign = _foreign(tree)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 methods = [m for m in node.body
                            if isinstance(m, ast.FunctionDef) and not _is_dunder(m.name)]
                 for m in methods:
-                    out.setdefault(m.name, []).append((f"{path}:{m.lineno} {node.name}.{m.name}", m, True))
+                    out.setdefault(m.name, []).append((f"{path}:{m.lineno} {node.name}.{m.name}", m, True, foreign))
                 shell = copy.copy(node)
                 shell.body = [n for n in node.body if n not in methods]
-                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", shell, False))
+                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", shell, False, foreign))
             elif isinstance(node, ast.FunctionDef):
-                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", node, False))
+                out.setdefault(node.name, []).append((f"{path}:{node.lineno} {node.name}", node, False, foreign))
     return out
 
 
@@ -196,11 +220,11 @@ def _reached(definitions: dict, names: set, attributes: set) -> set:
             continue
         seen.add(key)
         name, by_attribute = key
-        for finding, node, is_method in definitions.get(name, ()):
+        for finding, node, is_method, foreign in definitions.get(name, ()):
             if by_attribute or not is_method:
                 reached.add(finding)
                 bare = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | _imports(node)
-                todo += [(n, False) for n in bare] + [(a, True) for a in _attributes(node)]
+                todo += [(n, False) for n in bare] + [(a, True) for a in _attributes(node, foreign)]
     return reached
 
 
@@ -215,16 +239,16 @@ def test_every_library_definition_is_reached():
     names, attributes = {"main", "check_suite"} | set(causal_fields.__all__), set()
     for tree in _product_code():
         names |= _imports(tree)
-        attributes |= _attributes(tree)
+        attributes |= _attributes(tree, _foreign(tree))
     for _, owner, attr, _ in _tracer_boundaries():
         names.add(owner.partition(":")[2])
         attributes.add(attr)
     missing = set(KEPT) - set(definitions)
     assert not missing, f"kept names that are not definitions: {sorted(missing)}"
-    kept = {f for name in KEPT for f, _, _ in definitions[name]}
+    kept = {f for name in KEPT for f, *_ in definitions[name]}
     reached = sorted(kept & _reached(definitions, names, attributes))
     assert not reached, "kept definitions reached anyway:\n" + "\n".join(reached)
-    everything = {f for entries in definitions.values() for f, _, _ in entries}
+    everything = {f for entries in definitions.values() for f, *_ in entries}
     found = sorted(everything - _reached(definitions, names | set(KEPT), attributes))
     assert not found, "dead library code:\n" + "\n".join(found)
 
@@ -305,16 +329,20 @@ def _sets(call: ast.Call, place, name: str, default: ast.expr) -> bool:
 def _product_calls() -> dict:
     """Every call in the library and in the product code outside it, by the
     name it calls.  Outside the library a bare name counts only if imported
-    or read as an attribute: otherwise that code bound it itself."""
+    or read as an attribute: otherwise that code bound it itself.  A call
+    off a ``_foreign`` name (``np.linalg.norm(x, 2)``) calls no library
+    code."""
     calls: dict = {}
     trees = [(tree, None) for _, tree in _library()]
-    trees += [(tree, _imports(tree) | _attributes(tree)) for tree in _product_code()]
+    trees += [(tree, _imports(tree) | _attributes(tree, _foreign(tree))) for tree in _product_code()]
     for tree, imported in trees:
+        foreign = _foreign(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
                 if isinstance(f, ast.Attribute):
-                    calls.setdefault(f.attr, []).append(node)
+                    if _root(f) not in foreign:
+                        calls.setdefault(f.attr, []).append(node)
                 elif isinstance(f, ast.Name) and (imported is None or f.id in imported):
                     calls.setdefault(f.id, []).append(node)
     return calls
