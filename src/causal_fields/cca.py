@@ -32,6 +32,12 @@ steps, and a lattice theory builds each morphism as that whole chain; the
 restriction kernel and each single step kernel (``restriction_kernel``,
 ``one_step_kernel``, ``reverse_one_step_kernel``, ``ring_step_morphism``)
 is a chain of one.
+
+A pair of slices is read by one reader, ``_slice_pair``: both slices
+parsed by the lattice's leaf rule (``order.leaf_form``) and the cone test
+run.  A lattice theory reads each pair it builds once more than its
+category's ``hom`` does, and that reading gives both the pair's
+translation-class key and its factorisation, so a build parses nothing.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ from .order import (
     Window,
     iterated_neighbourhood,
     lattice,
+    leaf_form,
     neighbourhood,
     reverse,
     window_events,
@@ -101,12 +108,12 @@ class LatticeSlice:
 def lattice_slice(t: int, sites) -> frozenset:
     """The slice of ``sites`` (coordinate tuples, or integers for d = 1) at
     time ``t``.  A set that is not a member of the constant-time foliation
-    of a lattice of d >= 1 (``_leaf_form``: an off-parity site, a
+    of a lattice of d >= 1 (``order.leaf_form``: an off-parity site, a
     non-integer time or site, sites of mixed length or of no coordinate)
     is BadParams."""
     events = frozenset((t, tuple(x) if isinstance(x, (tuple, list)) else (x,)) for x in sites)
     d = len(next(iter(events))[1]) if events else 1
-    if not d or _leaf_form(events, d) is None:
+    if not d or leaf_form(events, d) is None:
         raise BadParams(f"not a lattice slice: time {t!r}, sites {sorted(events, key=repr)}")
     return events
 
@@ -134,57 +141,15 @@ def lattice_slice_leq(sigma: LatticeSlice, gamma: LatticeSlice, d: int) -> bool:
 # the slice category of the constant-time foliation
 # ---------------------------------------------------------------------------
 
-def _leaf_form(events: frozenset, d: int):
-    """``events`` as a member of the constant-time foliation of the
-    d-dimensional lattice: ``(t, sites)`` when every event is a lattice
-    event (an integer time and ``d`` integer coordinates of its parity) and
-    all share the time ``t``; ``(None, frozenset())`` for the empty slice;
-    None for anything else."""
-    t, sites = None, []
-    for e in events:
-        if not (isinstance(e, tuple) and len(e) == 2):
-            return None
-        et, xs = e
-        if not isinstance(et, int) or (t is not None and et != t):
-            return None
-        if not (isinstance(xs, tuple) and len(xs) == d):
-            return None
-        for x in xs:
-            if not isinstance(x, int) or (x - et) % 2:
-                return None
-        t = et
-        sites.append(xs)
-    return t, frozenset(sites)
-
-
-def translation_class(sigma, gamma, d: int) -> tuple | None:
-    """The translation class of the pair (sigma, gamma) of constant-time
-    slices of the d-dimensional lattice, or None when either is not a member
-    slice: the time gap and both site sets, shifted by their least site.
-    Every site has the parity of its slice's time, so a shift that maps one
-    pair's sites onto another's has the parity of the time shift: two pairs
-    get one key exactly when a lattice translation maps one onto the other.
-    Membership is settled first: a float event hashes like its integer
-    translate, so a key alone would let it pass."""
-    s, g = _leaf_form(frozenset(sigma), d), _leaf_form(frozenset(gamma), d)
-    if s is None or g is None:
-        return None
-    (ts, ss), (tg, gs) = s, g
-    gap = None if ts is None or tg is None else tg - ts
-    if not ss | gs:
-        return gap, ss, gs
-    x0 = min(ss | gs)
-    return gap, frozenset(_sub(x, x0) for x in ss), frozenset(_sub(x, x0) for x in gs)
-
-
 def _slice_pair(sigma, gamma, d: int, arrow: int) -> tuple | None:
-    """The one decision of the slice ordering sigma ->> gamma on the
-    constant-time foliation (``arrow`` is -1 on the reversed lattice): the
-    leaf forms (``_leaf_form``) of both slices and the time gap ``k >= 0``
-    whose ``k``-step cone of gamma lies inside sigma, or None when the pair
-    is not a morphism.  A pair with an empty slice has gap 0, so everything
-    maps to the empty slice and the empty slice to nothing else."""
-    s, g = _leaf_form(frozenset(sigma), d), _leaf_form(frozenset(gamma), d)
+    """The one reading of a pair of slices: the decision of the slice
+    ordering sigma ->> gamma on the constant-time foliation (``arrow`` is
+    -1 on the reversed lattice).  The leaf forms (``order.leaf_form``) of
+    both slices and the time gap ``k >= 0`` whose ``k``-step cone of gamma
+    lies inside sigma, or None when the pair is not a morphism.  A pair
+    with an empty slice has gap 0, so everything maps to the empty slice
+    and the empty slice to nothing else."""
+    s, g = leaf_form(frozenset(sigma), d), leaf_form(frozenset(gamma), d)
     if s is None or g is None:
         return None
     (ts, ss), (tg, gs) = s, g
@@ -224,7 +189,7 @@ def foliation_category_of_lattice(d: int, reversed_: bool = False) -> LatticeSli
     omega = reverse(lattice(d)) if reversed_ else lattice(d)
 
     def contains(s) -> bool:
-        return _leaf_form(frozenset(s), d) is not None
+        return leaf_form(frozenset(s), d) is not None
 
     def product_rule(a, b) -> bool:
         if not a or not b:
@@ -264,10 +229,15 @@ class PartitionedCCAConfig:
     def __post_init__(self):
         if self.d < 1 or self.cell_dim < 1:
             raise BadParams("d and cell_dim must be >= 1")
-        m = self.cell_dim ** (2 ** self.d)
         u = np.asarray(self.scattering)
+        # cell_dim ** 2**d by squaring, stopped once it passes every side of
+        # u: a d read from JSON may be any integer
+        m, k, n = self.cell_dim, 0, max(u.shape, default=0)
+        while k < self.d and 1 < m <= n:
+            m, k = m * m, k + 1
         if u.shape != (m, m):
-            raise BadParams(f"scattering must be {m}x{m} for d={self.d}, cell_dim={self.cell_dim}")
+            size = f"{m}x{m}" if k == self.d or m == 1 else f"larger than {n}x{n}"
+            raise BadParams(f"scattering must be {size} for d={self.d}, cell_dim={self.cell_dim}")
         if self.backend == P.QUANTUM:
             if not (np.max(np.abs(u.conj().T @ u - np.eye(m))) <= P.VALIDITY_TOL):
                 raise NotUnitary("quantum scattering must be unitary")
@@ -452,14 +422,11 @@ def reverse_one_step_kernel(
 # morphism factorisation and the field theory
 # ---------------------------------------------------------------------------
 
-def factorize_morphism(config: PartitionedCCAConfig, sigma, gamma, direction: int = 1) -> list:
+def factorize_morphism(config: PartitionedCCAConfig, pair: tuple, direction: int = 1) -> list:
     """The canonical factorisation of a slice morphism into one restriction
-    followed by full one-step evolutions; ``direction`` is +1 for the
-    forward foliation and -1 for the reversed one.  A pair that is not a
-    morphism (``_slice_pair``) is BadParams."""
-    pair = _slice_pair(sigma, gamma, config.d, direction)
-    if pair is None:
-        raise BadParams("not a lattice slice morphism")
+    followed by full one-step evolutions, read off ``pair``, the morphism's
+    reading by ``_slice_pair`` (so nothing is parsed here); ``direction``
+    is +1 for the forward foliation and -1 for the reversed one."""
     (ts, ss), (_tg, gs), k = pair
     cones = [expand_sites(gs, k - i, config.d) for i in range(k + 1)]
     return [("restrict", ss, cones[0], ts)] + [
@@ -478,31 +445,38 @@ def _lattice_theory(config: PartitionedCCAConfig, direction: int, step) -> Field
 
     Every kernel comes from the one cell matrix and its wires are domain
     positions, so a lattice translate of a pair has the pair's program: the
-    same ``dom``, ``cod`` and ``program_form``.  ``mor_fn`` therefore builds
-    once per translation class (``translation_class``) and hands a translate
-    the representative's morphism.  The classes live in this closure, as
-    long as the theory; a theory whose ``mor_fn`` is replaced keeps only
-    ``FieldTheory``'s absolute keys."""
+    same ``dom``, ``cod`` and ``program_form``.  ``mor_fn`` therefore reads
+    the pair once (``_slice_pair``; a pair that is not a morphism is
+    BadParams) and keys its translation class on that reading: the time gap
+    and both site sets, shifted by their least site.  Every site has the
+    parity of its slice's time, so two pairs share a key exactly when a
+    lattice translation maps one onto the other, and the reading settles
+    membership first, since a float event hashes like its integer
+    translate.  On a class miss the same reading is factorised and built;
+    a translate gets the representative's morphism.  The classes live in
+    this closure, as long as the theory; a theory whose ``mor_fn`` is
+    replaced keeps only ``FieldTheory``'s absolute keys."""
     cat = foliation_category_of_lattice(config.d, reversed_=direction < 0)
     classes: dict = {}
 
     def sites_of(sigma) -> Sites:
-        s = _leaf_form(sigma, config.d)
+        s = leaf_form(sigma, config.d)
         if s is None:
             raise BadParams("not a constant-time lattice slice")
         return s[1]
 
-    def build(sigma, gamma) -> P.ProcMorphism:
-        (_, ss, cone, _t), *steps = factorize_morphism(config, sigma, gamma, direction)
-        chain = [_restriction_step(config, cone)] + [step(src, tgt) for _, src, tgt, _t in steps]
-        return _scatter_and_route(config, ss, chain)
-
     def mor_fn(sigma, gamma) -> P.ProcMorphism:
-        # a pair of non-members has no class (None): build refuses it
-        key = translation_class(sigma, gamma, config.d)
+        pair = _slice_pair(sigma, gamma, config.d, direction)
+        if pair is None:
+            raise BadParams("not a lattice slice morphism")
+        (_, ss), (_, gs), k = pair
+        x0 = min(ss | gs, default=())
+        key = k, frozenset(_sub(x, x0) for x in ss), frozenset(_sub(x, x0) for x in gs)
         f = classes.get(key)
         if f is None:
-            f = classes[key] = build(sigma, gamma)
+            (_, ss, cone, _t), *steps = factorize_morphism(config, pair, direction)
+            chain = [_restriction_step(config, cone)] + [step(src, tgt) for _, src, tgt, _t in steps]
+            f = classes[key] = _scatter_and_route(config, ss, chain)
         return f
 
     return FieldTheory(
@@ -720,7 +694,7 @@ def window_morphisms(t0: int, t1: int, lo: int, hi: int, max_sites: int) -> list
     Decides the foliation category's ``hom`` for every pair (every window
     slice is one of its objects) with each slice parsed once and each
     target's cone cast once per time gap."""
-    members = [(s, _leaf_form(s, 1))
+    members = [(s, leaf_form(s, 1))
                for t in range(t0, t1 + 1) for s in window_slices(t, lo, hi, max_sites)]
     cones: dict = {}
     pairs = []
@@ -973,10 +947,6 @@ def site_probabilities(psi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ring evolution of the full automaton (small rings, any backend)
 # ---------------------------------------------------------------------------
-
-def ring_object(config: PartitionedCCAConfig, sites: int) -> P.ProcObject:
-    return P.ProcObject(config.backend, (config.cell_dim,) * (config.cell_factors * sites))
-
 
 def ring_step_morphism(config: PartitionedCCAConfig, sites: int) -> P.ProcMorphism:
     """One synchronous step on a d=1 ring: scatter everywhere, then route

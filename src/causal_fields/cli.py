@@ -32,7 +32,6 @@ from .cca import (
     dirac_scattering,
     effective_one_particle_block,
     foliation_category_of_lattice,
-    ring_object,
     ring_site_marginals,
     ring_step_morphism,
     run_single_particle,
@@ -356,6 +355,8 @@ def _load_cca(args) -> PartitionedCCAConfig:
 def _check_cca(args) -> Report:
     if args.samples < 1:
         raise BadParams("--samples must be at least 1")
+    if args.seed < 0:
+        raise BadParams("--seed must be at least 0")
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise BadParams("--tol must be finite and non-negative")
     config = _load_cca(args)
@@ -476,10 +477,12 @@ def _cmd_run(args) -> int:
                 }
             )
     else:
-        obj = ring_object(config, sites)
-        if obj.dim > 4096:
+        # the dimension cell_dim**factors against the cap of 4,096 = 2**12,
+        # read from the exponent: a cell_dim >= 2 passes it at 13 factors
+        if config.cell_dim ** min(config.cell_factors * sites, 13) > 4096:
             raise BadParams("density mode is limited to small rings")
         step = ring_step_morphism(config, sites)
+        obj = step.dom
         state = _initial_density(args, config, obj)
         for k in range(args.steps + 1):
             diag = state.diagonal()

@@ -233,6 +233,29 @@ def iterated_neighbourhood(k: int, d: int) -> list[tuple[int, ...]]:
     return [tuple(s) for s in itertools.product(line, repeat=d)]
 
 
+def leaf_form(events: Iterable, d: int) -> tuple | None:
+    """The one rule for a lattice event and a lattice leaf: ``events`` as a
+    member of the constant-time foliation of the d-dimensional lattice.
+    ``(t, sites)`` when every event is a lattice event (an integer time and
+    ``d`` integer coordinates of its parity) and all share the time ``t``;
+    ``(None, frozenset())`` for no events; None for anything else."""
+    t, sites = None, []
+    for e in events:
+        if not (isinstance(e, tuple) and len(e) == 2):
+            return None
+        et, xs = e
+        if not isinstance(et, int) or (t is not None and et != t):
+            return None
+        if not (isinstance(xs, tuple) and len(xs) == d):
+            return None
+        for x in xs:
+            if not isinstance(x, int) or (x - et) % 2:
+                return None
+        t = et
+        sites.append(xs)
+    return t, frozenset(sites)
+
+
 class DiamondLattice:
     """The infinite diamond lattice on {(t, xs) : xs == (t,...,t) mod 2}.
 
@@ -251,15 +274,9 @@ class DiamondLattice:
             raise ValueError("arrow must be +1 or -1")
         self.d = d
         self.arrow = arrow
-        self._nbhd = neighbourhood(d)
 
     def has_event(self, e: Event) -> bool:
-        if not (isinstance(e, tuple) and len(e) == 2):
-            return False
-        t, xs = e
-        if not (isinstance(t, int) and isinstance(xs, tuple) and len(xs) == self.d):
-            return False
-        return all(isinstance(x, int) and (x - t) % 2 == 0 for x in xs)
+        return leaf_form((e,), self.d) is not None
 
     def require_event(self, e: Event) -> Event:
         if not self.has_event(e):
@@ -277,9 +294,11 @@ class DiamondLattice:
         return all(abs(b[i] - a[i]) <= k for i in range(self.d))
 
     def _step(self, x: Event, sign: int) -> tuple:
+        # the 2^d neighbours are built per call, so reading a lattice of a
+        # large d (gen file on {"lattice": {"d": 40}}) builds nothing
         t, a = self.require_event(x)
         return tuple(
-            (t + sign, tuple(a[i] + sign * dlt[i] for i in range(self.d))) for dlt in self._nbhd
+            (t + sign, tuple(a[i] + sign * dlt[i] for i in range(self.d))) for dlt in neighbourhood(self.d)
         )
 
     def immediate_successors(self, x: Event) -> tuple:

@@ -223,8 +223,8 @@ def composable_triples_oracle(pairs) -> list:
 
 def translation_class_oracle(sigma, gamma) -> tuple:
     """A pair of lattice slices with its least event moved to the origin:
-    one value per class of translates (a reference for
-    ``cca.translation_class``, which keys differently)."""
+    one value per class of translates (a reference for the class key of
+    the lattice theories' ``mor_fn``, which keys differently)."""
     if not sigma | gamma:
         return sigma, gamma
     t0, x0 = min(sigma | gamma)
@@ -425,7 +425,8 @@ def reference_lattice_morphism(config, sigma, gamma, direction: int, cell):
 
     dirs = config.directions
     kernels = []
-    for kind, src, tgt, _t in cca.factorize_morphism(config, sigma, gamma, direction):
+    pair = cca._slice_pair(sigma, gamma, config.d, direction)
+    for kind, src, tgt, _t in cca.factorize_morphism(config, pair, direction):
         if kind == "restrict":
             kernels.append(reference_restriction(config, src, tgt))
         elif direction > 0:

@@ -29,7 +29,6 @@ from causal_fields.cca import (
     restriction_kernel,
     reverse_one_step_kernel,
     reversal_theory,
-    ring_object,
     ring_site_marginals,
     ring_step_morphism,
     run_single_particle,
@@ -163,24 +162,27 @@ def test_lattice_slice_rejects_a_non_member(t, sites):
 # -- factorisation ------------------------------------------------------------------
 
 def test_factorize_k0_single_restriction():
-    steps = factorize_morphism(cfg(), sl(0, 0, 2), sl(0, 0))
+    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, 0, 2), sl(0, 0), 1, 1))
     assert steps == [("restrict", frozenset({(0,), (2,)}), frozenset({(0,)}), 0)]
 
 
 def test_factorize_one_step():
-    steps = factorize_morphism(cfg(), sl(0, 0, 2), sl(1, 1))
+    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, 0, 2), sl(1, 1), 1, 1))
     assert steps[0] == ("restrict", frozenset({(0,), (2,)}), frozenset({(0,), (2,)}), 0)
     assert steps[1] == ("step", frozenset({(0,), (2,)}), frozenset({(1,)}), 1)
 
 
 def test_factorize_with_true_restriction():
-    steps = factorize_morphism(cfg(), sl(0, -2, 0, 2, 4), sl(1, 1))
+    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, -2, 0, 2, 4), sl(1, 1), 1, 1))
     assert steps[0][2] == frozenset({(0,), (2,)})
 
 
 def test_factorize_invalid():
+    # a pair that is not a morphism has no reading to factorise, and the
+    # theory's mor_fn, which reads it, refuses it
+    assert cca._slice_pair(sl(0, 0), sl(1, 1), 1, 1) is None
     with pytest.raises(BadParams):
-        factorize_morphism(cfg(), sl(0, 0), sl(1, 1))
+        build_cca(cfg()).mor_fn(sl(0, 0), sl(1, 1))
 
 
 NON_MEMBERS = {
@@ -196,14 +198,17 @@ NON_MEMBERS = {
 @pytest.mark.parametrize("bad", NON_MEMBERS.values(), ids=NON_MEMBERS.keys())
 def test_a_non_member_slice_is_bad_params(bad):
     # both read leaves through the one member parser, which accepts only
-    # integer events of one time and of its parity
+    # integer events of one time and of its parity: the pair reader reads
+    # no pair with a non-member, and mor_fn refuses it
     theory, reversal = build_cca(cfg()), build_reversal(cfg())
     for direction in (1, -1):
-        with pytest.raises(BadParams):
-            factorize_morphism(cfg(), bad, frozenset(), direction)
-        with pytest.raises(BadParams):
-            factorize_morphism(cfg(), sl(0, 0), bad, direction)
+        assert cca._slice_pair(bad, frozenset(), 1, direction) is None
+        assert cca._slice_pair(sl(0, 0), bad, 1, direction) is None
     for t in (theory, reversal):
+        with pytest.raises(BadParams):
+            t.mor_fn(bad, frozenset())
+        with pytest.raises(BadParams):
+            t.mor_fn(sl(0, 0), bad)
         with pytest.raises(BadParams):
             t.obj(bad)
         with pytest.raises(BadParams):
@@ -648,6 +653,11 @@ def _mirror(events):
     return frozenset((-t, xs) for t, xs in events)
 
 
+def _pair_slices(pair) -> tuple:
+    """The two slices of a ``_slice_pair`` reading."""
+    return tuple(frozenset((t, xs) for xs in sites) for t, sites in pair[:2])
+
+
 def _reversal_cell(c):
     # the checked inverse effective scattering: a reversal theory built on it
     # holds that very array, so two such theories build programs of one form
@@ -677,7 +687,7 @@ def test_class_cached_morphisms_are_fresh_builds(monkeypatch, name, direction):
         make = lambda: reversal_theory(c, cell)  # noqa: E731
         pairs = [(_mirror(s), _mirror(g)) for s, g in cca._check_window()]
     builds, factorize = [], cca.factorize_morphism
-    monkeypatch.setattr(cca, "factorize_morphism", lambda *a: builds.append(a[1:3]) or factorize(*a))
+    monkeypatch.setattr(cca, "factorize_morphism", lambda *a: builds.append(_pair_slices(a[1])) or factorize(*a))
     theory = make()
     cached = [P.program_form(theory.mor(s, g)) for s, g in pairs]
     classes = {translation_class_oracle(s, g) for s, g in pairs}
@@ -685,6 +695,42 @@ def test_class_cached_morphisms_are_fresh_builds(monkeypatch, name, direction):
     assert {translation_class_oracle(s, g) for s, g in builds} == classes
     for (s, g), form in zip(pairs, cached):
         assert P.program_form(make().mor(s, g)) == form, (s, g)
+
+
+@pytest.mark.parametrize("direction", [1, -1], ids=["forward", "reversal"])
+def test_theory_mor_parses_each_slice_once_per_reading(monkeypatch, direction):
+    # the parse budget of theory.mor: hom reads the pair, and mor_fn reads it
+    # once more and keys its class and builds from that reading.  A fresh
+    # pair and a class hit cost 4 leaf parses, a memo hit 2 (hom alone), and
+    # a build none
+    c = cfg()
+    theory = build_cca(c) if direction > 0 else reversal_theory(c, _reversal_cell(c))
+    # a build runs from factorize_morphism to the end of _scatter_and_route
+    parses, building, builds = [], [], []
+    leaf_form, factorize, assemble = cca.leaf_form, cca.factorize_morphism, cca._scatter_and_route
+
+    def assembled(*a):
+        f = assemble(*a)
+        builds.append(building.pop())
+        return f
+
+    monkeypatch.setattr(cca, "leaf_form", lambda *a: parses.append(bool(building)) or leaf_form(*a))
+    monkeypatch.setattr(cca, "factorize_morphism", lambda *a: building.append(1) or factorize(*a))
+    monkeypatch.setattr(cca, "_scatter_and_route", assembled)
+
+    def parsed(s, g) -> int:
+        before = len(parses)
+        theory.mor(s, g)
+        return len(parses) - before
+
+    def shift(s):
+        return frozenset((t + 1, (x + 1,)) for t, (x,) in s)
+
+    s, g = sl(0, 0, 2, 4), sl(2 * direction, 2)
+    assert parsed(s, g) == 4  # fresh: hom, then mor_fn's reading, then a build
+    assert parsed(shift(s), shift(g)) == 4  # a translate: hom and mor_fn, no build
+    assert parsed(s, g) == 2  # FieldTheory's memo: hom alone
+    assert builds == [1] and True not in parses
 
 
 @pytest.mark.parametrize("direction", [1, -1], ids=["forward", "reversal"])
@@ -768,7 +814,7 @@ def test_chain_build_matches_the_kernel_by_kernel_reference(name, direction):
         f, want = theory.mor(s, g), reference_lattice_morphism(c, s, g, direction, cell)
         assert (f.dom, f.cod) == (want.dom, want.cod), (s, g)
         assert P.program_form(f) == P.program_form(want), (s, g)
-        (_, ss, cone, _t), *_ = cca.factorize_morphism(c, s, g, direction)
+        (_, ss, cone, _t), *_ = cca.factorize_morphism(c, cca._slice_pair(s, g, c.d, direction), direction)
         r, want = cca.restriction_kernel(c, ss, cone), reference_restriction(c, ss, cone)
         assert (r.dom, r.cod) == (want.dom, want.cod), (s, g)
         assert P.program_form(r) == P.program_form(want), (s, g)
@@ -952,15 +998,16 @@ def test_prop_hom_is_the_cone_test_and_factorize_agrees(case):
     for cat in (fresh, shared):
         assert cat.contains(s) == _reference_member(cat.order, s)
         assert cat.hom(s, g) == want
-    key = cca.translation_class(s, g, d)
-    assert (key is None) == (not (fresh.contains(s) and fresh.contains(g)))
     config = PartitionedCCAConfig(d=d, cell_dim=1, scattering=np.eye(1))
     direction = fresh.order.arrow
+    pair = cca._slice_pair(s, g, d, direction)
+    assert (pair is None) == (not want)
     if not want:
+        theory = build_cca(config) if direction > 0 else build_reversal(config)
         with pytest.raises(BadParams):
-            factorize_morphism(config, s, g, direction)
+            theory.mor_fn(s, g)
         return
-    steps = factorize_morphism(config, s, g, direction)
+    steps = factorize_morphism(config, pair, direction)
     assert steps[0][:2] == ("restrict", _sites(s)) and steps[-1][2] == _sites(g)
     assert [kind for kind, *_ in steps[1:]] == ["step"] * (len(steps) - 1)
     assert len(steps) - 1 == (abs(next(iter(g))[0] - next(iter(s))[0]) if s and g else 0)
@@ -1009,7 +1056,7 @@ def test_single_particle_matches_ring_kernel():
     # the fast path agrees with the full automaton run through the kernels
     m, eps, sites = 0.6, 0.3, 6
     c = dirac_config(m, eps)
-    obj = ring_object(c, sites)
+    obj = ring_step_morphism(c, sites).dom
     step = ring_step_morphism(c, sites)
     rng = np.random.default_rng(9)
     amp = rng.normal(size=(2, sites)) + 1j * rng.normal(size=(2, sites))
@@ -1036,7 +1083,7 @@ def test_single_particle_matches_ring_kernel():
 def test_ring_marginals():
     c = dirac_config(0.0, 0.1)
     sites = 4
-    obj = ring_object(c, sites)
+    obj = ring_step_morphism(c, sites).dom
     vec = np.zeros(obj.dim, dtype=complex)
     vec[1 << (2 * sites - 1 - 2)] = 1.0  # excitation at site 1, slot -1
     marg = ring_site_marginals(c, np.abs(vec) ** 2, sites)
@@ -1050,7 +1097,7 @@ def test_ring_site_marginals_match_per_site_partial_traces(backend, sites):
     # (marginal sum) per site, so the two agree bit for bit
     rng = np.random.default_rng(sites)
     c = cfg(u=np.eye(4)[rng.permutation(4)], backend=backend)
-    obj = ring_object(c, sites)
+    obj = ring_step_morphism(c, sites).dom
     if backend == P.QUANTUM:
         rho = P.state(obj, random_density(rng, obj.dim))
     else:

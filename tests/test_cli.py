@@ -20,7 +20,6 @@ from causal_fields.cca import (
     PartitionedCCAConfig,
     cca_config_to_json,
     dirac_config,
-    ring_object,
     ring_site_marginals,
     ring_step_morphism,
 )
@@ -76,8 +75,9 @@ def test_gen_diamond_roundtrip(tmp_path):
     assert read(again) == blob
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 40])
 def test_gen_file_re_emits_a_lattice_file(tmp_path, d, capsys):
+    # a lattice builds its 2^d neighbours per step, not when it is read
     lat = tmp_path / "lattice.json"
     lat.write_text(json.dumps({"lattice": {"d": d}}))
     assert main(["gen", "file", "--in", str(lat)]) == 0
@@ -508,8 +508,8 @@ def test_each_op_builds_one_kernel_program_per_translation_class(monkeypatch, tm
         asked.add((theory.category.order.arrow, frozenset(sigma), frozenset(gamma)))
         return f
 
-    monkeypatch.setattr(cca, "factorize_morphism", lambda c, s, g, direction=1: builds.append(direction)
-                        or factorize(c, s, g, direction))
+    monkeypatch.setattr(cca, "factorize_morphism", lambda c, pair, direction=1: builds.append(direction)
+                        or factorize(c, pair, direction))
     monkeypatch.setattr(FieldTheory, "mor", counted_mor)
     argv = ["check", target, "--cca", str(haar), "--samples", str(LAWCHECK_SAMPLES[target]),
             "--seed", "7", "--out", str(tmp_path / "r.json")]
@@ -527,6 +527,7 @@ def test_each_op_builds_one_kernel_program_per_translation_class(monkeypatch, tm
     ("functoriality", ["--tol", "nan"]),
     ("nosignalling", ["--tol", "-1"]),
     ("reversal", ["--tol", "inf"]),
+    ("functoriality", ["--seed", "-1"]),
 ])
 def test_check_rejects_bad_ranges(dirac_file, target, extra, capsys):
     assert main(["check", target, "--cca", dirac_file, *extra]) == 2
@@ -610,6 +611,20 @@ def test_check_rejects_garbage_config(tmp_path, name, samples, capsys):
     path.write_text(GARBAGE_CONFIGS[name])
     assert main(["check", "functoriality", "--cca", str(path), "--samples", samples]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [14, 64, 10**300], ids=["14", "64", "1e300"])
+def test_a_config_of_huge_d_is_refused_promptly(tmp_path, d, capsys):
+    # the shape cell_dim ** 2**d is compared without building that integer,
+    # so neither the check nor its one-line message grows with d
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**cca_config_to_json(dirac_config(0.4, 0.1)), "d": d}))
+    start = time.perf_counter()
+    assert main(["check", "functoriality", "--cca", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: scattering must be larger than 4x4 for d=")
+    assert err.count("\n") == 1 and len(err) < 400
 
 
 def test_malformed_json_is_a_usage_error(tmp_path, capsys):
@@ -875,7 +890,7 @@ def _oracle_run(config, sites, steps, data):
     """The states of a density run by the two-sided ``apply``, an
     evaluator independent of the run's factor pair."""
     step = ring_step_morphism(config, sites)
-    states = [P.state(ring_object(config, sites), data)]
+    states = [P.state(step.dom, data)]
     for _ in range(steps):
         states.append(P.apply(step, states[-1]))
     return states
@@ -900,7 +915,7 @@ def test_run_density_dump_states_match_oracle(tmp_path, backend):
     assert main(["run", "--cca", path, "--sites", str(sites), "--steps", str(steps),
                  "--mode", "density", "--dump-states", "--out", str(out)]) == 0
     blob = read(out)
-    obj = ring_object(config, sites)
+    obj = ring_step_morphism(config, sites).dom
     start = np.zeros(obj.dim)
     start[1 << (len(obj.factors) - 1)] = 1.0
     states = _oracle_run(config, sites, steps, np.diag(start) if backend == P.QUANTUM else start)
@@ -924,7 +939,7 @@ def test_run_density_initial_matches_oracle(tmp_path, backend):
     config, path = _config_file(tmp_path, backend)
     sites, steps = 4, 2
     rng = np.random.default_rng(11)
-    d = ring_object(config, sites).dim
+    d = ring_step_morphism(config, sites).dom.dim
     if backend == P.QUANTUM:
         v = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
         v /= np.linalg.norm(v, axis=0)
@@ -1004,6 +1019,58 @@ def test_run_density_initial_within_tolerance_is_a_state(tmp_path, backend):
 def test_run_rejects_bad_ranges(dirac_file, extra, capsys):
     assert main(["run", "--cca", dirac_file, *extra]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sites", [8, 10**9], ids=["8", "1e9"])
+def test_run_density_refuses_a_ring_over_the_cap_before_building_it(monkeypatch, sites, capsys):
+    # the 4,096 cap is read from the exponent: neither the ring's step nor
+    # any object of it is built, so a ring of 10^9 sites is refused at once
+    config = dirac_config(0.4, 0.1)
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("built a piece of a ring over the density cap")
+
+    monkeypatch.setattr(cli, "_load_cca", lambda args: config)
+    monkeypatch.setattr(cli, "ring_step_morphism", never)
+    monkeypatch.setattr(P, "ProcObject", never)
+    start = time.perf_counter()
+    assert main(["run", "--cca", "unread.json", "--mode", "density", "--steps", "1",
+                 "--sites", str(sites)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: density mode is limited to small rings\n"
+
+
+def _int_options(parser: argparse.ArgumentParser, path: tuple = ()):
+    """``(subcommand path, flag)`` of every ``type=int`` option."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _int_options(sub, path + (name,))
+        elif action.type is int:
+            yield path, action.option_strings[0]
+
+
+# Otherwise valid arguments for each subcommand that has an integer option.
+_VALID_ARGV = {
+    ("gen", "diamond"): lambda cfg, out: ["gen", "diamond", "--t", "0..2", "--x", "-2..2", "--out", out],
+    ("check",): lambda cfg, out: ["check", "functoriality", "--cca", cfg, "--samples", "2", "--out", out],
+    ("run",): lambda cfg, out: ["run", "--cca", cfg, "--steps", "1", "--sites", "4", "--out", out],
+}
+
+
+_INT_OPTIONS = list(_int_options(cli._build_parser()))
+
+
+@pytest.mark.parametrize("path, flag", _INT_OPTIONS, ids=[" ".join((*p, f)) for p, f in _INT_OPTIONS])
+def test_every_int_option_refuses_minus_one(dirac_file, tmp_path, path, flag, capsys):
+    # read off the parser, so a new integer flag cannot skip validation:
+    # -1 with otherwise valid arguments is exit 2 with one error line
+    argv = _VALID_ARGV[path](dirac_file, str(tmp_path / "out.json"))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, flag, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_run_csv(dirac_file, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causal_fields import process as P
+from causal_fields import cca, process as P
 from causal_fields.cca import (
     PartitionedCCAConfig,
     build_cca,
@@ -773,7 +773,7 @@ def test_apply_never_holds_a_wire_longer_than_the_steps(monkeypatch):
     f = build_cca(config).mor(sigma, gamma)
     kernels = [
         restriction_kernel(config, src, tgt) if kind == "restrict" else one_step_kernel(config, src, tgt)
-        for kind, src, tgt, _t in factorize_morphism(config, sigma, gamma)
+        for kind, src, tgt, _t in factorize_morphism(config, cca._slice_pair(sigma, gamma, 1, 1))
     ]
     counts = [len(k.dom.factors) for k in kernels for _ in k.ops]
     assert len(counts) == len(f.ops) and len(set(counts)) == 3 and max(counts) < len(f.dom.factors)
