@@ -396,7 +396,7 @@ def _cmd_check(args) -> int:
             report = validate_foliation(omega, _parse_leaves(args.leaves))
         else:
             if isinstance(omega, DiamondLattice):
-                cat = foliation_category_of_lattice(omega.d)
+                cat = foliation_category_of_lattice(omega)
                 pairs = [
                     ((0, (0,) * omega.d), (t, (x,) + (0,) * (omega.d - 1)))
                     for t in range(4)

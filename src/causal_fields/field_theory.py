@@ -81,6 +81,11 @@ def slot_wiring(obj: P.ProcObject, have: list, want: list) -> P.ProcMorphism:
     return P.permute_factors(obj, tuple(have.index(s) for s in want))
 
 
+def _wirable(have: list, want: list) -> bool:
+    """Whether ``want`` is ``have`` reordered, each label once."""
+    return len(set(have)) == len(have) == len(want) and set(have) == set(want)
+
+
 # ---------------------------------------------------------------------------
 # functoriality and monoidality
 # ---------------------------------------------------------------------------
@@ -118,7 +123,7 @@ def check_monoidality(
     Each sample is (sigma, sigma', gamma, gamma') with sigma ->> sigma',
     gamma ->> gamma' and both products defined.  The slots of
     sigma | gamma, sigma and gamma are asked once, for the wiring and for
-    the object equation.
+    the object equation, which a sample that has no wiring fails with NaN.
     """
     report = Report("monoidality")
     deviation = P.deviation_memo()
@@ -128,14 +133,15 @@ def check_monoidality(
         g = theory.mor(gamma, gamma_p)
         union, union_p = sigma | gamma, sigma_p | gamma_p
         merged, concat = theory.slots(union), theory.slots(sigma) + theory.slots(gamma)
+        merged_p, concat_p = theory.slots(union_p), theory.slots(sigma_p) + theory.slots(gamma_p)
+        if not (_wirable(merged, concat) and _wirable(concat_p, merged_p)):
+            report.compare({"quad": quad, "law": "object equation"}, float("nan"), tol)
+            continue
         p_split = slot_wiring(theory.obj(union), merged, concat)
-        p_merge_out = slot_wiring(P.tensor_obj(f.cod, g.cod),
-                                  theory.slots(sigma_p) + theory.slots(gamma_p), theory.slots(union_p))
+        p_merge_out = slot_wiring(P.tensor_obj(f.cod, g.cod), concat_p, merged_p)
         wired = P.compose_all(p_split, P.tensor_mor(f, g), p_merge_out)
         union_mor = theory.mor(union, union_p)
-        obj_ok = sorted(merged) == sorted(concat) and p_split.cod == P.tensor_obj(
-            theory.obj(sigma), theory.obj(gamma))
-        if not obj_ok:
+        if p_split.cod != P.tensor_obj(theory.obj(sigma), theory.obj(gamma)):
             report.record({"quad": quad, "law": "object equation"}, float("nan"))
         dev = deviation(wired, union_mor, tol)
         report.compare({"quad": quad, "law": "morphism factorisation"}, dev, tol)
@@ -148,8 +154,8 @@ def check_environment(
     products: Sequence[tuple[Slice, Slice]],
     tol: float = P.VALIDITY_TOL,
 ) -> Report:
-    """The no-signalling equations of the induced discard family:
-    compatibility with evolution and with the partial products."""
+    """No-signalling of the induced discard family: compatibility with
+    evolution and with the partial products (NaN for one with no wiring)."""
     report = Report("no-signalling")
     deviation = P.deviation_memo()
     for pair in morphisms:
@@ -160,12 +166,12 @@ def check_environment(
     for pair in products:
         sigma, gamma = (frozenset(s) for s in pair)
         union = sigma | gamma
-        p_split = slot_wiring(theory.obj(union), theory.slots(union), theory.slots(sigma) + theory.slots(gamma))
-        tensored = P.compose(
-            P.tensor_mor(theory.discard_effect(sigma), theory.discard_effect(gamma)),
-            p_split,
-        )
-        dev = deviation(tensored, theory.discard_effect(union), tol)
+        merged, concat = theory.slots(union), theory.slots(sigma) + theory.slots(gamma)
+        dev = float("nan")
+        if _wirable(merged, concat):
+            p_split = slot_wiring(theory.obj(union), merged, concat)
+            tensored = P.compose(P.tensor_mor(theory.discard_effect(sigma), theory.discard_effect(gamma)), p_split)
+            dev = deviation(tensored, theory.discard_effect(union), tol)
         report.compare({"pair": pair, "law": "discard of product"}, dev, tol)
     return report
 
@@ -190,9 +196,6 @@ class CategoryRegion:
         for sigma, gamma in self.generators:
             out |= region_between(order, sigma, gamma)
         return frozenset(out)
-
-    def includes(self, other: "CategoryRegion", order) -> bool:
-        return other.events(order) <= self.events(order)
 
 
 @dataclass
@@ -254,14 +257,13 @@ def restrict_states(
     sub_region: CategoryRegion,
     family: StateFamily,
 ) -> StateFamily:
-    """The presheaf restriction map: component-wise reindexing of a stable
-    family along an inclusion of regions."""
-    order = theory.category.order
-    if not family.region.includes(sub_region, order):
+    """The presheaf restriction map along an inclusion of regions: the
+    family's member slices inside the sub-region's events, not enumerated."""
+    order, member = theory.category.order, theory.category.contains
+    events = sub_region.events(order)
+    if not events <= family.region.events(order):
         raise NotInCategory("sub region is not included in the family's region")
-    keep = set(region_slices(theory, sub_region))
-    states = {s: family.states[s] for s in family.states if s in keep}
-    return StateFamily(sub_region, states)
+    return StateFamily(sub_region, {s: rho for s, rho in family.states.items() if s <= events and member(s)})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from causal_fields.order import ExplicitOrder, build_explicit, event_id, window_events
+from causal_fields.order import DiamondLattice, ExplicitOrder, build_explicit, event_id, window_events
 
 
 def random_dag(rng, max_events: int = 10, p: float = 0.3) -> ExplicitOrder:
@@ -425,8 +425,8 @@ def reference_lattice_morphism(config, sigma, gamma, direction: int, cell):
 
     dirs = config.directions
     kernels = []
-    pair = cca._slice_pair(sigma, gamma, config.d, direction)
-    for kind, src, tgt, _t in cca.factorize_morphism(config, pair, direction):
+    pair = cca._slice_pair(sigma, gamma, DiamondLattice(config.d, direction))
+    for kind, src, tgt, _t in cca.factorize_morphism(config, pair):
         if kind == "restrict":
             kernels.append(reference_restriction(config, src, tgt))
         elif direction > 0:
@@ -456,6 +456,14 @@ def position_dependent(theory, site, u):
         return P.ProcMorphism(f.dom, f.cod, ops, f.gone, f.out)
 
     return FieldTheory(theory.category, theory.obj_fn, mor_fn, theory.slots_fn)
+
+
+def relabelled(theory, mutate):
+    """``theory`` with the slot list of every slice ``s`` replaced by
+    ``mutate(s, slots)``: its objects and morphisms unchanged."""
+    from causal_fields.field_theory import FieldTheory
+
+    return FieldTheory(theory.category, theory.obj_fn, theory.mor_fn, lambda s: mutate(s, theory.slots_fn(s)))
 
 
 # -- data of a state's shape that is not a state ------------------------------

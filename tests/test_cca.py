@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import tracemalloc
@@ -61,7 +62,7 @@ from causal_fields.field_theory import (
     composable_triples,
     zigzag_composite,
 )
-from causal_fields.order import Window, future_domain, lattice, materialize
+from causal_fields.order import DiamondLattice, Window, future_domain, lattice, materialize, reverse
 
 from helpers import (
     composable_triples_oracle,
@@ -140,7 +141,7 @@ def test_cone_law_matches_windowed_dplus():
 def test_lattice_slice_builds_members(t, sites):
     s = lattice_slice(t, sites)
     assert len(s) == len(sites)
-    assert not s or foliation_category_of_lattice(len(next(iter(s))[1])).contains(s)
+    assert not s or foliation_category_of_lattice(lattice(len(next(iter(s))[1]))).contains(s)
 
 
 NOT_LATTICE_SLICES = {
@@ -162,25 +163,25 @@ def test_lattice_slice_rejects_a_non_member(t, sites):
 # -- factorisation ------------------------------------------------------------------
 
 def test_factorize_k0_single_restriction():
-    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, 0, 2), sl(0, 0), 1, 1))
+    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, 0, 2), sl(0, 0), lattice(1)))
     assert steps == [("restrict", frozenset({(0,), (2,)}), frozenset({(0,)}), 0)]
 
 
 def test_factorize_one_step():
-    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, 0, 2), sl(1, 1), 1, 1))
+    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, 0, 2), sl(1, 1), lattice(1)))
     assert steps[0] == ("restrict", frozenset({(0,), (2,)}), frozenset({(0,), (2,)}), 0)
     assert steps[1] == ("step", frozenset({(0,), (2,)}), frozenset({(1,)}), 1)
 
 
 def test_factorize_with_true_restriction():
-    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, -2, 0, 2, 4), sl(1, 1), 1, 1))
+    steps = factorize_morphism(cfg(), cca._slice_pair(sl(0, -2, 0, 2, 4), sl(1, 1), lattice(1)))
     assert steps[0][2] == frozenset({(0,), (2,)})
 
 
 def test_factorize_invalid():
     # a pair that is not a morphism has no reading to factorise, and the
     # theory's mor_fn, which reads it, refuses it
-    assert cca._slice_pair(sl(0, 0), sl(1, 1), 1, 1) is None
+    assert cca._slice_pair(sl(0, 0), sl(1, 1), lattice(1)) is None
     with pytest.raises(BadParams):
         build_cca(cfg()).mor_fn(sl(0, 0), sl(1, 1))
 
@@ -201,9 +202,9 @@ def test_a_non_member_slice_is_bad_params(bad):
     # integer events of one time and of its parity: the pair reader reads
     # no pair with a non-member, and mor_fn refuses it
     theory, reversal = build_cca(cfg()), build_reversal(cfg())
-    for direction in (1, -1):
-        assert cca._slice_pair(bad, frozenset(), 1, direction) is None
-        assert cca._slice_pair(sl(0, 0), bad, 1, direction) is None
+    for omega in (lattice(1), reverse(lattice(1))):
+        assert cca._slice_pair(bad, frozenset(), omega) is None
+        assert cca._slice_pair(sl(0, 0), bad, omega) is None
     for t in (theory, reversal):
         with pytest.raises(BadParams):
             t.mor_fn(bad, frozenset())
@@ -562,7 +563,7 @@ def test_classical_permutation_cca_reversal():
 
 def test_translation_action_on_lattice():
     act = translation_action(1)
-    cat = foliation_category_of_lattice(1)
+    cat = foliation_category_of_lattice(lattice(1))
     slices = [sl(0, 0), sl(0, 0, 2), sl(1, 1, 3), frozenset()]
     morphisms = [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2), sl(0, 0)), (sl(0, 0), sl(0, 2))]
     event_pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (2, (0,)))]
@@ -595,6 +596,57 @@ def test_reflection_on_asymmetric_order_fails():
     assert not rep.ok
     assert any(v["witness"]["law"] in ("automorphism", "ordering preservation")
                for v in rep.violations)
+
+
+def _one_generator(step):
+    """A symmetry action of one generator ``s``: the map ``step(t, x, +1)``
+    on d = 1 events, with inverse ``step(t, x, -1)``."""
+    from causal_fields.cca import SymmetryAction
+
+    return SymmetryAction({"s": lambda e: step(e[0], e[1][0], 1)}, {"s": lambda e: step(e[0], e[1][0], -1)})
+
+
+def _laws(report) -> dict:
+    return dict(collections.Counter(v["witness"]["law"] for v in report.violations))
+
+
+def test_symmetry_action_sending_an_event_off_the_order_fails_the_automorphism_law():
+    # the automorphism branch with event pairs: (t, x) -> (t + 1, x) sends
+    # every event off parity, off the lattice; the check records that
+    # instead of asking leq of a non-event (UnknownEvent)
+    act = _one_generator(lambda t, x, sign: (t + sign, (x,)))
+    cat = foliation_category_of_lattice(lattice(1))
+    pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,)))]
+    rep = check_symmetry_action(act, cat, [], [], pairs)
+    assert rep.samples == 2 and _laws(rep) == {"automorphism": 2}
+
+
+def test_off_parity_shift_fails_slice_ordering_and_product_preservation():
+    # the slice, ordering and product preservation branches: the shift
+    # (t, x) -> (t, x + 1) takes every non-empty slice off parity, so each
+    # is no member, each non-empty hom is lost, and so is each product
+    # with both parts non-empty; on the first 60 window slices (2 empty)
+    # and the first 60 window morphisms
+    act = _one_generator(lambda t, x, sign: (t, (x + sign,)))
+    cat = foliation_category_of_lattice(lattice(1))
+    slices = (window_slices(0, *cca._CHECK_BOX) + window_slices(1, *cca._CHECK_BOX))[:60]
+    morphisms = list(cca._check_window())[:60]
+    rep = check_symmetry_action(act, cat, slices, morphisms, [])
+    assert _laws(rep) == {"slice preservation": 58, "ordering preservation": 56, "product preservation": 37,
+                          "leaf transitivity": 58}
+
+
+def test_a_two_step_translation_fails_leaf_transitivity_alone():
+    # the leaf transitivity branch: (t, x) -> (t + 2, x) is an automorphism
+    # of the lattice that keeps slices, orderings and products, but moves a
+    # leaf two steps forward, not one
+    act = _one_generator(lambda t, x, sign: (t + 2 * sign, (x,)))
+    cat = foliation_category_of_lattice(lattice(1))
+    slices = [sl(0, 0), sl(0, 0, 2), sl(1, 1, 3), frozenset()]
+    morphisms = [(sl(0, 0, 2), sl(1, 1)), (sl(0, 0, 2), sl(0, 0)), (sl(0, 0), sl(0, 2))]
+    pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (2, (0,)))]
+    rep = check_symmetry_action(act, cat, slices, morphisms, pairs)
+    assert _laws(rep) == {"leaf transitivity": 3}
 
 
 def test_translation_homogeneity_exact_kernels():
@@ -814,7 +866,7 @@ def test_chain_build_matches_the_kernel_by_kernel_reference(name, direction):
         f, want = theory.mor(s, g), reference_lattice_morphism(c, s, g, direction, cell)
         assert (f.dom, f.cod) == (want.dom, want.cod), (s, g)
         assert P.program_form(f) == P.program_form(want), (s, g)
-        (_, ss, cone, _t), *_ = cca.factorize_morphism(c, cca._slice_pair(s, g, c.d, direction), direction)
+        (_, ss, cone, _t), *_ = cca.factorize_morphism(c, cca._slice_pair(s, g, DiamondLattice(c.d, direction)))
         r, want = cca.restriction_kernel(c, ss, cone), reference_restriction(c, ss, cone)
         assert (r.dom, r.cod) == (want.dom, want.cod), (s, g)
         assert P.program_form(r) == P.program_form(want), (s, g)
@@ -843,7 +895,7 @@ def test_symmetry_asks_each_word_independent_question_once(monkeypatch):
     # tensor_defined of each morphism sample are asked once; each word then
     # asks only of the translates
     rng = np.random.default_rng(5)
-    act, cat = translation_action(1), foliation_category_of_lattice(1)
+    act, cat = translation_action(1), foliation_category_of_lattice(lattice(1))
     slices = window_slices(0, -4, 4, 2) + [frozenset({(0, (1,))}), frozenset({(0, (0,)), (1, (1,))})]
     morphisms = list(cca._check_window())[::97] + [(sl(0, 0), sl(1, 3)), (sl(0, 0), sl(0, 2))]
     pairs = [((0, (0,)), (1, (1,))), ((0, (0,)), (0, (2,))), ((0, (0,)), (3, (1,)))]
@@ -992,22 +1044,23 @@ def test_prop_hom_is_the_cone_test_and_factorize_agrees(case):
     # refuses exactly the pairs that hom refuses, and factorises the others
     # into a restriction of the source and |gap| steps onto the target
     d, reversed_, s, g = case
-    fresh = foliation_category_of_lattice(d, reversed_)
-    shared = _SHARED_CATEGORIES.setdefault((d, reversed_), foliation_category_of_lattice(d, reversed_))
+    omega = DiamondLattice(d, -1 if reversed_ else 1)
+    fresh = foliation_category_of_lattice(omega)
+    shared = _SHARED_CATEGORIES.setdefault((d, reversed_), foliation_category_of_lattice(omega))
     want = _reference_hom(fresh, s, g)
     for cat in (fresh, shared):
         assert cat.contains(s) == _reference_member(cat.order, s)
         assert cat.hom(s, g) == want
     config = PartitionedCCAConfig(d=d, cell_dim=1, scattering=np.eye(1))
     direction = fresh.order.arrow
-    pair = cca._slice_pair(s, g, d, direction)
+    pair = cca._slice_pair(s, g, omega)
     assert (pair is None) == (not want)
     if not want:
         theory = build_cca(config) if direction > 0 else build_reversal(config)
         with pytest.raises(BadParams):
             theory.mor_fn(s, g)
         return
-    steps = factorize_morphism(config, pair, direction)
+    steps = factorize_morphism(config, pair)
     assert steps[0][:2] == ("restrict", _sites(s)) and steps[-1][2] == _sites(g)
     assert [kind for kind, *_ in steps[1:]] == ["step"] * (len(steps) - 1)
     assert len(steps) - 1 == (abs(next(iter(g))[0] - next(iter(s))[0]) if s and g else 0)
@@ -1123,7 +1176,7 @@ def test_dirac_convergence_second_order():
 # -- samplers ---------------------------------------------------------------------------------
 
 def test_window_morphisms_are_homs():
-    cat = foliation_category_of_lattice(1)
+    cat = foliation_category_of_lattice(lattice(1))
     pairs = window_morphisms(0, 2, 0, 4, 2)
     assert pairs
     for s, g in pairs:
@@ -1135,7 +1188,7 @@ def test_window_morphisms_match_brute_force(window):
     # the brute-force double loop over cat.hom, order included: seeded
     # samplers index into this list
     t0, t1, lo, hi, max_sites = window
-    cat = foliation_category_of_lattice(1)
+    cat = foliation_category_of_lattice(lattice(1))
     slices = [s for t in range(t0, t1 + 1) for s in window_slices(t, lo, hi, max_sites)]
     want = [(s, g) for s in slices for g in slices if not (not s and g) and cat.hom(s, g)]
     assert window_morphisms(*window) == want
@@ -1190,7 +1243,7 @@ def test_window_slices_count():
 
 
 def test_sampled_quads_valid():
-    cat = foliation_category_of_lattice(1)
+    cat = foliation_category_of_lattice(lattice(1))
     quads = sample_separated_quads(np.random.default_rng(12), 20)
     for s, sp, g, gp in quads:
         assert cat.tensor_defined(s, g)
@@ -1201,7 +1254,7 @@ def test_sampled_quads_valid():
 def test_sampled_zigzag_chains_alternate():
     # the sampler checks no chain: each link must be a morphism of the
     # forward category (even links) or of the reversed one (odd links)
-    cats = (foliation_category_of_lattice(1), foliation_category_of_lattice(1, reversed_=True))
+    cats = (foliation_category_of_lattice(lattice(1)), foliation_category_of_lattice(reverse(lattice(1))))
     for seed in range(80):
         for a, b in sample_zigzag_chain_pairs(np.random.default_rng(seed), 8):
             assert a[0] == b[0] and a[-1] == b[-1]

@@ -497,19 +497,22 @@ LAWCHECK_SAMPLES = {"functoriality": 12, "monoidality": 16, "nosignalling": 8,
 def test_each_op_builds_one_kernel_program_per_translation_class(monkeypatch, tmp_path, target):
     # a gate on the builds, free of timing noise: factorize_morphism runs
     # once per lattice kernel build, and one op builds exactly one program
-    # per translation class (per time direction) of the pairs it asks for
+    # per translation class (per time direction) of the pairs it asks for;
+    # a build's direction is the arrow of the order _slice_pair last read
     haar = tmp_path / "haar.json"
     haar.write_text(json.dumps(cca_config_to_json(PartitionedCCAConfig(
         d=1, cell_dim=2, scattering=random_unitary(np.random.default_rng(3), 4)))))
-    builds, asked, factorize, mor = [], set(), cca.factorize_morphism, FieldTheory.mor
+    builds, arrows, asked = [], [], set()
+    factorize, slice_pair, mor = cca.factorize_morphism, cca._slice_pair, FieldTheory.mor
 
     def counted_mor(theory, sigma, gamma):
         f = mor(theory, sigma, gamma)
         asked.add((theory.category.order.arrow, frozenset(sigma), frozenset(gamma)))
         return f
 
-    monkeypatch.setattr(cca, "factorize_morphism", lambda c, pair, direction=1: builds.append(direction)
-                        or factorize(c, pair, direction))
+    monkeypatch.setattr(cca, "_slice_pair",
+                        lambda s, g, omega: arrows.append(omega.arrow) or slice_pair(s, g, omega))
+    monkeypatch.setattr(cca, "factorize_morphism", lambda c, pair: builds.append(arrows[-1]) or factorize(c, pair))
     monkeypatch.setattr(FieldTheory, "mor", counted_mor)
     argv = ["check", target, "--cca", str(haar), "--samples", str(LAWCHECK_SAMPLES[target]),
             "--seed", "7", "--out", str(tmp_path / "r.json")]

@@ -32,7 +32,14 @@ from causal_fields.field_theory import (
 )
 from causal_fields.order import region_between
 
-from helpers import composable_triples_oracle, not_states, position_dependent, random_density, random_unitary
+from helpers import (
+    composable_triples_oracle,
+    not_states,
+    position_dependent,
+    random_density,
+    random_unitary,
+    relabelled,
+)
 
 RNG = np.random.default_rng(77)
 TOL = P.VALIDITY_TOL
@@ -205,6 +212,37 @@ def test_environment_matches_backend_discard(generic_theory):
     sigma = sl(0, 0, 2)
     effect, discard = generic_theory.discard_effect(sigma), P.discard(generic_theory.obj(sigma))
     assert P.deviation(effect, discard, TOL) <= TOL
+
+
+# Theories whose union slots are not their parts' slots reordered: the first
+# label of each slice renamed, so the parts' labels clash in the union
+# (slot_wiring raises BadFactorIndex), or, on a slice of three or more
+# events (every union of the samples below), the first label repeated over
+# the second, so the union lacks a label of a part (ValueError).
+SLOT_MUTANTS = {
+    "renamed": lambda s, slots: [("renamed",)] + slots[1:],
+    "repeated": lambda s, slots: slots[:1] * 2 + slots[2:] if len(s) > 2 else slots,
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SLOT_MUTANTS))
+def test_mismatched_slots_fail_monoidality_and_no_signalling_unwired(monkeypatch, mutant):
+    # the slot check before the wiring: every sample fails its law with a
+    # NaN deviation, counted once, and no permutation is built
+    theory = relabelled(build_cca(dirac_config(0.4, 0.1)), SLOT_MUTANTS[mutant])
+    quads = sample_separated_quads(np.random.default_rng(3), 8)
+    products = [(s, g) for s, _, g, _ in quads]
+
+    def unwired(*a):
+        raise AssertionError("a sample without a wiring was wired")
+
+    monkeypatch.setattr(P, "permute_factors", unwired)
+    reports = {"object equation": check_monoidality(theory, quads),
+               "discard of product": check_environment(theory, [], products)}
+    for law, report in reports.items():
+        assert report.samples == len(quads), law
+        violations = [(v["witness"]["law"], v["deviation"]) for v in report.to_json()["violations"]]
+        assert violations == [(law, "NaN")] * len(quads)
 
 
 # -- state families and the presheaf ----------------------------------------------------------
@@ -397,6 +435,16 @@ def test_check_reversal_rejects_mismatched_endpoints(generic_theory):
     rev = build_reversal(generic_theory_config())
     with pytest.raises(NotAReversal):
         check_reversal(generic_theory, rev, [([sl(0, 0), sl(0, 0)], [sl(0, 2), sl(0, 2)])])
+
+
+def test_check_reversal_refuses_a_reversal_with_other_objects(generic_theory):
+    # the object branch: a reversal whose object of a chain's slice is not
+    # the theory's is no reversal of it
+    rev = build_reversal(generic_theory_config())
+    other = FieldTheory(rev.category, lambda s: P.ProcObject(P.QUANTUM, (3,) * len(s)), rev.mor_fn, rev.slots_fn)
+    s, g = sl(0, 0, 2), sl(1, 1)
+    with pytest.raises(NotAReversal, match="objects"):
+        check_reversal(generic_theory, other, [([s, g], [s, g])])
 
 
 def test_check_reversal_sampled(generic_theory):

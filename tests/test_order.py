@@ -325,6 +325,21 @@ def test_antichain_to_chain_invalid():
     assert not check_morphism(f)
 
 
+def test_check_morphism_refuses_a_mapping_that_is_not_on_the_domain_events():
+    # the mapping-keys branch: a domain event left unmapped, or a key that
+    # is no event of the domain
+    point = build_explicit(["p"], [])
+    assert not check_morphism(OrderMorphism(CHAIN, point, {"a": "p", "b": "p"}))
+    assert not check_morphism(OrderMorphism(CHAIN, point, {"a": "p", "b": "p", "c": "p", "z": "p"}))
+
+
+def test_check_morphism_refuses_a_related_pair_sent_to_an_unrelated_one():
+    # the order-preservation branch: a < b in the chain, sent to two
+    # unrelated events
+    anti = build_explicit(["p", "q"], [])
+    assert not check_morphism(OrderMorphism(CHAIN, anti, {"a": "p", "b": "q", "c": "q"}))
+
+
 def test_epi_mono_injective():
     sub = build_explicit(["a", "c"], [("a", "c")])
     f = OrderMorphism(sub, CHAIN, {"a": "a", "c": "c"})

@@ -24,6 +24,7 @@ from causal_fields.errors import (
     NotUnitary,
     ShapeMismatch,
 )
+from causal_fields.order import lattice
 
 from helpers import (
     choi_matrix,
@@ -773,7 +774,7 @@ def test_apply_never_holds_a_wire_longer_than_the_steps(monkeypatch):
     f = build_cca(config).mor(sigma, gamma)
     kernels = [
         restriction_kernel(config, src, tgt) if kind == "restrict" else one_step_kernel(config, src, tgt)
-        for kind, src, tgt, _t in factorize_morphism(config, cca._slice_pair(sigma, gamma, 1, 1))
+        for kind, src, tgt, _t in factorize_morphism(config, cca._slice_pair(sigma, gamma, lattice(1)))
     ]
     counts = [len(k.dom.factors) for k in kernels for _ in k.ops]
     assert len(counts) == len(f.ops) and len(set(counts)) == 3 and max(counts) < len(f.dom.factors)

@@ -469,12 +469,34 @@ def test_validate_refuses_a_large_category_before_enumerating_it(monkeypatch):
 def test_validate_with_constructive_witnesses():
     from causal_fields.cca import cone_pair_witness, foliation_category_of_lattice
 
-    cat = foliation_category_of_lattice(1)
+    cat = foliation_category_of_lattice(lattice(1))
     pairs = [((0, (0,)), (2, (0,))), ((0, (0,)), (1, (1,))), ((0, (0,)), (0, (0,)))]
     rep = validate_slice_category(
         cat, pair_witnesses=cone_pair_witness(1), event_pairs=pairs
     )
     assert rep.ok
+
+
+def test_validate_records_a_failing_witness_and_skips_unrelated_pairs():
+    # the witness branches of condition (1): a related pair whose witness
+    # is no hom is recorded, and an unrelated pair is skipped before its
+    # witness is asked for
+    from causal_fields.cca import foliation_category_of_lattice
+
+    cat = foliation_category_of_lattice(lattice(1))
+    asked = []
+
+    def singletons(x, y):
+        asked.append((x, y))
+        return {x}, {y}
+
+    related = [((0, (0,)), (0, (0,))), ((0, (0,)), (1, (1,)))]
+    unrelated = [((0, (0,)), (0, (2,))), ((1, (1,)), (0, (0,)))]
+    rep = validate_slice_category(cat, pair_witnesses=singletons, event_pairs=related + unrelated)
+    assert asked == related
+    assert rep.samples == 4  # the empty slice, the two related pairs, the witness-only count
+    assert rep.violations == [{"witness": {"pair": related[1], "reason": "witness fails condition (1)"},
+                               "deviation": 0.0}]
 
 
 def test_validate_non_enumerable_without_witnesses():
